@@ -3,8 +3,9 @@
 Away from the loci h' = 0 and |h'| = 1, the soliton system reduces to a
 single polynomial third-order ODE for the warping function h; sin(3 theta)
 and k' are then recovered algebraically. Integrating from exact sine-cone
-jets reproduces h = sin r, and a bisection/secant search over the soliton
-constant recovers lambda = -16 from boundary data alone.
+jets reproduces h = sin r, and shooting over the soliton constant (a grid
+scan for a sign change of the closing functional, then brentq on the first
+bracket) recovers lambda = -16 from boundary data alone.
 """
 
 import numpy as np

@@ -306,7 +306,6 @@ class Manifest:
                 "scipy": __import__("scipy").__version__,
                 "python": sys.version.split()[0],
             },
-            "threads_cap": os.environ.get("COFLOW_THREADS"),
             "wall_time": time.monotonic() - self.t0,
             "status": status,
         })

@@ -4,33 +4,28 @@ The Calabi-Yau system evolves (theta, G) with h frozen at a constant; the
 nearly Kahler system evolves (h, theta, G) independently while the coclosed
 constraint h' = G cos(3 theta) is monitored, not imposed. Spatial
 derivatives are 4th order (periodic wrap on a circle, shifted stencils near
-interval ends), applied as cached sparse matrices; time stepping is
-classical RK4 under the diffusive step restriction
-dt <= cfl * min(G^2) * dr^2.
+interval ends), applied as the cached sparse matrices of
+`profiles.stencil_operator`; time stepping is classical RK4 under the
+diffusive step restriction dt <= cfl * min(G^2) * dr^2.
 
 On an interval the boundary is Dirichlet: endpoint values are frozen (their
 time derivative is zeroed). The constraint diagnostic uses a 2nd-order
 centered stencil so its discrete residual converges at a clean second order
 under simultaneous mesh/time refinement.
-
-FlowStates are immutable; `step` returns a new state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import SingularityDetected, StructureMismatch
 from .forms import StructureKind
-from .profiles import Circle, Interval, _fd_weights
+from .profiles import Circle, Interval, stencil_operator
 
 FLOOR = 1e-6            # positivity floor for h and G
 CONSTRAINT_BLOWUP = 1e-2
-
-_DERIV_CACHE = {}
 
 
 @dataclass(frozen=True)
@@ -61,35 +56,7 @@ class Mesh:
 
     def deriv_matrix(self, m):
         """Sparse 4th-order differentiation matrix for derivative m."""
-        key = (self.n, self.dr, self.periodic, m)
-        if key not in _DERIV_CACHE:
-            _DERIV_CACHE[key] = _build_deriv_matrix(self, m)
-        return _DERIV_CACHE[key]
-
-
-def _build_deriv_matrix(mesh, m):
-    n, dr = mesh.n, mesh.dr
-    size = 5 if m <= 2 else 7
-    half = size // 2
-    offsets = np.arange(-half, half + 1)
-    w = _fd_weights(offsets * dr, m)[:, m]
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        if mesh.periodic:
-            idx = (i + offsets) % n
-            ww = w
-        elif half <= i < n - half:
-            idx = i + offsets
-            ww = w
-        else:
-            s = m + 4  # one-sided stencil size for 4th order
-            lo = min(max(i - s // 2, 0), n - s)
-            idx = np.arange(lo, lo + s)
-            ww = _fd_weights((idx - i) * dr, m)[:, m]
-        rows.extend([i] * len(idx))
-        cols.extend(idx)
-        vals.extend(ww)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return stencil_operator(self.n, self.dr, self.periodic, m, 4)
 
 
 def d1(mesh, f):
@@ -254,14 +221,6 @@ def rhs_nk(state):
     return rates[0], rates[1], rates[2]
 
 
-def _rk4(Y, dt, mesh, structure, D1, D2):
-    k1 = _stacked_rates(Y, mesh, structure, D1, D2)
-    k2 = _stacked_rates(Y + 0.5 * dt * k1, mesh, structure, D1, D2)
-    k3 = _stacked_rates(Y + 0.5 * dt * k2, mesh, structure, D1, D2)
-    k4 = _stacked_rates(Y + dt * k3, mesh, structure, D1, D2)
-    return Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _rk4_cy(theta, G, dt, mesh, D1, D2):
     half = 0.5 * dt
     kt1, kg1 = _cy_stage(theta, G, mesh, D1, D2)
@@ -286,19 +245,6 @@ def _rk4_nk(h, theta, G, dt, mesh, D1, D2):
     return (h + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
             theta + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
             G + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]))
-
-
-def step(state, dt):
-    """One classical RK4 step of size dt; returns the new state."""
-    mesh = state.mesh
-    Y = np.vstack((state.h, state.theta, state.G))
-    Y = _rk4(Y, dt, mesh, state.structure,
-             mesh.deriv_matrix(1), mesh.deriv_matrix(2))
-    return replace(state, h=Y[0], theta=Y[1], G=Y[2], t=state.t + dt)
-
-
-def stable_dt(state, cfl):
-    return cfl * float(np.min(state.G) ** 2) * state.mesh.dr ** 2
 
 
 def run_flow(initial, t_end, output_times=(), cfl=0.2,

@@ -4,7 +4,8 @@ Two interchangeable backends share one algebra. Closed-form expression trees
 (constants, r, arithmetic, sin/cos/exp/arctan, integer powers, antiderivatives
 by quadrature) produce jets exact to rounding. Uniformly sampled grids produce
 jets through finite-difference stencils of configurable order, centered in the
-interior and one-sided at interval ends.
+interior and one-sided at interval ends; the stencils are built once per mesh
+as cached sparse matrices (`stencil_operator`), which the coflow mesh shares.
 
 Profiles are immutable after construction; every operation returns a new
 object, so they are safe to share between threads.
@@ -12,9 +13,11 @@ object, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DomainError, QuadratureFailure, SingularEval
 
@@ -791,16 +794,45 @@ def _stencil_size(m, order):
     return m + order if m % 2 else m + order - 1
 
 
+@functools.lru_cache(maxsize=64)
+def stencil_operator(n, dr, periodic, m, order):
+    """Sparse n x n finite-difference matrix for derivative m on a uniform mesh.
+
+    Rows use the centered stencil of the given order where the window fits,
+    a shifted (one-sided) window of m + order points near interval ends, and
+    wrap around on a circle. Matrices are cached and shared: do not modify
+    them in place.
+    """
+    size = _stencil_size(m, order)
+    half = size // 2
+    offsets = np.arange(-half, size - half)
+    centered = np.arange(n) if periodic else np.arange(half, n - half)
+    rows = [np.repeat(centered, size)]
+    cols = [((centered[:, None] + offsets) % n).ravel()]
+    vals = [np.tile(_fd_weights(offsets * dr, m)[:, m], len(centered))]
+    if not periodic:
+        size = max(size, m + order)  # one-sided needs m+order points
+        for i in np.setdiff1d(np.arange(n), centered):
+            lo = min(max(i - size // 2, 0), n - size)
+            offs = np.arange(lo - i, lo - i + size)
+            rows.append(np.full(size, i))
+            cols.append(i + offs)
+            vals.append(_fd_weights(offs * dr, m)[:, m])
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+
+
 class Sampled(Profile):
     """Profile backed by values on a uniform mesh.
 
     Jets are only available at mesh nodes and are computed with
     finite-difference stencils of the configured order: centered where the
     window fits, shifted (one-sided) near interval ends, periodic wrap on a
-    circle.
+    circle. Each derivative is one product with a shared `stencil_operator`.
     """
 
-    __slots__ = ("values", "order", "n", "dr", "_r0", "_periodic", "_wcache")
+    __slots__ = ("values", "order", "n", "dr", "_r0", "_periodic")
 
     def __init__(self, domain, values, order=4):
         if domain is None:
@@ -818,7 +850,6 @@ class Sampled(Profile):
         else:
             self.dr = (domain.r1 - domain.r0) / (self.n - 1)
             self._r0 = domain.r0
-        self._wcache = {}
 
     @classmethod
     def from_function(cls, f, domain, n, order=4):
@@ -831,68 +862,37 @@ class Sampled(Profile):
         return self._r0 + self.dr * np.arange(self.n)
 
     def _node_index(self, r):
-        t = (float(r) - self._r0) / self.dr
-        idx = int(round(t))
-        if abs(t - idx) > 1e-8:
-            raise DomainError(f"r={r!r} is not a mesh node of the sampled profile")
+        """Mesh index of r, elementwise with the shape of r."""
+        rs = np.asarray(r, dtype=float)
+        t = (rs - self._r0) / self.dr
+        idx = np.rint(t).astype(int)
+        off = np.abs(t - idx) > 1e-8
+        if np.any(off):
+            raise DomainError(
+                f"r={float(rs[off][0])!r} is not a mesh node of the sampled profile")
         if self._periodic:
             return idx % self.n
-        if idx < 0 or idx >= self.n:
-            raise DomainError(f"r={r!r} outside the sampled mesh")
+        outside = (idx < 0) | (idx >= self.n)
+        if np.any(outside):
+            raise DomainError(f"r={float(rs[outside][0])!r} outside the sampled mesh")
         return idx
 
-    def _window(self, m, i):
-        key = (m, i)
-        if key in self._wcache:
-            return self._wcache[key]
-        size = _stencil_size(m, self.order)
-        half = size // 2
-        if self._periodic:
-            offs = np.arange(-half, size - half)
-            idx = (i + offs) % self.n
-        elif half <= i < self.n - half:
-            offs = np.arange(-half, size - half)
-            idx = i + offs
-        else:
-            size = max(size, m + self.order)  # one-sided needs m+order points
-            lo = min(max(i - size // 2, 0), self.n - size)
-            offs = np.arange(lo - i, lo - i + size)
-            idx = i + offs
-        w = _fd_weights(offs * self.dr, m)[:, m]
-        self._wcache[key] = (idx, w)
-        return idx, w
-
-    def _jet_at_index(self, i):
-        out = [self.values[i]]
-        for m in range(1, JET_ORDER + 1):
-            idx, w = self._window(m, i)
-            out.append(w @ self.values[idx])
-        return tuple(out)
+    def _operator(self, m):
+        return stencil_operator(self.n, self.dr, self._periodic, m, self.order)
 
     def _components(self, r, memo):
         key = id(self)
         if key not in memo:
-            if np.ndim(r) == 0:
-                memo[key] = self._jet_at_index(self._node_index(r))
-            else:
-                jets = [self._jet_at_index(self._node_index(x)) for x in np.ravel(r)]
-                cols = [np.asarray(col).reshape(np.shape(r)) for col in zip(*jets)]
-                memo[key] = tuple(cols)
+            idx = self._node_index(r)
+            memo[key] = (self.values[idx],) + tuple(
+                (self._operator(m) @ self.values)[idx] for m in range(1, JET_ORDER + 1))
         return memo[key]
 
     def _value(self, r, memo):
-        if np.ndim(r) == 0:
-            return self.values[self._node_index(r)]
-        return np.asarray([self.values[self._node_index(x)] for x in np.ravel(r)]).reshape(
-            np.shape(r)
-        )
+        return self.values[self._node_index(r)]
 
     def derivative(self):
-        dv = np.empty_like(self.values)
-        for i in range(self.n):
-            idx, w = self._window(1, i)
-            dv[i] = w @ self.values[idx]
-        return Sampled(self.domain, dv, self.order)
+        return Sampled(self.domain, self._operator(1) @ self.values, self.order)
 
     def _json(self):
         vals = np.asarray(self.values, dtype=complex)

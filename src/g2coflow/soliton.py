@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from . import forms as fm
 from . import profiles as pf
@@ -373,7 +373,8 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, atol=1e-12,
     Stops cleanly at the span end or on approach to the singular locus
     (|h'| within 1e-4 of 0 or 1, or h below 1e-6), reporting the status.
     The step cap keeps the dense-output interpolant accurate enough for
-    finite-difference residual checks on the returned grid.
+    finite-difference residual checks on the returned grid; a caller that
+    needs only the end point passes n_dense=2 and max_step=np.inf.
     """
     r0, r1 = float(span[0]), float(span[1])
     if max_step is None:
@@ -477,7 +478,7 @@ def eigenform_check(g, samples=200, constraint_tol=1e-7):
     num = 0.0
     den = 0.0
     cols = {}
-    for tag in set(psi.coeffs) | set(lap.coeffs):
+    for tag in sorted(set(psi.coeffs) | set(lap.coeffs)):  # set order follows str hashing
         pv = np.asarray(psi.coeff(tag).value(rs))
         lv = -np.asarray(lap.coeff(tag).value(rs))  # Delta psi coefficient
         cols[tag] = (pv, lv)
@@ -529,16 +530,22 @@ class ShootReport:
 
 def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
           rtol=1e-10, grid=13, residual_tol=1e-6, lam_tol=1e-9):
-    """Bracketing bisection + secant over lambda for a boundary target.
+    """Grid scan for a sign change, then brentq over lambda for a boundary target.
 
     The closing functional is h'(r_end; lambda) - target (evaluated at the
-    early-stop point if the trajectory hits the singular locus). Returns a
-    ShootReport; found=False carries the scanned bracket report.
+    early-stop point if the trajectory hits the singular locus). It needs
+    only the trajectory's end, so closing integrations take free steps and
+    keep two samples; only the final candidate is integrated densely.
+    Returns a ShootReport; found=False carries the scanned bracket report.
     """
+    memo = {}  # brentq re-evaluates the bracket ends the scan already has
 
     def closing(lam):
-        traj = integrate_reduced(h0, dh0, ddh0, lam, span, rtol=rtol)
-        return float(traj.hp[-1]) - target_dh_end
+        if lam not in memo:
+            traj = integrate_reduced(h0, dh0, ddh0, lam, span, rtol=rtol,
+                                     n_dense=2, max_step=np.inf)
+            memo[lam] = float(traj.hp[-1]) - target_dh_end
+        return memo[lam]
 
     lo, hi = float(min(lam_range)), float(max(lam_range))
     lams = np.linspace(lo, hi, grid)
@@ -552,34 +559,11 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
     bracket = None
     for (l1, f1), (l2, f2) in zip(values, values[1:]):
         if np.isfinite(f1) and np.isfinite(f2) and f1 * f2 <= 0.0:
-            bracket = (l1, f1, l2, f2)
+            bracket = (l1, l2)
             break
     if bracket is None:
         return ShootReport(False, None, None, tuple(values), "NoBracket")
-
-    a, fa, b, fb = bracket
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        fme = closing(m)
-        if fa * fme <= 0.0:
-            b, fb = m, fme
-        else:
-            a, fa = m, fme
-        if b - a < max(lam_tol, 1e-12 * abs(m)):
-            break
-
-    # secant refinement from the bisection endpoints
-    x0, f0, x1, f1 = a, fa, b, fb
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (min(a, b) - 1e-6 <= x2 <= max(a, b) + 1e-6):
-            break
-        x0, f0, x1, f1 = x1, f1, x2, closing(x2)
-        if abs(f1) < 1e-13:
-            break
-    lam = x1
+    lam = optimize.brentq(closing, *bracket, xtol=lam_tol, rtol=1e-12)
 
     traj = integrate_reduced(h0, dh0, ddh0, lam, span, rtol=rtol)
     cand = candidate_from_trajectory(traj, u_sign0)

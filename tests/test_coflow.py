@@ -49,6 +49,18 @@ def test_interval_derivatives_fourth_order_at_edges():
         assert np.max(np.abs(cf.d2(mesh, f) - f)) < 500 * mesh.dr ** 4
 
 
+@pytest.mark.parametrize("domain", [pf.Circle(2 * np.pi), pf.Interval(0.0, 1.0)])
+def test_deriv_matrix_is_the_shared_stencil_operator(domain):
+    mesh = Mesh.from_domain(domain, 33)
+    for m in (1, 2):
+        op = pf.stencil_operator(mesh.n, mesh.dr, mesh.periodic, m, 4)
+        mat = mesh.deriv_matrix(m)
+        assert mat.shape == op.shape
+        assert np.array_equal(mat.indptr, op.indptr)
+        assert np.array_equal(mat.indices, op.indices)
+        assert np.array_equal(mat.data, op.data)
+
+
 def test_scalar_laplacian_examples():
     mesh = Mesh.from_domain(pf.Interval(1.0, 2.0), 101)
     r = mesh.nodes

@@ -238,6 +238,76 @@ def test_sampled_derivative_profile():
 
 
 # ---------------------------------------------------------------------------
+# the shared stencil operator
+# ---------------------------------------------------------------------------
+
+def reference_stencil(n, dr, periodic, m, order, i):
+    """Node indices and weights of derivative m at node i, one node at a time:
+    the smallest centered window reaching the order, a shifted window of
+    m + order points near interval ends, wrapped on a circle."""
+    size = m + order if m % 2 else m + order - 1
+    half = size // 2
+    if periodic or half <= i < n - half:
+        offs = np.arange(-half, size - half)
+    else:
+        size = max(size, m + order)
+        lo = min(max(i - size // 2, 0), n - size)
+        offs = np.arange(lo - i, lo - i + size)
+    idx = (i + offs) % n if periodic else i + offs
+    return idx, pf._fd_weights(offs * dr, m)[:, m]
+
+
+def complex_sampled(dom, n):
+    return pf.Sampled.from_function(lambda r: np.exp(np.sin(r)) + 1j * np.cos(2 * r),
+                                    dom, n)
+
+
+@pytest.mark.parametrize("dom", [pf.Circle(2 * np.pi, 0.3), pf.Interval(-0.5, 1.7)])
+@pytest.mark.parametrize("order", [2, 4])
+def test_stencil_operator_rows_are_the_per_node_stencils(dom, order):
+    s = pf.Sampled.from_function(np.sin, dom, 23, order)
+    for m in range(1, 5):
+        op = pf.stencil_operator(s.n, s.dr, isinstance(dom, pf.Circle), m, order)
+        ref = np.zeros((s.n, s.n))
+        for i in range(s.n):
+            idx, w = reference_stencil(s.n, s.dr, isinstance(dom, pf.Circle), m, order, i)
+            ref[i, idx] = w
+        assert np.array_equal(op.toarray(), ref)
+
+
+@pytest.mark.parametrize("dom", [pf.Circle(2 * np.pi, 0.3), pf.Interval(-0.5, 1.7)])
+def test_sampled_jets_and_derivative_match_per_node_reference(dom):
+    s = complex_sampled(dom, 31)
+    periodic = isinstance(dom, pf.Circle)
+    nodes = s.nodes
+    jets = s.jet(nodes).c
+    assert np.array_equal(jets[0], s.values)
+    deriv = s.derivative().values
+    for i in range(s.n):  # includes the one-sided rows at interval ends
+        scalar = s.jet(float(nodes[i])).c
+        for m in range(1, 5):
+            idx, w = reference_stencil(s.n, s.dr, periodic, m, s.order, i)
+            ref = w @ s.values[idx]
+            tol = 1e-12 * np.sum(np.abs(w) * np.abs(s.values[idx]))
+            assert abs(jets[m][i] - ref) <= tol
+            assert abs(scalar[m] - ref) <= tol
+            if m == 1:
+                assert abs(deriv[i] - ref) <= tol
+    assert np.iscomplexobj(deriv)
+
+
+def test_sampled_derivative_reuses_the_cached_operator():
+    s = complex_sampled(pf.Interval(0.0, 1.3), 57)
+    s.derivative()
+    before = pf.stencil_operator.cache_info()
+    s.derivative()
+    after = pf.stencil_operator.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 1
+    assert s._operator(1) is pf.stencil_operator(s.n, s.dr, False, 1, s.order)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -331,6 +336,28 @@ def test_eigenform_torsion_free_product():
     assert resid < 1e-13
 
 
+EIGENFORM_SCRIPT = """
+from g2coflow import profiles as pf, soliton as so
+dom = pf.Interval(0.4307036284067276, 2.2203144776553647)
+print(so.eigenform_check(so.nk_special("sinecone", domain=dom).g2_profile())[0].hex())
+"""
+
+
+def test_eigenform_is_independent_of_string_hashing():
+    # the basis tags are strings, so a set's iteration order follows
+    # PYTHONHASHSEED; 0 and 1 gave different last bits when sums followed it
+    src = str(Path(so.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", EIGENFORM_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout.strip())
+    assert float.fromhex(outputs[0]) == pytest.approx(16.0, abs=1e-12)
+    assert outputs[0] == outputs[1]
+
+
 def test_cy_soliton_is_not_an_eigenform():
     cand = so.cy_closed_form(1.0, 1.0)
     _, resid = so.eigenform_check(cand.g2_profile())
@@ -385,6 +412,42 @@ def test_shoot_no_bracket():
     assert not rep.found
     assert rep.reason == "NoBracket"
     assert len(rep.closing_values) >= 2
+
+
+def test_shoot_uses_few_lean_closing_integrations(monkeypatch):
+    # criterion 8's data: sine-cone jets at pi/8, target h'(3 pi/8) = cos(3 pi/8)
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    grid = 13
+    n_dense = []
+    integrate = so.integrate_reduced
+
+    def counted(*args, **kwargs):
+        n_dense.append(kwargs.get("n_dense", 801))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(so, "integrate_reduced", counted)
+    rep = so.shoot(np.sin(r0), np.cos(r0), -np.sin(r0), (r0, r1),
+                   target_dh_end=np.cos(r1), lam_range=(-25.0, -8.0), grid=grid)
+    assert rep.found
+    assert abs(rep.lam + 16.0) <= 1e-9
+    assert len(n_dense) <= grid + 10
+    assert n_dense.count(801) == 1
+    assert len(rep.candidate.h.values) == 801
+
+
+def test_shoot_no_bracket_returns_the_scan():
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    h0, dh0, ddh0 = np.sin(r0), np.cos(r0), -np.sin(r0)
+    rep = so.shoot(h0, dh0, ddh0, (r0, r1), target_dh_end=5.0,
+                   lam_range=(-18.0, -14.0), grid=5)
+    assert rep.reason == "NoBracket"
+    assert rep.lam is None and rep.candidate is None
+    lams = [lam for lam, _ in rep.closing_values]
+    assert lams == list(np.linspace(-18.0, -14.0, 5))
+    for lam, value in rep.closing_values:
+        traj = so.integrate_reduced(h0, dh0, ddh0, lam, (r0, r1), rtol=1e-10,
+                                    n_dense=2, max_step=np.inf)
+        assert value == float(traj.hp[-1]) - 5.0
 
 
 def test_shoot_perturbed_target():
