@@ -71,13 +71,32 @@ def d2(mesh, f):
 
 def d1_low_order(mesh, f):
     """2nd-order first derivative, used only for the constraint diagnostic."""
-    if mesh.periodic:
-        return (np.roll(f, -1) - np.roll(f, 1)) / (2 * mesh.dr)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2 * mesh.dr)
-    out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * mesh.dr)
-    out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * mesh.dr)
+    if mesh.periodic:
+        out[0] = (f[1] - f[-1]) / (2 * mesh.dr)
+        out[-1] = (f[0] - f[-2]) / (2 * mesh.dr)
+    else:
+        out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * mesh.dr)
+        out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * mesh.dr)
     return out
+
+
+def _constraint_residual(mesh, structure, h, theta, G):
+    """c(r) = h' - G cos 3 theta (NK) or h' (CY), 2nd-order diagnostic."""
+    hp = d1_low_order(mesh, h)
+    if structure is StructureKind.CY:
+        return hp
+    return hp - G * np.cos(3.0 * theta)
+
+
+def _tau0(D1, structure, h, theta, G):
+    """Pointwise tau0 = 12 theta'/(7G), plus 24 sin(3 theta)/(7h) for NK;
+    D1 is the mesh's first-derivative matrix."""
+    base = 12.0 / 7.0 * (D1 @ theta) / G
+    if structure is StructureKind.CY:
+        return base
+    return base + 24.0 / 7.0 * np.sin(3.0 * theta) / h
 
 
 @dataclass(frozen=True)
@@ -101,17 +120,12 @@ class FlowState:
 
     def constraint_residual(self):
         """c(r) = h' - G cos 3 theta (NK) or h' (CY), 2nd-order diagnostic."""
-        hp = d1_low_order(self.mesh, self.h)
-        if self.structure is StructureKind.CY:
-            return hp
-        return hp - self.G * np.cos(3.0 * self.theta)
+        return _constraint_residual(self.mesh, self.structure, self.h,
+                                    self.theta, self.G)
 
     def tau0(self):
-        thp = d1(self.mesh, self.theta)
-        base = 12.0 / 7.0 * thp / self.G
-        if self.structure is StructureKind.CY:
-            return base
-        return base + 24.0 / 7.0 * np.sin(3.0 * self.theta) / self.h
+        return _tau0(self.mesh.deriv_matrix(1), self.structure, self.h,
+                     self.theta, self.G)
 
 
 @dataclass(frozen=True)
@@ -190,35 +204,23 @@ def _nk_stage(h, theta, G, mesh, D1, D2):
     return dh, dtheta, dG
 
 
-def _stacked_rates(Y, mesh, structure, D1, D2):
-    """Rates for the stacked field array Y with rows (h, theta, G)."""
-    h, theta, G = Y
-    if structure is StructureKind.CY:
-        dtheta, dG = _cy_stage(theta, G, mesh, D1, D2)
-        return np.vstack((np.zeros_like(h), dtheta, dG))
-    return np.vstack(_nk_stage(h, theta, G, mesh, D1, D2))
-
-
 def rhs_cy(state):
     """(dtheta/dt, dG/dt) for the CY system; h must be constant."""
     if state.structure is not StructureKind.CY:
         raise StructureMismatch("rhs_cy needs a CY state")
     if np.max(np.abs(state.h - state.h[0])) > 1e-12:
         raise StructureMismatch("the CY system assumes h is constant in r")
-    rates = _stacked_rates(np.vstack((state.h, state.theta, state.G)),
-                           state.mesh, StructureKind.CY,
-                           state.mesh.deriv_matrix(1), state.mesh.deriv_matrix(2))
-    return rates[1], rates[2]
+    m = state.mesh
+    return _cy_stage(state.theta, state.G, m, m.deriv_matrix(1), m.deriv_matrix(2))
 
 
 def rhs_nk(state):
     """(dh/dt, dtheta/dt, dG/dt) for the NK system."""
     if state.structure is not StructureKind.NK:
         raise StructureMismatch("rhs_nk needs an NK state")
-    rates = _stacked_rates(np.vstack((state.h, state.theta, state.G)),
-                           state.mesh, StructureKind.NK,
-                           state.mesh.deriv_matrix(1), state.mesh.deriv_matrix(2))
-    return rates[0], rates[1], rates[2]
+    m = state.mesh
+    return _nk_stage(state.h, state.theta, state.G, m, m.deriv_matrix(1),
+                     m.deriv_matrix(2))
 
 
 def _rk4_cy(theta, G, dt, mesh, D1, D2):
@@ -292,11 +294,10 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2,
                 status = "SingularityDetected"
                 break
             t += dt
-            tau0 = 12.0 / 7.0 * (D1 @ theta) / G
+            tau0 = _tau0(D1, structure, h, theta, G)
             if nk:
-                hp = d1_low_order(mesh, h)
-                c = float(np.max(np.abs(hp - G * np.cos(3.0 * theta))))
-                tau0 = tau0 + 24.0 / 7.0 * np.sin(3.0 * theta) / h
+                c = float(np.max(np.abs(
+                    _constraint_residual(mesh, structure, h, theta, G))))
                 min_h = float(np.min(h))
             else:
                 c = 0.0  # h is constant along the CY flow

@@ -669,14 +669,22 @@ class Pow(_Unary):
 class Antiderivative(Profile):
     """q(r) = c0 + integral of the integrand from r0 to r, by adaptive Simpson.
 
-    The quadrature rule and tolerance are recorded in ``metadata``. Computed
-    segment integrals are cached internally; the cache is an evaluation detail
-    and does not affect the (immutable) mathematical value.
+    The quadrature works on fixed panels anchored at r0, with breakpoints at
+    r0 + k * panel. A value is c0 plus the prefix sum of the full panels
+    between r0 and the breakpoint next to r on r0's side, plus the partial
+    panel from that breakpoint to r. Prefix sums are accumulated outward from
+    r0 in a fixed order and cached; every panel and partial panel is
+    integrated on its own (`_simpson_batch`) with tolerance tol * panel, so
+    the error does not grow with the number of panels. A value is therefore a
+    pure function of r: it does not depend on the other points of its batch
+    or on what was evaluated before. The quadrature rule and tolerance are
+    recorded in ``metadata``.
     """
 
-    __slots__ = ("integrand", "r0", "c0", "tol", "_cache")
+    __slots__ = ("integrand", "r0", "c0", "tol", "_prefix")
 
     rule = "adaptive_simpson"
+    panel = 0.25
 
     def __init__(self, integrand, r0, c0, tol=1e-12):
         super().__init__(integrand.domain)
@@ -684,28 +692,49 @@ class Antiderivative(Profile):
         self.r0 = float(r0)
         self.c0 = c0
         self.tol = float(tol)
-        self._cache = {self.r0: 0.0}
+        # integrals from r0 to r0 + k * panel for k = 0, 1, ... and k = 0, -1, ...;
+        # replaced whole when extended, so readers never see a partial update
+        self._prefix = (np.zeros(1), np.zeros(1))
 
     @property
     def metadata(self):
         return {"rule": self.rule, "tolerance": self.tol, "r0": self.r0}
 
-    def _integral_to(self, x):
-        if x in self._cache:
-            return self._cache[x]
-        anchor = min(self._cache, key=lambda a: abs(a - x))
-        val = self._cache[anchor] + _adaptive_simpson(
-            lambda t: self.integrand._value(t, {}), anchor, x, self.tol
+    def _anchor(self, k):
+        return self.r0 + k * self.panel
+
+    def _integrals(self, r):
+        x = np.asarray(r, dtype=float)
+        flat = x.ravel()
+        k = np.trunc((flat - self.r0) / self.panel)
+        # each panel costs at least two evaluations of the per-value budget
+        if not np.all(np.abs(k) <= _MAX_EVALS // 2):
+            raise QuadratureFailure(
+                f"coordinate {r!r} is too far from r0 = {self.r0} to integrate")
+        above, below = self._prefix
+        # full panels not cached yet, on either side of r0
+        up = np.arange(len(above) - 1, k.max(initial=0.0))
+        down = np.arange(len(below) - 1, -k.min(initial=0.0))
+        seg = _simpson_batch(
+            lambda t: self.integrand._value(t, {}),
+            np.concatenate((self._anchor(up), self._anchor(-down), self._anchor(k))),
+            np.concatenate((self._anchor(up + 1), self._anchor(-down - 1), flat)),
+            self.tol * self.panel,
         )
-        self._cache[x] = val
-        return val
+        n_up, n_full = len(up), len(up) + len(down)
+        if n_full:
+            above = _accumulate(above, seg[:n_up])
+            below = _accumulate(below, seg[n_up:n_full])
+            self._prefix = (above, below)
+        i = k.astype(np.int64)
+        prefix = np.where(i >= 0, above[np.maximum(i, 0)], below[np.maximum(-i, 0)])
+        return (self.c0 + (prefix + seg[n_full:])).reshape(x.shape)[()]
 
     def _value(self, r, memo):
-        if np.ndim(r) == 0:
-            return self.c0 + self._integral_to(float(r))
-        rs = np.asarray(r, dtype=float)
-        flat = [self.c0 + self._integral_to(float(x)) for x in rs.ravel()]
-        return np.asarray(flat).reshape(rs.shape)
+        key = (id(self), "v")
+        if key not in memo:
+            memo[key] = self._integrals(r)
+        return memo[key]
 
     def _components(self, r, memo):
         key = id(self)
@@ -729,33 +758,71 @@ class Antiderivative(Profile):
         }
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth=48, max_evals=200_000):
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    budget = [max_evals]
+def _accumulate(prefix, panels):
+    """prefix extended by running sums that add one panel at a time."""
+    return np.concatenate((prefix[:-1], np.cumsum(np.concatenate((prefix[-1:], panels)))))
 
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
+
+_MAX_DEPTH = 48
+_MAX_EVALS = 200_000
+_MAX_INTERVALS = 2 ** 17   # intervals one refinement keeps across its levels
+
+
+def _simpson_batch(f, a, b, tol):
+    """Adaptive Simpson integrals of f over the segments [a[i], b[i]].
+
+    Each segment follows the recursive rule of Lyness (1969, J. ACM 16:483):
+    an interval is accepted when |delta| <= 15 tol, with the result
+    left + right + delta / 15, and is otherwise split in two with tol halved.
+    The live intervals of all segments are refined together, breadth first,
+    with one call of f (on an array) per level. A segment's result is summed
+    over its own binary tree, exactly as the recursion sums it, so it does not
+    depend on the other segments. QuadratureFailure is raised when a segment
+    needs more than _MAX_DEPTH levels or _MAX_EVALS evaluations.
+    """
+    n = len(a)
+    seg_a, seg_b = a, b
+    m = 0.5 * (a + b)
+    fa, fm, fb = np.split(f(np.concatenate((a, m, b))), 3)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    owner = np.arange(n)
+    used = np.zeros(n, dtype=np.int64)
+    levels, kept, level_tol = [], n, tol
+    for depth in range(_MAX_DEPTH + 1):
+        if not len(a):
+            break
         m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        budget[0] -= 2
+        flm, frm = np.split(f(np.concatenate((0.5 * (a + m), 0.5 * (m + b)))), 2)
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth <= 0 or budget[0] <= 0:
+        split = ~(np.abs(delta) <= 15.0 * level_tol)
+        levels.append((left + right + delta / 15.0, split))
+        used += 2 * np.bincount(owner, minlength=n)
+        owner = np.repeat(owner[split], 2)
+        if len(owner) and (depth == _MAX_DEPTH or used[owner].max() >= _MAX_EVALS):
+            worst = owner[np.argmax(used[owner])]
             raise QuadratureFailure(
-                f"adaptive Simpson did not converge on [{a}, {b}] at tol {tol}"
-            )
-        return (
-            recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-            + recurse(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-        )
-
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+                f"adaptive Simpson did not converge on [{seg_a[worst]}, "
+                f"{seg_b[worst]}] within {_MAX_DEPTH} levels and "
+                f"{_MAX_EVALS} evaluations")
+        kept += len(owner)
+        if kept > _MAX_INTERVALS and n > 1:
+            # too many intervals at once: integrate each half of the segments alone
+            half = n // 2
+            return np.concatenate((_simpson_batch(f, seg_a[:half], seg_b[:half], tol),
+                                   _simpson_batch(f, seg_a[half:], seg_b[half:], tol)))
+        # children of interval j sit at 2j (left half) and 2j + 1 (right half)
+        a, b, fa, fm, fb, whole = (
+            np.stack((lo[split], hi[split]), axis=1).ravel()
+            for lo, hi in ((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right)))
+        level_tol *= 0.5
+    # an interval that was split is worth the sum of its two children
+    value = np.zeros(0)
+    for est, split in reversed(levels):
+        est[split] = value[0::2] + value[1::2]
+        value = est
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1077,8 @@ def jet_at(p, r):
 
 
 def antiderivative(p, r0, c0, tol=1e-12):
-    """Profile q with q(r0) = c0 and q' = p, values by adaptive Simpson."""
+    """Profile q with q(r0) = c0 and q' = p, values by adaptive Simpson on
+    fixed panels anchored at r0."""
     return Antiderivative(p, r0, c0, tol)
 
 

@@ -61,6 +61,13 @@ def test_deriv_matrix_is_the_shared_stencil_operator(domain):
         assert np.array_equal(mat.data, op.data)
 
 
+def test_periodic_low_order_derivative_matches_the_rolled_stencil():
+    mesh = Mesh.from_domain(pf.Circle(2 * np.pi), 64)
+    f = np.exp(np.sin(mesh.nodes))
+    rolled = (np.roll(f, -1) - np.roll(f, 1)) / (2 * mesh.dr)
+    assert np.array_equal(cf.d1_low_order(mesh, f), rolled)
+
+
 def test_scalar_laplacian_examples():
     mesh = Mesh.from_domain(pf.Interval(1.0, 2.0), 101)
     r = mesh.nodes
@@ -317,3 +324,15 @@ def test_snapshots_at_output_times():
     run = cf.run_flow(s, t_end=0.2, output_times=(0.05, 0.1, 0.15))
     times = [snap.t for snap in run.snapshots]
     assert np.allclose(times, [0.05, 0.1, 0.15, 0.2])
+
+
+@pytest.mark.parametrize("structure", [CY, NK])
+def test_step_diagnostics_match_the_state_methods(structure):
+    s = near_cylinder_state(64) if structure is NK else circle_state(
+        n=64, theta=lambda r: 0.01 * np.sin(r))
+    run = cf.run_flow(s, t_end=0.01)
+    final = run.snapshots[-1]
+    _, _, c, tau0_sup, _, _ = run.diagnostics[-1]
+    assert tau0_sup == np.max(np.abs(final.tau0()))
+    if structure is NK:
+        assert c == np.max(np.abs(final.constraint_residual()))

@@ -1,7 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2coflow import profiles as pf
 from g2coflow.errors import DomainError, SingularEval
@@ -180,6 +183,154 @@ def test_antiderivative_then_derivative_identity():
         q = pf.antiderivative(f.derivative(), 0.0, f.value(0.0))
         for r in rng.uniform(-1.5, 1.5, size=5):
             assert abs(q.value(float(r)) - f.value(float(r))) < 1e-10
+
+
+def _recursive_simpson(f, a, b, tol, depth=48):
+    """Scalar recursive adaptive Simpson (Lyness 1969), the reference for the
+    batched quadrature: same accept test, same sums in the same order."""
+    def rec(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        assert depth > 0
+        return (rec(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
+                + rec(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
+
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    return rec(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, depth)
+
+
+def test_batched_simpson_equals_the_recursive_rule_bitwise():
+    g = pf.cos(3 * R) * pf.exp(pf.sin(R)) + 1j * pf.sin(2 * R)
+    a = np.array([0.0, 0.25, 2.0, 1.3, -0.5])
+    b = np.array([0.25, 0.5, 1.1, 1.3, -3.0])  # reversed and empty segments too
+    got = pf._simpson_batch(lambda t: g._value(t, {}), a, b, 1e-12)
+    want = [_recursive_simpson(lambda t: g._value(np.array([t]), {})[0], x, y, 1e-12)
+            for x, y in zip(a, b)]
+    assert np.array_equal(got, np.array(want))
+
+
+def test_antiderivative_does_not_depend_on_evaluation_order():
+    rs = np.linspace(0.1, 3, 30)
+    values = []
+    for order in (rs, rs[::-1]):
+        q = pf.antiderivative(pf.cos(R), 0.0, 0.0)
+        got = {r: q.value(float(r)) for r in order}
+        values.append(np.array([got[r] for r in rs]))
+    values.append(pf.antiderivative(pf.cos(R), 0.0, 0.0).value(rs))
+    assert np.array_equal(values[0], values[1])
+    assert np.array_equal(values[0], values[2])
+
+
+def test_coclosed_nk_h_does_not_depend_on_history():
+    from g2coflow.forms import StructureKind
+    from g2coflow.verify import random_g2_profile
+
+    rs = pf.Circle(2 * np.pi).sample_points(50, interior=True)
+    want = random_g2_profile(np.random.default_rng(7), StructureKind.NK,
+                             coclosed=True).h.value(rs)
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        h = random_g2_profile(np.random.default_rng(7), StructureKind.NK,
+                              coclosed=True).h
+        for r in rng.uniform(0.0, 2 * np.pi, size=int(rng.integers(1, 20))):
+            h.value(float(r))
+        got = {r: h.value(float(r)) for r in rng.permutation(rs)}
+        assert np.array_equal(np.array([got[r] for r in rs]), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 3)),
+                       min_size=1, max_size=4),
+       points=st.lists(st.floats(-4, 4), min_size=1, max_size=12),
+       data=st.data())
+def test_batch_equals_shuffled_pointwise_evaluation(coeffs, points, data):
+    integrand = pf.constant(0.5)
+    for j, (amp, phase) in enumerate(coeffs, start=1):
+        integrand = integrand + amp * pf.cos(j * R + phase)
+    rs = np.array(points)
+    batch = pf.antiderivative(integrand, 0.3, 0.0).value(rs)
+    q = pf.antiderivative(integrand, 0.3, 0.0)
+    order = data.draw(st.permutations(range(len(rs))))
+    single = np.empty_like(batch)
+    for i in order:
+        single[i] = q.value(float(rs[i]))
+    assert np.array_equal(batch, single)
+
+
+def test_antiderivative_below_r0_and_on_breakpoints():
+    r0 = 1.0
+    q = pf.antiderivative(pf.cos(R), r0, 0.5)
+    rs = np.concatenate((np.linspace(-2.0, 3.0, 23),
+                         r0 + q.panel * np.arange(-8, 9)))
+    want = np.sin(rs) - np.sin(r0) + 0.5
+    got = q.value(rs)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert q.value(r0) == 0.5
+    assert np.array_equal(got, [q.value(float(r)) for r in rs])
+
+
+def test_antiderivative_complex_integrand_and_c0():
+    c0 = 1.0 + 2.0j
+    q = pf.antiderivative(pf.exp(1j * R), 0.0, c0)
+    rs = np.linspace(-1.0, 4.0, 17)
+    got = q.value(rs)
+    assert np.iscomplexobj(got)
+    assert np.max(np.abs(got - (c0 + (np.exp(1j * rs) - 1.0) / 1j))) < 1e-11
+
+
+def test_nested_antiderivative():
+    q = pf.antiderivative(pf.antiderivative(pf.cos(R), 0.0, 0.0), 0.0, -1.0)
+    rs = np.linspace(-2.0, 2.5, 13)
+    assert np.max(np.abs(q.value(rs) + np.cos(rs))) < 1e-11
+    assert np.array_equal(q.value(rs), [q.value(float(r)) for r in rs])
+
+
+def test_antiderivative_on_interval_up_to_its_end():
+    dom = pf.Interval(0.3, 2.1)
+    x = pf.coordinate(dom)
+    # the integrand has a pole just past the end, where no panel may reach
+    q = pf.antiderivative(1.0 / (x - 2.11), dom.r0, 0.0)
+    rs = dom.sample_points(40)
+    assert rs[-1] == dom.r1
+    want = np.log(np.abs(rs - 2.11)) - np.log(np.abs(dom.r0 - 2.11))
+    assert np.max(np.abs(q.value(rs) - want)) < 1e-11
+    with pytest.raises(DomainError):
+        q.value(2.2)
+
+
+def test_antiderivative_scalar_equals_array_entry():
+    q = pf.antiderivative(pf.exp(pf.sin(R)), 0.0, 0.2)
+    for r in (0.0, 0.25, 0.7, -1.3, 5.0):
+        scalar = q.value(r)
+        assert np.ndim(scalar) == 0
+        assert scalar == q.value(np.array([[r, 0.1]]))[0, 0]
+
+
+def test_antiderivative_refined_in_parts_keeps_values(monkeypatch):
+    wiggly = pf.sin(4.0 / (R + 0.3))
+    rs = np.linspace(0.01, 2.5, 40)
+    want = pf.antiderivative(wiggly, 0.0, 0.0).value(rs)
+    monkeypatch.setattr(pf, "_MAX_INTERVALS", 64)
+    assert np.array_equal(pf.antiderivative(wiggly, 0.0, 0.0).value(rs), want)
+
+
+def test_quadrature_failure_on_a_batch_is_quick():
+    from g2coflow.errors import QuadratureFailure
+
+    q = pf.antiderivative(pf.sin(pf.constant(1.0) / R), 1.0, 0.0, tol=1e-14)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureFailure):
+        q.value(np.linspace(1e-7, 1e-3, 64))
+    # more panels than the per-value budget allows, or no panel count at all
+    for r in (1e6, np.nan):
+        with pytest.raises(QuadratureFailure):
+            q.value(r)
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------
