@@ -1,15 +1,19 @@
 """Command-line entry point: verify | torsion | flow | soliton | residual.
 
-Configuration flows through two operations: `parse_config` resolves raw
-JSON or flags into a RunConfig with every default filled (rejecting unknown
-keys with their path), and `run` dispatches it, writing artifacts and a
-manifest that echoes the fully resolved configuration plus versions, wall
-time, and status. Re-running from a manifest's config reproduces the run;
-CSV output uses 17 significant digits, so identical config and seed give
-byte-identical artifacts.
+Every invocation takes one path. `main` builds a raw config dict from the
+JSON file given by `--config` (optional on every subcommand), then lays the
+flags given on the command line over it: each flag is the config key of the
+same name (`--u-sign0` is `u_sign0`) and wins over the file. `parse_config`
+resolves that dict into a RunConfig with every default filled, rejecting
+unknown keys and bad values with their key path, and `run` dispatches it,
+writing artifacts and a manifest that echoes the fully resolved
+configuration plus versions, wall time, and status. Re-running with the
+manifest's config as `--config` reproduces the run; CSV output uses 17
+significant digits, so identical config and seed give byte-identical
+artifacts.
 
 Exit codes: 0 success, 1 tolerance failure or search miss, 2 configuration
-error.
+error (including soliton family parameters outside their valid range).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from . import profiles as pf
 from . import soliton as so
 from . import torsion as ts
 from . import verify as vf
-from .errors import ConfigError, G2CoflowError
+from .errors import ConfigError, G2CoflowError, InvalidParams
 from .forms import G2Profile, StructureKind
 
 
@@ -44,6 +49,8 @@ _FUNCS = {"sin": pf.sin, "cos": pf.cos, "exp": pf.exp, "atan": pf.arctan}
 
 def parse_expression(text, domain=None):
     """Closed-form Profile from an expression string."""
+    if not isinstance(text, str):
+        raise ConfigError(f"expression must be a string, got {text!r}")
     try:
         tree = ast.parse(text, mode="eval").body
     except SyntaxError as exc:
@@ -81,18 +88,79 @@ def parse_expression(text, domain=None):
 
 
 # ---------------------------------------------------------------------------
-# configuration resolution
+# configuration keys: one table read by build_parser and parse_config
 # ---------------------------------------------------------------------------
 
 STENCIL_ORDER = 4   # finite-difference order for sampled data and the flow
 
+_REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """One configuration key of a subcommand.
+
+    `type` converts the value, or each of `nargs` values ("*": any number);
+    None marks a structured value (domain, profile expressions) that the
+    subcommand parses itself and the manifest echoes as given. `flag` keys
+    are also command-line flags, spelled --key with "_" as "-".
+    """
+
+    type: object = None
+    default: object = _REQUIRED
+    nargs: object = None
+    choices: tuple = None
+    flag: bool = False
+
+
+def _flag(type, default=_REQUIRED, **kw):
+    return Key(type, default, flag=True, **kw)
+
+
+_NK_FAMILIES = tuple(f.value for f in (so.Family.CONE, so.Family.ANTICONE,
+                                       so.Family.CYLINDER, so.Family.SINECONE))
+_STENCIL = Key(int, STENCIL_ORDER, choices=(STENCIL_ORDER,))
+
+_KEYS = {
+    "verify": {"suite": _flag(str, "identities", choices=("identities",)),
+               "seed": _flag(int, 0), "profiles": _flag(int, 20),
+               "points": _flag(int, 50)},
+    "torsion": {"structure": Key(), "domain": Key(), "h": Key(),
+                "theta": Key(), "G": Key(), "samples": Key(int, 200),
+                "stencil_order": _STENCIL, "csv": _flag(bool, False)},
+    "flow": {"structure": Key(), "domain": Key(), "initial": Key(),
+             "t_end": Key(float), "output_times": Key(float, (), nargs="*"),
+             "cfl": Key(float, 0.2), "stencil_order": _STENCIL},
+    "cy": {"b": _flag(float), "c": _flag(float), "r0": _flag(float, -2.0),
+           "r1": _flag(float, 2.0), "tolerance": _flag(float, 1e-8)},
+    "nk": {"family": _flag(str, choices=_NK_FAMILIES), "b": _flag(float, 0.0),
+           "c": _flag(float, 0.0), "lambda": _flag(float, None),
+           "tolerance": _flag(float, 1e-8)},
+    "reduce": {"h0": _flag(float), "dh0": _flag(float), "ddh0": _flag(float),
+               "lambda": _flag(float), "span": _flag(float, nargs=2),
+               "rtol": _flag(float, 1e-10), "u_sign0": _flag(float, 1.0),
+               "tolerance": _flag(float, 1e-6)},
+    "shoot": {"h0": Key(float), "dh0": Key(float), "ddh0": Key(float),
+              "span": Key(float, nargs=2), "target_dh_end": Key(float),
+              "lam_range": Key(float, nargs=2), "u_sign0": Key(float, 1.0),
+              "rtol": Key(float, 1e-10), "residual_tol": Key(float, 1e-6),
+              "grid": Key(int, 13)},
+    "residual": {"structure": Key(), "domain": Key(), "h": Key(),
+                 "theta": Key(), "kprime": Key(), "lambda": Key(float),
+                 "samples": Key(int, 200), "tolerance": Key(float, 1e-8)},
+}
+
+
+# ---------------------------------------------------------------------------
+# configuration resolution
+# ---------------------------------------------------------------------------
 
 @dataclass
 class RunConfig:
     """Resolved configuration of one CLI invocation.
 
     `resolved` is the JSON-serializable echo (defaults filled) written to
-    the manifest; `objects` holds the constructed domain/profile values.
+    the manifest; `objects` holds the constructed domains, profiles and
+    candidates.
     """
 
     subcommand: str
@@ -110,18 +178,46 @@ def _require_keys(obj, allowed, required, path):
             raise ConfigError("missing configuration key", key=f"{path}{key}")
 
 
+def _value(key, spec, value):
+    """A key's value converted by its spec; structured values pass as given."""
+    if spec.type is None or (value is None and spec.default is None):
+        return value
+    try:
+        if spec.nargs is None:
+            if spec.type is bool and not isinstance(value, bool):
+                raise TypeError
+            out = spec.type(value)
+        else:
+            out = [spec.type(x) for x in value]
+            if spec.nargs != "*" and len(out) != spec.nargs:
+                raise ValueError
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value {value!r}", key=key) from None
+    if spec.choices is not None and out not in spec.choices:
+        raise ConfigError(f"must be one of {list(spec.choices)}", key=key)
+    return out
+
+
+def _domain(cls, key, *bounds):
+    """cls(*bounds) with float bounds; a bad bound is a ConfigError at key."""
+    try:
+        return cls(*map(float, bounds))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), key=key) from None
+
+
 def _parse_domain(obj, path="domain."):
     _require_keys(obj, {"kind", "r0", "r1", "period", "n"}, {"kind"}, path)
     kind = obj["kind"]
     if kind == "circle":
         if "period" not in obj:
             raise ConfigError("circle domain needs a period", key=path + "period")
-        return pf.Circle(float(obj["period"]), float(obj.get("r0", 0.0)))
+        return _domain(pf.Circle, path[:-1], obj["period"], obj.get("r0", 0.0))
     if kind == "interval":
         for k in ("r0", "r1"):
             if k not in obj:
                 raise ConfigError("interval domain needs r0 and r1", key=path + k)
-        return pf.Interval(float(obj["r0"]), float(obj["r1"]))
+        return _domain(pf.Interval, path[:-1], obj["r0"], obj["r1"])
     raise ConfigError(f"unknown domain kind {kind!r}", key=path + "kind")
 
 
@@ -158,114 +254,93 @@ def _load_sample_file(path, n, key):
 def load_config_file(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return raw
 
 
-_FLOW_KEYS = {"structure", "domain", "initial", "t_end", "output_times", "cfl",
-              "stencil_order"}
-_SHOOT_KEYS = {"h0", "dh0", "ddh0", "span", "target_dh_end", "lam_range",
-               "u_sign0", "rtol", "residual_tol", "grid"}
-_TORSION_KEYS = {"structure", "domain", "h", "theta", "G", "samples",
-                 "stencil_order"}
-_RESIDUAL_KEYS = {"structure", "domain", "h", "theta", "kprime", "lambda",
-                  "samples", "tolerance"}
+def _flow_objects(c):
+    if c["t_end"] <= 0:
+        raise ConfigError("t_end must be positive", key="t_end")
+    if c["cfl"] <= 0:
+        raise ConfigError("cfl must be positive", key="cfl")
+    domain = _parse_domain(c["domain"])
+    if "n" not in c["domain"]:
+        raise ConfigError("flow domain needs a node count n", key="domain.n")
+    n = int(c["domain"]["n"])
+    _require_keys(c["initial"], {"h", "theta", "G"}, {"h", "theta", "G"},
+                  "initial.")
+    initial = {name: _parse_field(c["initial"][name], domain, n,
+                                  f"initial.{name}")
+               for name in ("h", "theta", "G")}
+    return {"domain": domain, "structure": _parse_structure(c["structure"]),
+            "initial": initial, "n": n}
+
+
+def _torsion_objects(c):
+    domain = _parse_domain(c["domain"])
+    structure = _parse_structure(c["structure"])
+    n = c["domain"].get("n")
+    fields = {name: _parse_field(c[name], domain, n, name)
+              for name in ("h", "theta", "G")}
+    try:
+        return {"g": G2Profile(**fields, structure=structure, domain=domain)}
+    except ValueError as exc:   # h or G not positive on the domain
+        raise ConfigError(str(exc)) from None
+
+
+def _residual_objects(c):
+    domain = _parse_domain(c["domain"])
+    structure = _parse_structure(c["structure"])
+    return {"candidate": so.SolitonCandidate(
+        h=parse_expression(c["h"], domain),
+        theta=parse_expression(c["theta"], domain),
+        kprime=parse_expression(c["kprime"], domain),
+        lam=c["lambda"], structure=structure, family=so.Family.CUSTOM,
+        domain=domain,
+    )}
+
+
+def _cy_objects(c):
+    domain = _domain(pf.Interval, "r1", c["r0"], c["r1"])
+    return {"candidate": so.cy_closed_form(c["b"], c["c"], domain)}
+
+
+def _nk_objects(c):
+    try:
+        cand = so.nk_special(c["family"], b=c["b"], c=c["c"], lam=c["lambda"])
+    except InvalidParams as exc:
+        raise ConfigError(str(exc), key=exc.param) from None
+    return {"candidate": cand}
+
+
+_OBJECTS = {"flow": _flow_objects, "torsion": _torsion_objects,
+            "residual": _residual_objects, "cy": _cy_objects,
+            "nk": _nk_objects}
 
 
 def parse_config(subcommand, raw, outdir="out"):
     """Resolve a raw config dict for the given subcommand.
 
-    Fills documented defaults, constructs domains and profiles, and rejects
-    unknown keys with their path. Returns a RunConfig.
+    Fills documented defaults, converts and checks values, constructs
+    domains, profiles and candidates, and rejects unknown keys with their
+    path. Returns a RunConfig.
     """
-    if subcommand == "flow":
-        _require_keys(raw, _FLOW_KEYS,
-                      {"structure", "domain", "initial", "t_end"}, "")
-        t_end = float(raw["t_end"])
-        if t_end <= 0:
-            raise ConfigError("t_end must be positive", key="t_end")
-        cfl_const = float(raw.get("cfl", 0.2))
-        if cfl_const <= 0:
-            raise ConfigError("cfl must be positive", key="cfl")
-        if int(raw.get("stencil_order", STENCIL_ORDER)) != STENCIL_ORDER:
-            raise ConfigError(f"only stencil order {STENCIL_ORDER} is "
-                              "implemented", key="stencil_order")
-        domain = _parse_domain(raw["domain"])
-        if "n" not in raw["domain"]:
-            raise ConfigError("flow domain needs a node count n", key="domain.n")
-        n = int(raw["domain"]["n"])
-        structure = _parse_structure(raw["structure"])
-        _require_keys(raw["initial"], {"h", "theta", "G"},
-                      {"h", "theta", "G"}, "initial.")
-        initial = {name: _parse_field(raw["initial"][name], domain, n,
-                                      f"initial.{name}")
-                   for name in ("h", "theta", "G")}
-        resolved = {
-            "structure": structure.value,
-            "domain": raw["domain"],
-            "initial": raw["initial"],
-            "t_end": t_end,
-            "output_times": [float(t) for t in raw.get("output_times", [])],
-            "cfl": cfl_const,
-            "stencil_order": STENCIL_ORDER,
-        }
-        objects = {"domain": domain, "structure": structure,
-                   "initial": initial, "n": n}
-        return RunConfig("flow", resolved, objects, outdir)
-
-    if subcommand == "torsion":
-        _require_keys(raw, _TORSION_KEYS,
-                      {"structure", "domain", "h", "theta", "G"}, "")
-        domain = _parse_domain(raw["domain"])
-        structure = _parse_structure(raw["structure"])
-        n = raw["domain"].get("n")
-        fields = {name: _parse_field(raw[name], domain, n, name)
-                  for name in ("h", "theta", "G")}
-        samples = int(raw.get("samples", 200))
-        resolved = dict(raw, samples=samples, stencil_order=STENCIL_ORDER)
-        g = G2Profile(h=fields["h"], theta=fields["theta"], G=fields["G"],
-                      structure=structure, domain=domain)
-        return RunConfig("torsion", resolved, {"g": g, "samples": samples},
-                         outdir)
-
-    if subcommand == "shoot":
-        _require_keys(raw, _SHOOT_KEYS,
-                      {"h0", "dh0", "ddh0", "span", "target_dh_end",
-                       "lam_range"}, "")
-        resolved = {
-            "h0": float(raw["h0"]), "dh0": float(raw["dh0"]),
-            "ddh0": float(raw["ddh0"]),
-            "span": [float(x) for x in raw["span"]],
-            "target_dh_end": float(raw["target_dh_end"]),
-            "lam_range": [float(x) for x in raw["lam_range"]],
-            "u_sign0": float(raw.get("u_sign0", 1.0)),
-            "rtol": float(raw.get("rtol", 1e-10)),
-            "residual_tol": float(raw.get("residual_tol", 1e-6)),
-            "grid": int(raw.get("grid", 13)),
-        }
-        return RunConfig("shoot", resolved, {}, outdir)
-
-    if subcommand == "residual":
-        _require_keys(raw, _RESIDUAL_KEYS,
-                      {"structure", "domain", "h", "theta", "kprime",
-                       "lambda"}, "")
-        domain = _parse_domain(raw["domain"])
-        structure = _parse_structure(raw["structure"])
-        cand = so.SolitonCandidate(
-            h=parse_expression(raw["h"], domain),
-            theta=parse_expression(raw["theta"], domain),
-            kprime=parse_expression(raw["kprime"], domain),
-            lam=float(raw["lambda"]), structure=structure,
-            family=so.Family.CUSTOM, domain=domain,
-        )
-        resolved = dict(raw, samples=int(raw.get("samples", 200)),
-                        tolerance=float(raw.get("tolerance", 1e-8)))
-        return RunConfig("residual", resolved, {"candidate": cand}, outdir)
-
-    raise ConfigError(f"unknown subcommand {subcommand!r}")
+    keys = _KEYS.get(subcommand)
+    if keys is None:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
+    _require_keys(raw, keys,
+                  [k for k, spec in keys.items() if spec.default is _REQUIRED], "")
+    resolved = {k: _value(k, spec, raw.get(k, spec.default))
+                for k, spec in keys.items()}
+    build = _OBJECTS.get(subcommand)
+    objects = build(resolved) if build else {}
+    return RunConfig(subcommand, resolved, objects, outdir)
 
 
 # ---------------------------------------------------------------------------
@@ -290,40 +365,51 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-class Manifest:
-    def __init__(self, outdir, config):
-        self.outdir = outdir
-        self.config = config
-        self.t0 = time.monotonic()
-        os.makedirs(outdir, exist_ok=True)
-
-    def finish(self, status):
-        write_json(os.path.join(self.outdir, "manifest.json"), {
-            "config": self.config,
-            "versions": {
-                "g2coflow": __version__,
-                "numpy": np.__version__,
-                "scipy": __import__("scipy").__version__,
-                "python": sys.version.split()[0],
-            },
-            "wall_time": time.monotonic() - self.t0,
-            "status": status,
-        })
-
-
 # ---------------------------------------------------------------------------
 # run dispatch
 # ---------------------------------------------------------------------------
 
 def run(config):
-    """Execute a resolved RunConfig; writes artifacts, returns exit code."""
-    handlers = {"flow": _run_flow, "torsion": _run_torsion,
-                "shoot": _run_shoot, "residual": _run_residual}
-    return handlers[config.subcommand](config)
+    """Execute a resolved RunConfig; returns the exit code.
+
+    The subcommand's handler writes its artifacts and returns the run
+    status; the manifest records it, and only "Completed" exits 0.
+    """
+    handlers = {"verify": _run_verify, "torsion": _run_torsion,
+                "flow": _run_flow, "cy": _run_special, "nk": _run_special,
+                "reduce": _run_reduce, "shoot": _run_shoot,
+                "residual": _run_residual}
+    t0 = time.monotonic()
+    os.makedirs(config.outdir, exist_ok=True)
+    status = handlers[config.subcommand](config)
+    write_json(os.path.join(config.outdir, "manifest.json"), {
+        "config": config.resolved,
+        "versions": {
+            "g2coflow": __version__,
+            "numpy": np.__version__,
+            "scipy": __import__("scipy").__version__,
+            "python": sys.version.split()[0],
+        },
+        "wall_time": time.monotonic() - t0,
+        "status": status,
+    })
+    return 0 if status == "Completed" else 1
+
+
+def _run_verify(config):
+    c = config.resolved
+    report = vf.run_identity_suite(seed=c["seed"], n_profiles=c["profiles"],
+                                   n_points=c["points"])
+    write_json(os.path.join(config.outdir, "identities.json"), report)
+    ok = all(entry["passed"] for entry in report)
+    for entry in report:
+        flag = "pass" if entry["passed"] else "FAIL"
+        print(f"[{flag}] {entry['name']}: max residual "
+              f"{entry['max_residual']:.3e} (tol {entry['tolerance']:.0e})")
+    return "Completed" if ok else "ToleranceFailure"
 
 
 def _run_flow(config):
-    manifest = Manifest(config.outdir, config.resolved)
     domain, n = config.objects["domain"], config.objects["n"]
     mesh = cfl.Mesh.from_domain(domain, n)
     nodes = mesh.nodes
@@ -349,16 +435,14 @@ def _run_flow(config):
         "status": rundata.status,
         "snapshot_times": [snap.t for snap in rundata.snapshots],
     })
-    manifest.finish(rundata.status)
     print(f"flow {rundata.status} after {len(rundata.diagnostics)} steps; "
           f"{len(rundata.snapshots)} snapshots in {config.outdir}")
-    return 0 if rundata.status == "Completed" else 1
+    return rundata.status
 
 
-def _run_torsion(config, csv_out=False):
-    manifest = Manifest(config.outdir, config.resolved)
+def _run_torsion(config):
     g = config.objects["g"]
-    samples = config.objects["samples"]
+    samples = config.resolved["samples"]
     rep = ts.torsion_report(g, samples=samples)
     rs = g.sample_points(samples, interior=True)
     payload = {
@@ -371,17 +455,42 @@ def _run_torsion(config, csv_out=False):
     }
     write_json(os.path.join(config.outdir, "torsion.json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if csv_out:
+    if config.resolved["csv"]:
         write_csv(os.path.join(config.outdir, "torsion.csv"),
                   ["r", "tau0", "tau1_coeff"],
                   [rs, np.real(np.asarray(rep.tau0.value(rs))),
                    np.real(np.asarray(rep.tau1_coeff.value(rs)))])
-    manifest.finish("Completed")
-    return 0
+    return "Completed"
+
+
+def _run_special(config):
+    """`soliton cy` and `soliton nk`: the candidate was built by parse_config."""
+    return _finish_soliton(config, config.objects["candidate"])
+
+
+def _run_reduce(config):
+    c = config.resolved
+    traj = so.integrate_reduced(c["h0"], c["dh0"], c["ddh0"], c["lambda"],
+                                c["span"], rtol=c["rtol"])
+    write_csv(os.path.join(config.outdir, "trajectory.csv"),
+              ["r", "h", "hp", "hpp"], [traj.rs, traj.h, traj.hp, traj.hpp])
+    print(f"reduced trajectory {traj.status} on [{traj.rs[0]:.6g}, "
+          f"{traj.rs[-1]:.6g}]")
+    cand = so.candidate_from_trajectory(traj, c["u_sign0"])
+    return _finish_soliton(config, cand, trajectory_status=traj.status)
+
+
+def _finish_soliton(config, cand, **extra):
+    """Write candidate.csv and residuals.json (plus `extra` payload keys)."""
+    _write_candidate(config.outdir, cand)
+    payload, ok = _residual_payload(cand, 200, config.resolved["tolerance"])
+    payload.update(extra)
+    write_json(os.path.join(config.outdir, "residuals.json"), payload)
+    print(json.dumps(payload["coordinate"], indent=2, sort_keys=True))
+    return "Completed" if ok else "ToleranceFailure"
 
 
 def _run_shoot(config):
-    manifest = Manifest(config.outdir, config.resolved)
     c = config.resolved
     rep = so.shoot(c["h0"], c["dh0"], c["ddh0"], tuple(c["span"]),
                    c["target_dh_end"], tuple(c["lam_range"]),
@@ -398,19 +507,16 @@ def _run_shoot(config):
         _write_candidate(config.outdir, rep.candidate)
     print(json.dumps({k: payload[k] for k in ("found", "lambda", "reason")},
                      indent=2))
-    manifest.finish("Completed" if rep.found else "NotFound")
-    return 0 if rep.found else 1
+    return "Completed" if rep.found else "NotFound"
 
 
 def _run_residual(config):
-    manifest = Manifest(config.outdir, config.resolved)
     cand = config.objects["candidate"]
     payload, ok = _residual_payload(cand, config.resolved["samples"],
                                     config.resolved["tolerance"])
     write_json(os.path.join(config.outdir, "residuals.json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    manifest.finish("Completed" if ok else "ToleranceFailure")
-    return 0 if ok else 1
+    return "Completed" if ok else "ToleranceFailure"
 
 
 def _write_candidate(outdir, cand, samples=200):
@@ -436,91 +542,20 @@ def _residual_payload(cand, samples, tolerance):
 
 
 # ---------------------------------------------------------------------------
-# subcommand glue
+# command line
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args):
-    if args.suite != "identities":
-        raise ConfigError(f"unknown suite {args.suite!r}", key="suite")
-    config = {"suite": args.suite, "seed": args.seed,
-              "profiles": args.profiles, "points": args.points}
-    manifest = Manifest(args.out, config)
-    report = vf.run_identity_suite(seed=args.seed, n_profiles=args.profiles,
-                                   n_points=args.points)
-    write_json(os.path.join(args.out, "identities.json"), report)
-    ok = all(entry["passed"] for entry in report)
-    for entry in report:
-        flag = "pass" if entry["passed"] else "FAIL"
-        print(f"[{flag}] {entry['name']}: max residual "
-              f"{entry['max_residual']:.3e} (tol {entry['tolerance']:.0e})")
-    manifest.finish("Completed" if ok else "ToleranceFailure")
-    return 0 if ok else 1
-
-
-def cmd_torsion(args):
-    config = parse_config("torsion", load_config_file(args.config), args.out)
-    return _run_torsion(config, csv_out=args.csv)
-
-
-def cmd_flow(args):
-    config = parse_config("flow", load_config_file(args.config), args.out)
-    return run(config)
-
-
-def cmd_soliton_cy(args):
-    config = {"b": args.b, "c": args.c, "r0": args.r0, "r1": args.r1,
-              "tolerance": args.tolerance}
-    manifest = Manifest(args.out, config)
-    cand = so.cy_closed_form(args.b, args.c, pf.Interval(args.r0, args.r1))
-    _write_candidate(args.out, cand)
-    payload, ok = _residual_payload(cand, 200, args.tolerance)
-    write_json(os.path.join(args.out, "residuals.json"), payload)
-    print(json.dumps(payload["coordinate"], indent=2, sort_keys=True))
-    manifest.finish("Completed" if ok else "ToleranceFailure")
-    return 0 if ok else 1
-
-
-def cmd_soliton_nk(args):
-    config = {"family": args.family, "b": args.b, "c": args.c,
-              "lambda": args.lam, "tolerance": args.tolerance}
-    manifest = Manifest(args.out, config)
-    cand = so.nk_special(args.family, b=args.b, c=args.c, lam=args.lam)
-    _write_candidate(args.out, cand)
-    payload, ok = _residual_payload(cand, 200, args.tolerance)
-    write_json(os.path.join(args.out, "residuals.json"), payload)
-    print(json.dumps(payload["coordinate"], indent=2, sort_keys=True))
-    manifest.finish("Completed" if ok else "ToleranceFailure")
-    return 0 if ok else 1
-
-
-def cmd_soliton_reduce(args):
-    config = {"h0": args.h0, "dh0": args.dh0, "ddh0": args.ddh0,
-              "lambda": args.lam, "span": args.span, "rtol": args.rtol,
-              "u_sign0": args.u_sign0, "tolerance": args.tolerance}
-    manifest = Manifest(args.out, config)
-    traj = so.integrate_reduced(args.h0, args.dh0, args.ddh0, args.lam,
-                                args.span, rtol=args.rtol)
-    write_csv(os.path.join(args.out, "trajectory.csv"),
-              ["r", "h", "hp", "hpp"], [traj.rs, traj.h, traj.hp, traj.hpp])
-    cand = so.candidate_from_trajectory(traj, args.u_sign0)
-    _write_candidate(args.out, cand)
-    payload, ok = _residual_payload(cand, 200, args.tolerance)
-    payload["trajectory_status"] = traj.status
-    write_json(os.path.join(args.out, "residuals.json"), payload)
-    print(f"reduced trajectory {traj.status} on [{traj.rs[0]:.6g}, "
-          f"{traj.rs[-1]:.6g}]; residuals {'pass' if ok else 'FAIL'}")
-    manifest.finish("Completed" if ok else "ToleranceFailure")
-    return 0 if ok else 1
-
-
-def cmd_soliton_shoot(args):
-    config = parse_config("shoot", load_config_file(args.config), args.out)
-    return run(config)
-
-
-def cmd_residual(args):
-    config = parse_config("residual", load_config_file(args.config), args.out)
-    return run(config)
+_HELP = {
+    "verify": "run a randomized identity suite",
+    "torsion": "torsion report for configured data",
+    "flow": "run the Laplacian coflow",
+    "cy": "Calabi-Yau closed-form soliton",
+    "nk": "nearly Kahler special family",
+    "reduce": "integrate the reduced third-order ODE",
+    "shoot": "shooting over the soliton constant",
+    "residual": "residuals of a custom candidate",
+}
+_SOLITON = ("cy", "nk", "reduce", "shoot")
 
 
 def build_parser():
@@ -529,82 +564,35 @@ def build_parser():
         description="Laplacian coflow of coclosed G2-structures: identities, "
                     "torsion, evolution, and solitons.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    v = sub.add_parser("verify", help="run a randomized identity suite")
-    v.add_argument("--suite", default="identities")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--profiles", type=int, default=20)
-    v.add_argument("--points", type=int, default=50)
-    v.add_argument("--out", default="out/verify")
-    v.set_defaults(func=cmd_verify)
-
-    t = sub.add_parser("torsion", help="torsion report for configured data")
-    t.add_argument("--config", required=True)
-    t.add_argument("--csv", action="store_true")
-    t.add_argument("--out", default="out/torsion")
-    t.set_defaults(func=cmd_torsion)
-
-    f = sub.add_parser("flow", help="run the Laplacian coflow")
-    f.add_argument("--config", required=True)
-    f.add_argument("--out", default="out/flow")
-    f.set_defaults(func=cmd_flow)
-
-    s = sub.add_parser("soliton", help="soliton families and searches")
-    ssub = s.add_subparsers(dest="soliton_command", required=True)
-
-    cy = ssub.add_parser("cy", help="Calabi-Yau closed-form soliton")
-    cy.add_argument("--b", type=float, required=True)
-    cy.add_argument("--c", type=float, required=True)
-    cy.add_argument("--r0", type=float, default=-2.0)
-    cy.add_argument("--r1", type=float, default=2.0)
-    cy.add_argument("--tolerance", type=float, default=1e-8)
-    cy.add_argument("--out", default="out/soliton-cy")
-    cy.set_defaults(func=cmd_soliton_cy)
-
-    nk = ssub.add_parser("nk", help="nearly Kahler special family")
-    nk.add_argument("--family", required=True,
-                    choices=[f.value for f in so.Family
-                             if f not in (so.Family.CY_CLOSED_FORM,
-                                          so.Family.ODE_TRAJECTORY,
-                                          so.Family.CUSTOM)])
-    nk.add_argument("--b", type=float, default=0.0)
-    nk.add_argument("--c", type=float, default=0.0)
-    nk.add_argument("--lambda", dest="lam", type=float, default=None)
-    nk.add_argument("--tolerance", type=float, default=1e-8)
-    nk.add_argument("--out", default="out/soliton-nk")
-    nk.set_defaults(func=cmd_soliton_nk)
-
-    rd = ssub.add_parser("reduce", help="integrate the reduced third-order ODE")
-    rd.add_argument("--h0", type=float, required=True)
-    rd.add_argument("--dh0", type=float, required=True)
-    rd.add_argument("--ddh0", type=float, required=True)
-    rd.add_argument("--lambda", dest="lam", type=float, required=True)
-    rd.add_argument("--span", type=float, nargs=2, required=True)
-    rd.add_argument("--rtol", type=float, default=1e-10)
-    rd.add_argument("--u-sign0", dest="u_sign0", type=float, default=1.0)
-    rd.add_argument("--tolerance", type=float, default=1e-6)
-    rd.add_argument("--out", default="out/soliton-reduce")
-    rd.set_defaults(func=cmd_soliton_reduce)
-
-    sh = ssub.add_parser("shoot", help="shooting over the soliton constant")
-    sh.add_argument("--config", required=True)
-    sh.add_argument("--out", default="out/soliton-shoot")
-    sh.set_defaults(func=cmd_soliton_shoot)
-
-    rs = sub.add_parser("residual", help="residuals of a custom candidate")
-    rs.add_argument("--config", required=True)
-    rs.add_argument("--out", default="out/residual")
-    rs.set_defaults(func=cmd_residual)
-
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    soliton = sub.add_parser("soliton", help="soliton families and searches")
+    # both levels share one dest, so "soliton cy" leaves the subcommand "cy"
+    ssub = soliton.add_subparsers(dest="subcommand", required=True)
+    for name, help_text in _HELP.items():
+        prefix = "soliton-" if name in _SOLITON else ""
+        # flags left out stay out of the namespace, so the config file or
+        # the table's default supplies them
+        q = (ssub if prefix else sub).add_parser(
+            name, help=help_text, argument_default=argparse.SUPPRESS)
+        q.add_argument("--config", help="JSON config; flags override its keys")
+        q.add_argument("--out", default=f"out/{prefix}{name}")
+        for key, spec in _KEYS[name].items():
+            flag = "--" + key.replace("_", "-")
+            if spec.flag and spec.type is bool:
+                q.add_argument(flag, dest=key, action="store_true")
+            elif spec.flag:
+                q.add_argument(flag, dest=key, type=spec.type,
+                               nargs=spec.nargs, choices=spec.choices)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    subcommand, outdir = flags.pop("subcommand"), flags.pop("out")
+    path = flags.pop("config", None)
     try:
-        return args.func(args)
+        raw = load_config_file(path) if path else {}
+        return run(parse_config(subcommand, {**raw, **flags}, outdir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

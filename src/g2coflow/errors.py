@@ -50,15 +50,18 @@ class SignAmbiguity(G2CoflowError):
 
 
 class InvalidParams(G2CoflowError):
-    """Soliton family parameters outside their validity range."""
+    """Soliton family parameters outside their validity range.
+
+    The offending parameter, when known, is named in ``param``.
+    """
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class DivergentIntegral(G2CoflowError):
     """An integral required for a compactness identity does not converge."""
-
-
-class NoBracket(G2CoflowError):
-    """Shooting could not bracket a root of the closing functional."""
 
 
 class ConfigError(G2CoflowError):

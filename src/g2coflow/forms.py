@@ -316,21 +316,12 @@ class G2Profile:
         phase = pf.add(pf.cos(t3), pf.mul(pf.constant(1j), pf.sin(t3)))
         return pf.mul(pf.pow_int(self.h, 3), phase)
 
-    def _sampled_member(self):
-        for p in (self.h, self.theta, self.G):
-            if isinstance(p, pf.Sampled):
-                return p
-        return None
-
     def sample_points(self, n, interior=True):
         """n evaluation points; grid-backed data restricts them to mesh nodes."""
         if self.domain is None:
             raise ValueError("G2Profile has no domain to sample")
-        s = self._sampled_member()
-        if s is None:
-            return self.domain.sample_points(n, interior=interior)
-        nodes = s.nodes
-        return nodes[:: max(1, len(nodes) // n)]
+        return pf.sample_points(self.domain, (self.h, self.theta, self.G), n,
+                                interior)
 
 
 def build_phi(g):

@@ -978,6 +978,15 @@ def mesh_nodes(domain, n):
     return np.linspace(domain.r0, domain.r1, n)
 
 
+def sample_points(domain, members, n, interior=True):
+    """n evaluation points for profiles on `domain`; when one of `members`
+    is grid-backed, every (nodes // n)-th node of the first such one."""
+    for p in members:
+        if isinstance(p, Sampled):
+            return p.nodes[:: max(1, len(p.nodes) // n)]
+    return domain.sample_points(n, interior=interior)
+
+
 # ---------------------------------------------------------------------------
 # smart constructors and the public operation set
 # ---------------------------------------------------------------------------

@@ -69,18 +69,8 @@ class SolitonCandidate:
                          structure=self.structure, domain=self.domain,
                          check=check)
 
-    def _sampled_member(self):
-        for p in (self.h, self.theta, self.kprime):
-            if isinstance(p, pf.Sampled):
-                return p
-        return None
-
     def sample_points(self, n=200):
-        s = self._sampled_member()
-        if s is None:
-            return self.domain.sample_points(n, interior=True)
-        nodes = s.nodes
-        return nodes[:: max(1, len(nodes) // n)]
+        return pf.sample_points(self.domain, (self.h, self.theta, self.kprime), n)
 
 
 @dataclass(frozen=True)
@@ -194,10 +184,11 @@ def nk_special(family, b=0.0, c=0.0, lam=None, domain=None):
         kprime = (lam / 4.0) * (b - r)
     elif family is Family.CYLINDER:
         if b <= 0:
-            raise InvalidParams("cylinder needs b > 0")
+            raise InvalidParams("cylinder needs b > 0", param="b")
         want = -12.0 / b ** 2
         if lam is not None and abs(lam - want) > 1e-12:
-            raise InvalidParams(f"cylinder forces lam = -12/b^2 = {want}")
+            raise InvalidParams(f"cylinder forces lam = -12/b^2 = {want}",
+                                param="lambda")
         lam = want
         dom = domain or Circle(2 * np.pi)
         h = pf.constant(b, dom)
@@ -205,7 +196,7 @@ def nk_special(family, b=0.0, c=0.0, lam=None, domain=None):
         kprime = pf.constant(c, dom)
     elif family is Family.SINECONE:
         if lam is not None and lam != -16.0:
-            raise InvalidParams("sine-cone forces lam = -16")
+            raise InvalidParams("sine-cone forces lam = -16", param="lambda")
         lam = -16.0
         dom = domain or Interval(0.0, np.pi)
         if not (isinstance(dom, Interval) and dom.r0 >= 0.0 and dom.r1 <= np.pi):

@@ -218,3 +218,131 @@ def test_manifest_reproduces_run(tmp_path):
     assert run_cli("flow", "--config", str(cfg2), "--out", str(out2)) == 0
     assert ((out1 / "snapshot_001.csv").read_bytes()
             == (out2 / "snapshot_001.csv").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# one CLI path: config files, flags and manifest replay
+# ---------------------------------------------------------------------------
+
+def torsion_config(tmp_path, **overrides):
+    cfg = {"structure": "NK",
+           "domain": {"kind": "interval", "r0": 0.4, "r1": 2.4},
+           "h": "r", "theta": "0", "G": "1", "samples": 64}
+    cfg.update(overrides)
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def shoot_config(tmp_path):
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    path = tmp_path / "shoot.json"
+    path.write_text(json.dumps({
+        "h0": np.sin(r0), "dh0": np.cos(r0), "ddh0": -np.sin(r0),
+        "span": [r0, r1], "target_dh_end": np.cos(r1),
+        "lam_range": [-25.0, -8.0]}))
+    return str(path)
+
+
+def residual_config(tmp_path):
+    path = tmp_path / "res.json"
+    path.write_text(json.dumps({
+        "structure": "NK",
+        "domain": {"kind": "interval", "r0": 0.1, "r1": 2.1},
+        "h": "r + 0.5", "theta": "0", "kprime": "-0.5*(r + 0.5)",
+        "lambda": 2.0}))
+    return str(path)
+
+
+R0 = np.pi / 8
+INVOCATIONS = {
+    "verify": lambda tmp: ["verify", "--seed", "3", "--profiles", "3",
+                           "--points", "10"],
+    "torsion": lambda tmp: ["torsion", "--config", torsion_config(tmp), "--csv"],
+    "flow": lambda tmp: ["flow", "--config",
+                         flow_config(tmp, output_times=[0.02])],
+    "cy": lambda tmp: ["soliton", "cy", "--b", "0.5", "--c", "2"],
+    "nk": lambda tmp: ["soliton", "nk", "--family", "cylinder", "--b", "1.2",
+                       "--c", "0.3"],
+    "reduce": lambda tmp: ["soliton", "reduce", "--h0", f"{np.sin(R0)}",
+                           "--dh0", f"{np.cos(R0)}", "--ddh0",
+                           f"{-np.sin(R0)}", "--lambda", "-16", "--span",
+                           f"{R0}", f"{3 * R0}"],
+    "shoot": lambda tmp: ["soliton", "shoot", "--config", shoot_config(tmp)],
+    "residual": lambda tmp: ["residual", "--config", residual_config(tmp)],
+}
+
+
+@pytest.mark.parametrize("sub", list(INVOCATIONS))
+def test_manifest_replays_every_invocation(tmp_path, sub):
+    argv = INVOCATIONS[sub](tmp_path)
+    prefix = argv[:2] if argv[0] == "soliton" else argv[:1]
+    out1, out2 = tmp_path / "first", tmp_path / "replay"
+    assert run_cli(*argv, "--out", str(out1)) == 0
+    resolved = json.loads((out1 / "manifest.json").read_text())["config"]
+    assert cli.parse_config(sub, resolved).resolved == resolved
+    cfg = tmp_path / "from_manifest.json"
+    cfg.write_text(json.dumps(resolved))
+    assert run_cli(*prefix, "--config", str(cfg), "--out", str(out2)) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_flags_override_config_file(tmp_path):
+    cfg = tmp_path / "cy.json"
+    cfg.write_text(json.dumps({"b": 1.0, "c": 1.0, "tolerance": 1e-9}))
+    out = tmp_path / "cy"
+    assert run_cli("soliton", "cy", "--config", str(cfg), "--c", "2",
+                   "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"b": 1.0, "c": 2.0, "r0": -2.0, "r1": 2.0,
+                                  "tolerance": 1e-9}
+
+
+@pytest.mark.parametrize("sub,path", [("torsion", torsion_config),
+                                      ("flow", flow_config)])
+def test_stencil_order_is_checked(tmp_path, sub, path):
+    cfg = path(tmp_path, stencil_order=2)
+    assert run_cli(sub, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(sub, json.loads(open(cfg).read()))
+    assert exc.value.key == "stencil_order"
+
+
+@pytest.mark.parametrize("flags,key", [
+    (["--family", "cylinder"], "b"),
+    (["--family", "cylinder", "--b", "-1"], "b"),
+    (["--family", "cylinder", "--b", "1", "--lambda", "-5"], "lambda"),
+    (["--family", "sinecone", "--lambda", "-15"], "lambda"),
+])
+def test_invalid_nk_parameters_are_config_errors(tmp_path, capsys, flags, key):
+    assert run_cli("soliton", "nk", *flags, "--out", str(tmp_path / "o")) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sub,cfg", [
+    ("torsion", {"structure": "NK", "h": "r - 1", "theta": "0", "G": "1",
+                 "domain": {"kind": "interval", "r0": 0.4, "r1": 2.4}}),
+    ("residual", {"structure": "NK", "h": 1, "theta": "0", "kprime": "0",
+                  "lambda": 2.0,
+                  "domain": {"kind": "interval", "r0": 0.1, "r1": 2.1}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": -1, "n": 16},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": "soon",
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("cy", {"b": 1.0, "c": 1.0, "r0": 2.0, "r1": 1.0}),
+    ("shoot", {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "span": [0.4, 1.1, 1.2],
+               "target_dh_end": 0.4, "lam_range": [-25.0, -8.0]}),
+])
+def test_bad_config_values_exit_2(tmp_path, sub, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    prefix = ["soliton", sub] if sub in ("cy", "shoot") else [sub]
+    assert run_cli(*prefix, "--config", str(path),
+                   "--out", str(tmp_path / "o")) == 2
