@@ -36,7 +36,13 @@ from . import profiles as pf
 from . import soliton as so
 from . import torsion as ts
 from . import verify as vf
-from .errors import ConfigError, G2CoflowError, InvalidParams
+from .errors import (
+    ConfigError,
+    G2CoflowError,
+    InvalidGeometry,
+    InvalidParams,
+    StructureMismatch,
+)
 from .forms import G2Profile, StructureKind
 
 
@@ -275,11 +281,20 @@ def _flow_objects(c):
     n = int(c["domain"]["n"])
     _require_keys(c["initial"], {"h", "theta", "G"}, {"h", "theta", "G"},
                   "initial.")
-    initial = {name: _parse_field(c["initial"][name], domain, n,
-                                  f"initial.{name}")
-               for name in ("h", "theta", "G")}
-    return {"domain": domain, "structure": _parse_structure(c["structure"]),
-            "initial": initial, "n": n}
+    fields = {name: _parse_field(c["initial"][name], domain, n,
+                                 f"initial.{name}")
+              for name in ("h", "theta", "G")}
+    structure = _parse_structure(c["structure"])
+    mesh = cfl.Mesh.from_domain(domain, n)
+    initial = {name: np.real(np.asarray(p.value(mesh.nodes)))
+               for name, p in fields.items()}
+    if structure is StructureKind.CY:
+        try:
+            cfl.require_constant_h(initial["h"])
+        except StructureMismatch as exc:
+            raise ConfigError(str(exc), key="initial.h") from None
+    return {"state": cfl.FlowState(mesh=mesh, **initial, t=0.0,
+                                   structure=structure)}
 
 
 def _torsion_objects(c):
@@ -290,7 +305,7 @@ def _torsion_objects(c):
               for name in ("h", "theta", "G")}
     try:
         return {"g": G2Profile(**fields, structure=structure, domain=domain)}
-    except ValueError as exc:   # h or G not positive on the domain
+    except InvalidGeometry as exc:   # h or G not positive on the domain
         raise ConfigError(str(exc)) from None
 
 
@@ -410,17 +425,8 @@ def _run_verify(config):
 
 
 def _run_flow(config):
-    domain, n = config.objects["domain"], config.objects["n"]
-    mesh = cfl.Mesh.from_domain(domain, n)
-    nodes = mesh.nodes
-    init = config.objects["initial"]
-    state = cfl.FlowState(
-        mesh=mesh,
-        h=np.real(np.asarray(init["h"].value(nodes))),
-        theta=np.real(np.asarray(init["theta"].value(nodes))),
-        G=np.real(np.asarray(init["G"].value(nodes))),
-        t=0.0, structure=config.objects["structure"],
-    )
+    state = config.objects["state"]
+    nodes = state.mesh.nodes
     rundata = cfl.run_flow(state, config.resolved["t_end"],
                            config.resolved["output_times"],
                            config.resolved["cfl"])

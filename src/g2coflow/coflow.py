@@ -5,8 +5,10 @@ nearly Kahler system evolves (h, theta, G) independently while the coclosed
 constraint h' = G cos(3 theta) is monitored, not imposed. Spatial
 derivatives are 4th order (periodic wrap on a circle, shifted stencils near
 interval ends), applied as the cached sparse matrices of
-`profiles.stencil_operator`; time stepping is classical RK4 under the
-diffusive step restriction dt <= cfl * min(G^2) * dr^2.
+`profiles.stencil_operator`. Each structure has one right-hand side, built
+from its pointwise rates (`cy_rates`, `nk_rates`) and shared by `rhs_cy`,
+`rhs_nk` and `run_flow`; one classical RK4 step advances either structure's
+fields under the diffusive step restriction dt <= cfl * min(G^2) * dr^2.
 
 On an interval the boundary is Dirichlet: endpoint values are frozen (their
 time derivative is zeroed). The constraint diagnostic uses a 2nd-order
@@ -48,11 +50,6 @@ class Mesh:
     @property
     def nodes(self):
         return self.r0 + self.dr * np.arange(self.n)
-
-    def domain(self):
-        if self.periodic:
-            return Circle(self.n * self.dr, self.r0)
-        return Interval(self.r0, self.r0 + (self.n - 1) * self.dr)
 
     def deriv_matrix(self, m):
         """Sparse 4th-order differentiation matrix for derivative m."""
@@ -156,8 +153,9 @@ def cy_rates(theta1, theta2, G, G1):
 
     dtheta/dt = theta''/G^2 - G' theta'/G^3,  dG/dt = -9 (theta')^2 / G.
     """
-    dtheta = theta2 / G ** 2 - G1 * theta1 / G ** 3
-    dG = -9.0 * theta1 ** 2 / G
+    invG = 1.0 / G
+    dtheta = (theta2 - G1 * theta1 * invG) * invG * invG
+    dG = -9.0 * theta1 * theta1 * invG
     return dtheta, dG
 
 
@@ -177,76 +175,71 @@ def nk_rates(h, h1, h2, theta, theta1, theta2, G, G1):
     return dh, dtheta, dG
 
 
-def _cy_stage(theta, G, mesh, D1, D2):
-    """(dtheta, dG) for one CY stage; h plays no role (it stays constant)."""
-    if np.min(G) <= 0:
-        raise SingularityDetected("G lost positivity inside a step")
-    t1 = D1 @ theta
-    invG = 1.0 / G
-    dtheta = (D2 @ theta - (D1 @ G) * t1 * invG) * invG * invG
-    dG = -9.0 * t1 * t1 * invG
-    if not mesh.periodic:
-        dtheta[0] = dtheta[-1] = 0.0  # Dirichlet: endpoint values frozen
-        dG[0] = dG[-1] = 0.0
-    return dtheta, dG
+def require_constant_h(h):
+    """Raise StructureMismatch unless h is constant in r, as the CY system
+    assumes."""
+    if np.max(np.abs(h - h[0])) > 1e-12:
+        raise StructureMismatch("the CY system assumes h is constant in r")
 
 
-def _nk_stage(h, theta, G, mesh, D1, D2):
-    """(dh, dtheta, dG) for one NK stage."""
-    if np.min(h) <= 0 or np.min(G) <= 0:
-        raise SingularityDetected("h or G lost positivity inside a step")
-    dh, dtheta, dG = nk_rates(h, D1 @ h, D2 @ h, theta, D1 @ theta,
-                              D2 @ theta, G, D1 @ G)
-    if not mesh.periodic:
-        dh[0] = dh[-1] = 0.0  # Dirichlet: endpoint values frozen
-        dtheta[0] = dtheta[-1] = 0.0
-        dG[0] = dG[-1] = 0.0
-    return dh, dtheta, dG
+def _rhs(mesh, structure):
+    """The right-hand side of one structure's flow: a function from the
+    evolved fields ([theta, G] for CY, [h, theta, G] for NK) to their rates.
+
+    Each call raises SingularityDetected when h or G is not positive and, on
+    an interval, zeroes the endpoint rates.
+    """
+    D1, D2 = mesh.deriv_matrix(1), mesh.deriv_matrix(2)
+    if structure is StructureKind.CY:
+        positive = (1,)
+
+        def rates(theta, G):
+            return cy_rates(D1 @ theta, D2 @ theta, G, D1 @ G)
+    else:
+        positive = (0, 2)
+
+        def rates(h, theta, G):
+            return nk_rates(h, D1 @ h, D2 @ h, theta, D1 @ theta, D2 @ theta,
+                            G, D1 @ G)
+
+    def rhs(fields):
+        for i in positive:
+            if fields[i].min() <= 0:
+                raise SingularityDetected("h or G lost positivity inside a step")
+        out = rates(*fields)
+        if not mesh.periodic:
+            for rate in out:
+                rate[0] = rate[-1] = 0.0  # Dirichlet: endpoint values frozen
+        return out
+
+    return rhs
 
 
 def rhs_cy(state):
     """(dtheta/dt, dG/dt) for the CY system; h must be constant."""
     if state.structure is not StructureKind.CY:
         raise StructureMismatch("rhs_cy needs a CY state")
-    if np.max(np.abs(state.h - state.h[0])) > 1e-12:
-        raise StructureMismatch("the CY system assumes h is constant in r")
-    m = state.mesh
-    return _cy_stage(state.theta, state.G, m, m.deriv_matrix(1), m.deriv_matrix(2))
+    require_constant_h(state.h)
+    return _rhs(state.mesh, state.structure)([state.theta, state.G])
 
 
 def rhs_nk(state):
     """(dh/dt, dtheta/dt, dG/dt) for the NK system."""
     if state.structure is not StructureKind.NK:
         raise StructureMismatch("rhs_nk needs an NK state")
-    m = state.mesh
-    return _nk_stage(state.h, state.theta, state.G, m, m.deriv_matrix(1),
-                     m.deriv_matrix(2))
+    return _rhs(state.mesh, state.structure)([state.h, state.theta, state.G])
 
 
-def _rk4_cy(theta, G, dt, mesh, D1, D2):
+def _rk4(rhs, fields, dt):
+    """One classical RK4 step of d(fields)/dt = rhs(fields)."""
     half = 0.5 * dt
-    kt1, kg1 = _cy_stage(theta, G, mesh, D1, D2)
-    kt2, kg2 = _cy_stage(theta + half * kt1, G + half * kg1, mesh, D1, D2)
-    kt3, kg3 = _cy_stage(theta + half * kt2, G + half * kg2, mesh, D1, D2)
-    kt4, kg4 = _cy_stage(theta + dt * kt3, G + dt * kg3, mesh, D1, D2)
+    k1 = rhs(fields)
+    k2 = rhs([f + half * k for f, k in zip(fields, k1)])
+    k3 = rhs([f + half * k for f, k in zip(fields, k2)])
+    k4 = rhs([f + dt * k for f, k in zip(fields, k3)])
     sixth = dt / 6.0
-    return (theta + sixth * (kt1 + 2.0 * (kt2 + kt3) + kt4),
-            G + sixth * (kg1 + 2.0 * (kg2 + kg3) + kg4))
-
-
-def _rk4_nk(h, theta, G, dt, mesh, D1, D2):
-    half = 0.5 * dt
-    k1 = _nk_stage(h, theta, G, mesh, D1, D2)
-    k2 = _nk_stage(h + half * k1[0], theta + half * k1[1], G + half * k1[2],
-                   mesh, D1, D2)
-    k3 = _nk_stage(h + half * k2[0], theta + half * k2[1], G + half * k2[2],
-                   mesh, D1, D2)
-    k4 = _nk_stage(h + dt * k3[0], theta + dt * k3[1], G + dt * k3[2],
-                   mesh, D1, D2)
-    sixth = dt / 6.0
-    return (h + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-            theta + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-            G + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]))
+    return [f + sixth * (a + 2.0 * (b + c) + d)
+            for f, a, b, c, d in zip(fields, k1, k2, k3, k4)]
 
 
 def run_flow(initial, t_end, output_times=(), cfl=0.2,
@@ -258,16 +251,19 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2,
     residual exceeds 1e-2; the last valid state is appended as a terminal
     snapshot either way.
     """
-    if initial.structure is StructureKind.NK:
+    mesh, structure = initial.mesh, initial.structure
+    nk = structure is StructureKind.NK
+    if nk:
         c0 = float(np.max(np.abs(initial.constraint_residual())))
         if c0 > init_constraint_tol:
             raise SingularityDetected(
                 f"initial NK data violates the coclosed constraint "
                 f"(sup |c| = {c0:.3g} > {init_constraint_tol:.3g})")
+    else:
+        require_constant_h(initial.h)
 
-    mesh, structure = initial.mesh, initial.structure
-    D1, D2 = mesh.deriv_matrix(1), mesh.deriv_matrix(2)
-    nk = structure is StructureKind.NK
+    rhs = _rhs(mesh, structure)
+    D1 = mesh.deriv_matrix(1)
     dr2 = mesh.dr ** 2
 
     marks = sorted({float(t) for t in output_times if initial.t < t <= t_end})
@@ -284,12 +280,12 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2,
 
     for mark in marks:
         while t < mark - 1e-14:
-            dt = min(cfl * float(np.min(G) ** 2) * dr2, mark - t)
+            dt = min(cfl * float(G.min() ** 2) * dr2, mark - t)
             try:
                 if nk:
-                    h, theta, G = _rk4_nk(h, theta, G, dt, mesh, D1, D2)
+                    h, theta, G = _rk4(rhs, [h, theta, G], dt)
                 else:
-                    theta, G = _rk4_cy(theta, G, dt, mesh, D1, D2)
+                    theta, G = _rk4(rhs, [theta, G], dt)
             except SingularityDetected:
                 status = "SingularityDetected"
                 break
@@ -298,11 +294,11 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2,
             if nk:
                 c = float(np.max(np.abs(
                     _constraint_residual(mesh, structure, h, theta, G))))
-                min_h = float(np.min(h))
+                min_h = float(h.min())
             else:
                 c = 0.0  # h is constant along the CY flow
                 min_h = float(h[0])
-            min_G = float(np.min(G))
+            min_G = float(G.min())
             diagnostics.append((t, dt, c, float(np.max(np.abs(tau0))),
                                 min_h, min_G))
             if min_h < FLOOR or min_G < FLOOR:

@@ -9,6 +9,12 @@ class DomainError(G2CoflowError):
     """Evaluation requested outside a profile's domain or off its mesh."""
 
 
+class InvalidGeometry(G2CoflowError, ValueError):
+    """A domain or G2-structure built from values outside their range: an
+    interval with r1 <= r0, a circle with period <= 0, or h or G not
+    positive. Also a ValueError, so callers catching that keep working."""
+
+
 class SingularEval(G2CoflowError):
     """A closed-form expression hit a vanishing denominator or overflow."""
 

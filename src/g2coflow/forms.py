@@ -24,7 +24,12 @@ import numpy as np
 from scipy import integrate
 
 from . import profiles as pf
-from .errors import ConstraintViolated, DegreeMismatch, DegreeOverflow
+from .errors import (
+    ConstraintViolated,
+    DegreeMismatch,
+    DegreeOverflow,
+    InvalidGeometry,
+)
 from .profiles import Circle, Interval, Profile
 
 __all__ = [
@@ -307,8 +312,8 @@ class G2Profile:
             for name, p in (("h", self.h), ("G", self.G)):
                 vals = np.real(np.asarray(p.value(rs)))
                 if np.min(vals) <= 0:
-                    raise ValueError(f"{name} must be positive on the domain "
-                                     f"(min {np.min(vals):.3g})")
+                    raise InvalidGeometry(f"{name} must be positive on the "
+                                          f"domain (min {np.min(vals):.3g})")
 
     def F_cubed(self):
         """h^3 e^{3 i theta} as a complex Profile."""

@@ -19,7 +19,7 @@ import numbers
 import numpy as np
 from scipy import sparse
 
-from .errors import DomainError, QuadratureFailure, SingularEval
+from .errors import DomainError, InvalidGeometry, QuadratureFailure, SingularEval
 
 JET_ORDER = 4
 
@@ -46,10 +46,6 @@ def _add_c(a, b):
 
 def _sub_c(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def _neg_c(a):
-    return tuple(-x for x in a)
 
 
 def _mul_c(a, b):
@@ -131,9 +127,10 @@ def _arctan_outer(x):
 class Jet:
     """Value and first four derivatives of a scalar function at a point.
 
-    Components may be real or complex scalars, or numpy arrays of either
-    (all arithmetic is then elementwise). Arithmetic follows the Leibniz
-    and chain rules exactly.
+    A container for what `Profile.jet` returns: ``c`` holds the
+    components (value, d1, ..., d4), each a real or complex scalar or a
+    numpy array of either. Profiles do their jet arithmetic on component
+    tuples (`_mul_c`, `_compose_c`, ...), not on Jet objects.
     """
 
     __slots__ = ("c",)
@@ -153,62 +150,8 @@ class Jet:
         return self.c[1:]
 
     @classmethod
-    def constant(cls, x):
-        return cls(x, (0.0,) * JET_ORDER)
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other.c
-        return _lift(other)
-
-    def __add__(self, other):
-        return Jet.from_components(_add_c(self.c, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Jet.from_components(_sub_c(self.c, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return Jet.from_components(_sub_c(self._coerce(other), self.c))
-
-    def __neg__(self):
-        return Jet.from_components(_neg_c(self.c))
-
-    def __mul__(self, other):
-        return Jet.from_components(_mul_c(self.c, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Jet.from_components(_div_c(self.c, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return Jet.from_components(_div_c(self._coerce(other), self.c))
-
-    def __pow__(self, n):
-        if not isinstance(n, numbers.Integral):
-            raise TypeError("jet powers must be integers")
-        return Jet.from_components(_pow_c(self.c, int(n)))
-
-    @classmethod
     def from_components(cls, comps):
         return cls(comps[0], comps[1:])
-
-    def sin(self):
-        return Jet.from_components(_compose_c(_sin_outer(self.c[0]), self.c))
-
-    def cos(self):
-        return Jet.from_components(_compose_c(_cos_outer(self.c[0]), self.c))
-
-    def exp(self):
-        return Jet.from_components(_compose_c(_exp_outer(self.c[0]), self.c))
-
-    def arctan(self):
-        return Jet.from_components(_compose_c(_arctan_outer(self.c[0]), self.c))
-
-    def conjugate(self):
-        return Jet.from_components(tuple(np.conjugate(x) for x in self.c))
 
     def __repr__(self):
         return f"Jet(value={self.c[0]!r}, derivs={self.c[1:]!r})"
@@ -225,7 +168,7 @@ class Circle:
 
     def __init__(self, period, r0=0.0):
         if period <= 0:
-            raise ValueError("period must be positive")
+            raise InvalidGeometry("period must be positive")
         self.period = float(period)
         self.r0 = float(r0)
 
@@ -264,7 +207,7 @@ class Interval:
 
     def __init__(self, r0, r1):
         if not r1 > r0:
-            raise ValueError("need r1 > r0")
+            raise InvalidGeometry("need r1 > r0")
         self.r0 = float(r0)
         self.r1 = float(r1)
 
@@ -1089,12 +1032,6 @@ def antiderivative(p, r0, c0, tol=1e-12):
     """Profile q with q(r0) = c0 and q' = p, values by adaptive Simpson on
     fixed panels anchored at r0."""
     return Antiderivative(p, r0, c0, tol)
-
-
-def derivative(p, order=1):
-    for _ in range(order):
-        p = p.derivative()
-    return p
 
 
 # ---------------------------------------------------------------------------

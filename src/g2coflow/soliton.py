@@ -167,7 +167,11 @@ def nk_special(family, b=0.0, c=0.0, lam=None, domain=None):
     cylinder: 3theta = pi/2, h = b > 0, k' = c, lam = -12/b^2
     sinecone: 3theta = r,  h = sin r,  k' = 0, lam = -16, on (0, pi)
     """
-    family = Family(family) if not isinstance(family, Family) else family
+    try:
+        family = Family(family)
+    except ValueError:
+        raise InvalidParams(f"unknown special family {family!r}",
+                            param="family") from None
     if family is Family.CONE:
         lam = 0.0 if lam is None else float(lam)
         dom = domain or Interval(max(0.0, -b) + 0.1, max(0.0, -b) + 2.1)
@@ -206,7 +210,8 @@ def nk_special(family, b=0.0, c=0.0, lam=None, domain=None):
         theta = r / 3.0
         kprime = pf.constant(0.0, dom)
     else:
-        raise InvalidParams(f"unknown special family {family!r}")
+        raise InvalidParams(f"unknown special family {family!r}",
+                            param="family")
 
     _check_positive(h, dom)
     return SolitonCandidate(h=h, theta=theta, kprime=kprime, lam=lam,

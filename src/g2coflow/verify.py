@@ -45,16 +45,12 @@ def random_g2_profile(rng, structure, domain=None, coclosed=False):
     else:
         integrand = G * pf.cos(3 * theta)
         span = dom.length
-        h = pf.antiderivative(integrand, _domain_start(dom), 0.0)
+        h = pf.antiderivative(integrand, dom.r0, 0.0)
         # shift well above zero: |h'| <= sup G bounds the excursion
         rs = dom.sample_points(64, interior=True)
         lift = 1.0 + float(np.max(np.abs(G.value(rs)))) * span
         h = h + pf.constant(lift)
     return G2Profile(h=h, theta=theta, G=G, structure=structure, domain=dom)
-
-
-def _domain_start(dom):
-    return dom.r0
 
 
 def random_invariant_form(rng, degree=None, domain=None):

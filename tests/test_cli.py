@@ -339,6 +339,9 @@ def test_invalid_nk_parameters_are_config_errors(tmp_path, capsys, flags, key):
     ("cy", {"b": 1.0, "c": 1.0, "r0": 2.0, "r1": 1.0}),
     ("shoot", {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "span": [0.4, 1.1, 1.2],
                "target_dh_end": 0.4, "lam_range": [-25.0, -8.0]}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": "2 + sin(r)", "theta": "0", "G": "1"}}),
 ])
 def test_bad_config_values_exit_2(tmp_path, sub, cfg):
     path = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,60 @@ def test_run_flow_rejects_constraint_violating_nk_data():
                      theta=lambda r: np.zeros_like(r))
     with pytest.raises(SingularityDetected):
         cf.run_flow(s, t_end=0.01)
+
+
+def test_run_flow_rejects_cy_data_with_varying_h():
+    s = circle_state(h=lambda r: 2 + np.sin(r), theta=lambda r: 0.01 * np.sin(r))
+    with pytest.raises(StructureMismatch):
+        cf.run_flow(s, t_end=0.01)
+
+
+def one_step_states():
+    interval = Mesh.from_domain(pf.Interval(0.0, 2 * np.pi), 97)
+    r = interval.nodes
+    cy_interval = FlowState(mesh=interval, h=1.5 * np.ones_like(r),
+                            theta=0.3 * np.sin(r / 2), G=1 + 0.1 * np.sin(r),
+                            t=0.0, structure=CY)
+    cone = Mesh.from_domain(pf.Interval(0.2, np.pi - 0.2), 256)
+    r = cone.nodes
+    sine_cone = FlowState(mesh=cone, h=np.sin(r), theta=r / 3, G=np.ones_like(r),
+                          t=0.0, structure=NK)
+    return {
+        "cy-circle": circle_state(n=96, theta=lambda r: 0.2 * np.sin(r),
+                                  G=lambda r: 1 + 0.1 * np.cos(r)),
+        "cy-interval": cy_interval,
+        "nk-circle": near_cylinder_state(96, eps=1e-2),
+        "nk-interval": sine_cone,
+    }
+
+
+@pytest.mark.parametrize("case", ["cy-circle", "cy-interval", "nk-circle",
+                                  "nk-interval"])
+def test_a_flow_step_is_one_rk4_step_of_the_public_rhs(case):
+    s = one_step_states()[case]
+    if s.structure is CY:
+        names, rhs = ("theta", "G"), cf.rhs_cy
+    else:
+        names, rhs = ("h", "theta", "G"), cf.rhs_nk
+    dt = 0.2 * float(np.min(s.G) ** 2) * s.mesh.dr ** 2   # run_flow's default cfl
+
+    def shifted(k, scale):
+        return dataclasses.replace(s, **{name: getattr(s, name) + scale * rate
+                                         for name, rate in zip(names, k)})
+
+    k1 = rhs(s)
+    k2 = rhs(shifted(k1, 0.5 * dt))
+    k3 = rhs(shifted(k2, 0.5 * dt))
+    k4 = rhs(shifted(k3, dt))
+    run = cf.run_flow(s, t_end=dt)
+    assert len(run.diagnostics) == 1
+    final = run.snapshots[-1]
+    for i, name in enumerate(names):
+        want = getattr(s, name) + dt / 6.0 * (
+            k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+        assert np.array_equal(getattr(final, name), want)
+    if s.structure is CY:
+        assert np.array_equal(final.h, s.h)
 
 
 def test_singularity_detection_stops_run():

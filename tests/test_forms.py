@@ -3,7 +3,12 @@ import pytest
 
 from g2coflow import forms as fm
 from g2coflow import profiles as pf
-from g2coflow.errors import ConstraintViolated, DegreeMismatch, DegreeOverflow
+from g2coflow.errors import (
+    ConstraintViolated,
+    DegreeMismatch,
+    DegreeOverflow,
+    InvalidGeometry,
+)
 from g2coflow.forms import G2Profile, InvariantForm, StructureKind
 from g2coflow.verify import random_g2_profile, random_invariant_form
 
@@ -269,6 +274,17 @@ def test_laplacian_requires_constraint():
                   G=pf.constant(1.0, dom), structure=CY, domain=dom)
     with pytest.raises(ConstraintViolated):
         fm.hodge_laplacian_psi(g)
+
+
+@pytest.mark.parametrize("field", ["h", "G"])
+def test_g2profile_rejects_non_positive_h_or_G(field):
+    dom = pf.Interval(0.4, 2.4)
+    r = pf.coordinate(dom)
+    data = {"h": r, "theta": pf.constant(0.0, dom), "G": pf.constant(1.0, dom)}
+    data[field] = r - 1.0
+    with pytest.raises(InvalidGeometry) as exc:
+        G2Profile(**data, structure=NK, domain=dom)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_codifferential_coclosed_shortcut():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2coflow import profiles as pf
-from g2coflow.errors import DomainError, SingularEval
+from g2coflow.errors import DomainError, InvalidGeometry, SingularEval
 
 R = pf.coordinate()
 
@@ -136,6 +136,16 @@ def test_domain_checks():
         p.value(2.0)
     circ = pf.sin(pf.coordinate(pf.Circle(2 * np.pi)))
     circ.value(100.0)  # circles accept any coordinate
+
+
+@pytest.mark.parametrize("build", [lambda: pf.Interval(1.0, 1.0),
+                                   lambda: pf.Interval(2.0, 1.0),
+                                   lambda: pf.Circle(0.0),
+                                   lambda: pf.Circle(-1.0)])
+def test_empty_domains_raise_a_typed_value_error(build):
+    with pytest.raises(InvalidGeometry) as exc:
+        build()
+    assert isinstance(exc.value, ValueError)
 
 
 def test_incompatible_domains_rejected():

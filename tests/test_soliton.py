@@ -89,6 +89,13 @@ def test_special_family_parameters():
         so.nk_special("sinecone", lam=-12.0)
 
 
+@pytest.mark.parametrize("family", ["foo", "cy_closed_form"])
+def test_unknown_special_family_is_invalid_params(family):
+    with pytest.raises(InvalidParams) as exc:
+        so.nk_special(family)
+    assert exc.value.param == "family"
+
+
 def test_all_special_families_pass_residuals():
     for cand in (
         so.nk_special("cone", b=0.5, lam=2.0),
