@@ -1,7 +1,8 @@
 """Laplacian coflow of coclosed G2-structures on warped products N^6 x L^1.
 
 Subpackages:
-  profiles  scalar functions of r with exact or finite-difference jets
+  profiles  scalar functions of r; derivatives are derivative() trees
+            (symbolic, or stencil products on grids) and jets their values
   forms     calculus on the SU(3)-invariant form basis
   torsion   torsion forms and coclosedness diagnostics
   coflow    method-of-lines integrator for the evolution systems

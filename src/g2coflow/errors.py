@@ -10,9 +10,12 @@ class DomainError(G2CoflowError):
 
 
 class InvalidGeometry(G2CoflowError, ValueError):
-    """A domain or G2-structure built from values outside their range: an
-    interval with r1 <= r0, a circle with period <= 0, or h or G not
-    positive. Also a ValueError, so callers catching that keep working."""
+    """A domain, profile or G2-structure built from values outside their
+    range: an interval with r1 <= r0, a circle with period <= 0, h or G not
+    positive, profiles on incompatible domains, a sampled profile with no
+    domain or too few mesh nodes for its stencils, or serialized profile JSON
+    naming an unknown domain kind or node type. Also a ValueError, so callers
+    catching that keep working."""
 
 
 class SingularEval(G2CoflowError):

@@ -1,11 +1,14 @@
 """Scalar functions of the coordinate r with derivative jets up to order 4.
 
-Two interchangeable backends share one algebra. Closed-form expression trees
-(constants, r, arithmetic, sin/cos/exp/arctan, integer powers, antiderivatives
-by quadrature) produce jets exact to rounding. Uniformly sampled grids produce
-jets through finite-difference stencils of configurable order, centered in the
-interior and one-sided at interval ends; the stencils are built once per mesh
-as cached sparse matrices (`stencil_operator`), which the coflow mesh shares.
+Two backends share one algebra. Closed-form expression trees (constants, r,
+arithmetic, sin/cos/exp/arctan, integer powers, antiderivatives by
+quadrature) and uniformly sampled grids combine freely. Derivatives are
+`derivative()` trees: symbolic for closed-form nodes, one finite-difference
+stencil product for a grid (centered in the interior, one-sided at interval
+ends; the stencils are built once per mesh as cached sparse matrices,
+`stencil_operator`, which the coflow mesh shares). A jet is the values of a
+profile and of its first four derivative trees at r; a bare grid's jet uses
+the direct m-th derivative stencils instead.
 
 Profiles are immutable after construction; every operation returns a new
 object, so they are safe to share between threads.
@@ -23,8 +26,6 @@ from .errors import DomainError, InvalidGeometry, QuadratureFailure, SingularEva
 
 JET_ORDER = 4
 
-_BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))
-
 
 def _require_finite(components):
     for c in components:
@@ -36,101 +37,13 @@ def _require_finite(components):
 # jets
 # ---------------------------------------------------------------------------
 
-def _lift(x):
-    return (x, 0.0, 0.0, 0.0, 0.0)
-
-
-def _add_c(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub_c(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mul_c(a, b):
-    return tuple(
-        sum(_BINOM[n][k] * a[k] * b[n - k] for k in range(n + 1))
-        for n in range(JET_ORDER + 1)
-    )
-
-
-def _div_c(a, b):
-    # solve a = c*b order by order
-    c = []
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for n in range(JET_ORDER + 1):
-                acc = a[n]
-                for k in range(n):
-                    acc = acc - _BINOM[n][k] * c[k] * b[n - k]
-                c.append(acc / b[0])
-    except ZeroDivisionError:
-        raise SingularEval("division by zero") from None
-    _require_finite(c)
-    return tuple(c)
-
-
-def _pow_c(a, n):
-    if n == 0:
-        return _lift(1.0)
-    if n < 0:
-        return _div_c(_lift(1.0), _pow_c(a, -n))
-    out = a
-    for _ in range(n - 1):
-        out = _mul_c(out, a)
-    return out
-
-
-def _compose_c(outer, a):
-    """Chain rule through order 4: outer = (f, f', f'', f''', f'''') at a[0]."""
-    s0, s1, s2, s3, s4 = outer
-    a1, a2, a3, a4 = a[1], a[2], a[3], a[4]
-    return (
-        s0,
-        s1 * a1,
-        s1 * a2 + s2 * a1 * a1,
-        s1 * a3 + 3 * s2 * a1 * a2 + s3 * a1 * a1 * a1,
-        s1 * a4 + s2 * (4 * a1 * a3 + 3 * a2 * a2) + 6 * s3 * a1 * a1 * a2 + s4 * a1 ** 4,
-    )
-
-
-def _sin_outer(x):
-    s, c = np.sin(x), np.cos(x)
-    return (s, c, -s, -c, s)
-
-
-def _cos_outer(x):
-    s, c = np.sin(x), np.cos(x)
-    return (c, -s, -c, s, c)
-
-
-def _exp_outer(x):
-    e = np.exp(x)
-    return (e, e, e, e, e)
-
-
-def _arctan_outer(x):
-    d = 1.0 + x * x
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s1 = 1.0 / d
-    except ZeroDivisionError:
-        raise SingularEval("arctan derivative pole") from None
-    _require_finite((s1,))
-    s2 = -2.0 * x * s1 * s1
-    s3 = (6.0 * x * x - 2.0) * s1 * s1 * s1
-    s4 = (24.0 * x - 24.0 * x ** 3) * s1 ** 4
-    return (np.arctan(x), s1, s2, s3, s4)
-
-
 class Jet:
     """Value and first four derivatives of a scalar function at a point.
 
     A container for what `Profile.jet` returns: ``c`` holds the
     components (value, d1, ..., d4), each a real or complex scalar or a
-    numpy array of either. Profiles do their jet arithmetic on component
-    tuples (`_mul_c`, `_compose_c`, ...), not on Jet objects.
+    numpy array of either. They are the values of the profile and of its
+    `derivative()` trees; no arithmetic is done on Jet objects.
     """
 
     __slots__ = ("c",)
@@ -244,7 +157,7 @@ def domain_from_json(obj):
         return Circle(obj["period"], obj.get("r0", 0.0))
     if kind == "interval":
         return Interval(obj["r0"], obj["r1"])
-    raise ValueError(f"unknown domain kind {kind!r}")
+    raise InvalidGeometry(f"unknown domain kind {kind!r}")
 
 
 def _merge_domain(a, b):
@@ -252,7 +165,7 @@ def _merge_domain(a, b):
         return b
     if b is None or a == b:
         return a
-    raise ValueError(f"incompatible domains {a!r} and {b!r}")
+    raise InvalidGeometry(f"incompatible domains {a!r} and {b!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +184,17 @@ class Profile:
     def jet(self, r):
         """Jet (value and derivatives 1..4) at r; r may be an array."""
         self._check_domain(r)
-        comps = self._components(r, {})
+        memo = {}
+        comps = tuple(p._value(r, memo) for p in self._jet_terms())
         _require_finite(comps)
         return Jet.from_components(comps)
+
+    def _jet_terms(self):
+        """The profile and its derivative trees of orders 1..JET_ORDER."""
+        terms = [self]
+        for _ in range(JET_ORDER):
+            terms.append(terms[-1].derivative())
+        return terms
 
     def value(self, r):
         self._check_domain(r)
@@ -288,9 +209,6 @@ class Profile:
             raise DomainError(f"coordinate {r!r} outside {self.domain!r}")
 
     # tree plumbing, overridden by nodes ------------------------------------
-    def _components(self, r, memo):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _value(self, r, memo):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -360,12 +278,6 @@ class Constant(Profile):
         super().__init__(domain)
         self.c = c
 
-    def _components(self, r, memo):
-        shape = np.shape(r)
-        v = np.full(shape, self.c) if shape else self.c
-        z = np.zeros(shape) if shape else 0.0
-        return (v, z, z, z, z)
-
     def _value(self, r, memo):
         shape = np.shape(r)
         return np.full(shape, self.c) if shape else self.c
@@ -382,13 +294,6 @@ class Coordinate(Profile):
     """The identity function r -> r."""
 
     __slots__ = ()
-
-    def _components(self, r, memo):
-        shape = np.shape(r)
-        one = np.ones(shape) if shape else 1.0
-        zero = np.zeros(shape) if shape else 0.0
-        v = np.asarray(r, dtype=float) if shape else float(r)
-        return (v, one, zero, zero, zero)
 
     def _value(self, r, memo):
         return np.asarray(r, dtype=float) if np.shape(r) else float(r)
@@ -408,16 +313,8 @@ class _Binary(Profile):
         self.a = a
         self.b = b
 
-    def _memoized(self, r, memo):
-        key = id(self)
-        if key not in memo:
-            memo[key] = self._compute(self.a._components(r, memo), self.b._components(r, memo))
-        return memo[key]
-
-    _components = _memoized
-
     def _value(self, r, memo):
-        key = (id(self), "v")
+        key = id(self)
         if key not in memo:
             memo[key] = self._compute_value(self.a._value(r, memo), self.b._value(r, memo))
         return memo[key]
@@ -430,9 +327,6 @@ class Add(_Binary):
     __slots__ = ()
     _tag = "add"
 
-    def _compute(self, a, b):
-        return _add_c(a, b)
-
     def _compute_value(self, a, b):
         return a + b
 
@@ -443,9 +337,6 @@ class Add(_Binary):
 class Sub(_Binary):
     __slots__ = ()
     _tag = "sub"
-
-    def _compute(self, a, b):
-        return _sub_c(a, b)
 
     def _compute_value(self, a, b):
         return a - b
@@ -458,9 +349,6 @@ class Mul(_Binary):
     __slots__ = ()
     _tag = "mul"
 
-    def _compute(self, a, b):
-        return _mul_c(a, b)
-
     def _compute_value(self, a, b):
         return a * b
 
@@ -471,9 +359,6 @@ class Mul(_Binary):
 class Div(_Binary):
     __slots__ = ()
     _tag = "div"
-
-    def _compute(self, a, b):
-        return _div_c(a, b)
 
     def _compute_value(self, a, b):
         try:
@@ -496,14 +381,8 @@ class _Unary(Profile):
         super().__init__(a.domain)
         self.a = a
 
-    def _components(self, r, memo):
-        key = id(self)
-        if key not in memo:
-            memo[key] = self._compute(self.a._components(r, memo))
-        return memo[key]
-
     def _value(self, r, memo):
-        key = (id(self), "v")
+        key = id(self)
         if key not in memo:
             memo[key] = self._compute_value(self.a._value(r, memo))
         return memo[key]
@@ -516,9 +395,6 @@ class Sin(_Unary):
     __slots__ = ()
     _tag = "sin"
 
-    def _compute(self, a):
-        return _compose_c(_sin_outer(a[0]), a)
-
     def _compute_value(self, a):
         return np.sin(a)
 
@@ -529,9 +405,6 @@ class Sin(_Unary):
 class Cos(_Unary):
     __slots__ = ()
     _tag = "cos"
-
-    def _compute(self, a):
-        return _compose_c(_cos_outer(a[0]), a)
 
     def _compute_value(self, a):
         return np.cos(a)
@@ -544,9 +417,6 @@ class Exp(_Unary):
     __slots__ = ()
     _tag = "exp"
 
-    def _compute(self, a):
-        return _compose_c(_exp_outer(a[0]), a)
-
     def _compute_value(self, a):
         return np.exp(a)
 
@@ -558,11 +428,9 @@ class Arctan(_Unary):
     __slots__ = ()
     _tag = "arctan"
 
-    def _compute(self, a):
-        return _compose_c(_arctan_outer(a[0]), a)
-
     def _compute_value(self, a):
-        return np.arctan(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.arctan(a)
 
     def derivative(self):
         one = constant(1.0)
@@ -574,9 +442,6 @@ class Conj(_Unary):
 
     __slots__ = ()
     _tag = "conj"
-
-    def _compute(self, a):
-        return tuple(np.conjugate(x) for x in a)
 
     def _compute_value(self, a):
         return np.conjugate(a)
@@ -594,9 +459,6 @@ class Pow(_Unary):
     def __init__(self, a, n):
         super().__init__(a)
         self.n = int(n)
-
-    def _compute(self, a):
-        return _pow_c(a, self.n)
 
     def _compute_value(self, a):
         return a ** self.n
@@ -674,16 +536,9 @@ class Antiderivative(Profile):
         return (self.c0 + (prefix + seg[n_full:])).reshape(x.shape)[()]
 
     def _value(self, r, memo):
-        key = (id(self), "v")
-        if key not in memo:
-            memo[key] = self._integrals(r)
-        return memo[key]
-
-    def _components(self, r, memo):
         key = id(self)
         if key not in memo:
-            g = self.integrand._components(r, memo)
-            memo[key] = (self._value(r, memo), g[0], g[1], g[2], g[3])
+            memo[key] = self._integrals(r)
         return memo[key]
 
     def derivative(self):
@@ -846,12 +701,12 @@ class Sampled(Profile):
 
     def __init__(self, domain, values, order=4):
         if domain is None:
-            raise ValueError("a Sampled profile needs an explicit domain")
+            raise InvalidGeometry("a Sampled profile needs an explicit domain")
         super().__init__(domain)
         self.values = np.asarray(values)
         self.n = len(self.values)
         if self.n < order + JET_ORDER:
-            raise ValueError("mesh too small for the configured stencil order")
+            raise InvalidGeometry("mesh too small for the configured stencil order")
         self.order = int(order)
         self._periodic = isinstance(domain, Circle)
         if self._periodic:
@@ -890,13 +745,10 @@ class Sampled(Profile):
     def _operator(self, m):
         return stencil_operator(self.n, self.dr, self._periodic, m, self.order)
 
-    def _components(self, r, memo):
-        key = id(self)
-        if key not in memo:
-            idx = self._node_index(r)
-            memo[key] = (self.values[idx],) + tuple(
-                (self._operator(m) @ self.values)[idx] for m in range(1, JET_ORDER + 1))
-        return memo[key]
+    def _jet_terms(self):
+        # direct m-th derivative stencils, not repeated first-derivative ones
+        return [self] + [Sampled(self.domain, self._operator(m) @ self.values, self.order)
+                         for m in range(1, JET_ORDER + 1)]
 
     def _value(self, r, memo):
         return self.values[self._node_index(r)]
@@ -1069,7 +921,7 @@ def profile_from_json(obj):
             if np.all(vals.imag == 0):
                 vals = vals.real
             return Sampled(domain, vals, node["order"])
-        raise ValueError(f"unknown profile node type {t!r}")
+        raise InvalidGeometry(f"unknown profile node type {t!r}")
 
     root = build(obj["root"])
     if root.domain is None:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2coflow import forms as fm
 from g2coflow import profiles as pf
+from g2coflow import torsion as ts
+from g2coflow import verify
 from g2coflow.errors import (
     ConstraintViolated,
     DegreeMismatch,
@@ -354,3 +358,35 @@ def test_form_json_roundtrip():
     b = fm.InvariantForm.from_json(a.to_json())
     assert (a - b).sup_norm(RS) < 1e-12
     assert {e["basis"] for e in a.to_json()["entries"]} <= set(fm.BASIS_TAGS)
+
+
+# ---------------------------------------------------------------------------
+# calculus identities on drawn data and domains
+# ---------------------------------------------------------------------------
+
+DOMAINS = st.one_of(
+    st.builds(pf.Circle, st.floats(0.5, 2 * np.pi), st.floats(-3.0, 3.0)),
+    st.builds(lambda r0, length: pf.Interval(r0, r0 + length),
+              st.floats(-3.0, 3.0), st.floats(0.5, 2 * np.pi)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), structure=st.sampled_from([CY, NK]),
+       domain=DOMAINS)
+def test_identities_hold_on_drawn_profiles_and_domains(seed, structure, domain):
+    # the identity suite's checks and tolerances, off its fixed circle
+    rng = np.random.default_rng(seed)
+    g = random_g2_profile(rng, structure, domain)
+    rs = domain.sample_points(50, interior=True)
+    for tag in fm.BASIS_TAGS:
+        b = fm.InvariantForm.basis(tag)
+        assert fm.d(fm.d(b, structure), structure).sup_norm(rs) < 1e-12
+        assert (fm.star7(fm.star7(b, g), g) - b).sup_norm(rs) < 1e-12
+    a = random_invariant_form(rng, degree=int(rng.integers(0, 7)), domain=domain)
+    assert fm.d(fm.d(a, structure), structure).sup_norm(rs) < 1e-12
+    for got, want in ((fm.d(fm.build_phi(g), structure), verify._dphi_expected(g)),
+                      (fm.d(fm.build_psi(g), structure), verify._dpsi_expected(g))):
+        assert (got - want).sup_norm(rs) < 1e-12
+    tau2, _tau3 = ts.tau2_tau3(g)
+    assert tau2.sup_norm(rs) < 1e-11

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2coflow import profiles as pf
-from g2coflow.errors import DomainError, InvalidGeometry, SingularEval
+from g2coflow.errors import DomainError, G2CoflowError, InvalidGeometry, SingularEval
 
 R = pf.coordinate()
 
@@ -96,6 +97,23 @@ def test_tree_derivative_matches_jet_shift():
             )
 
 
+def test_tree_derivatives_integrate_back_to_the_order_below():
+    # the quadrature route, independent of derivative(): the integral of
+    # f^(k) from 0 plus f^(k-1)(0) reproduces f^(k-1), for k = 1..4
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        f = random_closed_form(rng)
+        rs = rng.uniform(-2, 2, size=4)
+        jf = f.jet(rs)
+        scale = np.maximum(1.0, np.max(np.abs(jf.c), axis=0))
+        lower = f
+        for k in range(1, 5):
+            higher = lower.derivative()
+            q = pf.antiderivative(higher, 0.0, lower.value(0.0))
+            assert np.all(np.abs(q.value(rs) - jf.c[k - 1]) / scale < 1e-11)
+            lower = higher
+
+
 def test_division_by_zero_raises():
     p = pf.constant(1.0) / R
     with pytest.raises(SingularEval):
@@ -109,6 +127,15 @@ def test_arctan_pole_raises():
     p = pf.arctan(pf.constant(1j) * R)
     with pytest.raises(SingularEval):
         p.jet(1.0)
+
+
+def test_arctan_pole_raises_without_a_warning():
+    p = pf.arctan(pf.constant(1j) * R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (p.value, p.jet):
+            with pytest.raises(SingularEval):
+                evaluate(1.0)
 
 
 def test_complex_profiles_and_conjugation():
@@ -153,6 +180,20 @@ def test_incompatible_domains_rejected():
     b = pf.coordinate(pf.Circle(2 * np.pi))
     with pytest.raises(ValueError):
         a + b
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pf.coordinate(pf.Interval(0.0, 1.0)) + pf.coordinate(pf.Circle(2 * np.pi)),
+    lambda: pf.domain_from_json({"kind": "disk"}),
+    lambda: pf.profile_from_json({"root": {"type": "spline"}}),
+    lambda: pf.Sampled(None, np.zeros(16)),
+    lambda: pf.Sampled(pf.Circle(1.0), np.zeros(7)),
+], ids=["incompatible-domains", "unknown-domain-kind", "unknown-node-type",
+        "sampled-without-domain", "sampled-mesh-too-small"])
+def test_bad_profile_input_raises_a_typed_error(build):
+    with pytest.raises(G2CoflowError) as exc:
+        build()
+    assert isinstance(exc.value, InvalidGeometry)
 
 
 # ---------------------------------------------------------------------------
