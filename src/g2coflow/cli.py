@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import csv
 import json
 import os
 import sys
@@ -362,16 +361,16 @@ def parse_config(subcommand, raw, outdir="out"):
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def write_csv(path, header, columns):
+    """Columns as full-precision rows under a header, with CRLF line ends.
+
+    Header names are written as given, unquoted.
+    """
+    rows = np.column_stack(columns).astype(float).tolist()
+    fmt = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([_fmt(x) for x in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_json(path, obj):

@@ -130,8 +130,8 @@ class InvariantForm:
         clean = {}
         for tag, p in coeffs.items():
             if DEGREE[tag] != self.degree:
-                raise ValueError(f"basis element {tag} has degree {DEGREE[tag]}, "
-                                 f"not {self.degree}")
+                raise DegreeMismatch(f"basis element {tag} has degree "
+                                     f"{DEGREE[tag]}, not {self.degree}")
             if pf._is_const(p, 0):
                 continue
             clean[tag] = p
@@ -324,7 +324,7 @@ class G2Profile:
     def sample_points(self, n, interior=True):
         """n evaluation points; grid-backed data restricts them to mesh nodes."""
         if self.domain is None:
-            raise ValueError("G2Profile has no domain to sample")
+            raise InvalidGeometry("G2Profile has no domain to sample")
         return pf.sample_points(self.domain, (self.h, self.theta, self.G), n,
                                 interior)
 
@@ -401,7 +401,7 @@ def _domain_bounds(domain):
         return domain.r0, domain.r0 + domain.period
     if isinstance(domain, Interval):
         return domain.r0, domain.r1
-    raise ValueError("l2 integration needs a Circle or Interval domain")
+    raise InvalidGeometry("l2 integration needs a Circle or Interval domain")
 
 
 def integrate_profile(p, domain, tol=1e-10):

@@ -356,6 +356,7 @@ class ReducedTrajectory:
     hpp: np.ndarray
     lam: float
     status: str             # "completed" | "singular_locus"
+    nfev: int = 0           # right-hand-side evaluations spent by the integrator
 
     @property
     def span(self):
@@ -364,17 +365,18 @@ class ReducedTrajectory:
 
 def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, atol=1e-12,
                       n_dense=801, max_step=None):
-    """Integrate the reduced ODE with an embedded 4(5) pair.
+    """Integrate the reduced ODE with DOP853, the Dormand-Prince 8(5,3) pair.
 
     Stops cleanly at the span end or on approach to the singular locus
     (|h'| within 1e-4 of 0 or 1, or h below 1e-6), reporting the status.
-    The step cap keeps the dense-output interpolant accurate enough for
-    finite-difference residual checks on the returned grid; a caller that
-    needs only the end point passes n_dense=2 and max_step=np.inf.
+    The default step cap, 32 intervals of the returned n_dense-point grid,
+    keeps the 7th-order dense output accurate enough for finite-difference
+    residual checks on that grid; with n_dense=2 the cap exceeds the span,
+    so a caller that needs only the end point gets free steps.
     """
     r0, r1 = float(span[0]), float(span[1])
     if max_step is None:
-        max_step = (r1 - r0) / 400.0
+        max_step = 32.0 * (r1 - r0) / max(n_dense - 1, 1)
     reduced_rhs(h0, dh0, ddh0, lam)  # validate admissibility up front
 
     def rhs(_r, y):
@@ -393,14 +395,11 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, atol=1e-12,
     for ev in (near_flat, near_unit, near_zero_h):
         ev.terminal = True
 
-    try:
-        sol = integrate.solve_ivp(
-            rhs, (r0, r1), (float(h0), float(dh0), float(ddh0)),
-            method="RK45", rtol=rtol, atol=atol, dense_output=True,
-            max_step=max_step, events=(near_flat, near_unit, near_zero_h),
-        )
-    except SingularLocus:
-        raise
+    sol = integrate.solve_ivp(
+        rhs, (r0, r1), (float(h0), float(dh0), float(ddh0)),
+        method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+        max_step=max_step, events=(near_flat, near_unit, near_zero_h),
+    )
     if not sol.success and sol.status != 1:
         raise StepFailure(f"integrator failed: {sol.message}")
 
@@ -409,7 +408,7 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, atol=1e-12,
     rs = np.linspace(r0, r_stop, n_dense)
     y = sol.sol(rs)
     return ReducedTrajectory(rs=rs, h=y[0], hp=y[1], hpp=y[2], lam=lam,
-                             status=status)
+                             status=status, nfev=int(sol.nfev))
 
 
 def recover_theta_k(traj, lam, u_sign0=1.0):
@@ -539,7 +538,7 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
     def closing(lam):
         if lam not in memo:
             traj = integrate_reduced(h0, dh0, ddh0, lam, span, rtol=rtol,
-                                     n_dense=2, max_step=np.inf)
+                                     n_dense=2)
             memo[lam] = float(traj.hp[-1]) - target_dh_end
         return memo[lam]
 

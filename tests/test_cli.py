@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -349,3 +350,31 @@ def test_bad_config_values_exit_2(tmp_path, sub, cfg):
     prefix = ["soliton", sub] if sub in ("cy", "shoot") else [sub]
     assert run_cli(*prefix, "--config", str(path),
                    "--out", str(tmp_path / "o")) == 2
+
+
+# ---------------------------------------------------------------------------
+# artifact writers
+# ---------------------------------------------------------------------------
+
+def csv_module_writer(path, header, columns):
+    # the row-by-row csv.writer formatting that write_csv must match byte for byte
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([f"{float(x):.17g}" for x in row])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 300])
+def test_write_csv_matches_csv_module_bytes(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324,
+                        1.2345678901234567e17, 3.0, -42.0, 1e22, 0.1])
+    columns = [np.resize(special, n_rows),
+               rng.normal(size=n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
+               np.arange(n_rows, dtype=float),
+               np.resize(special[::-1], n_rows)]
+    header = ["r", "h", "theta", "G"]
+    cli.write_csv(tmp_path / "new.csv", header, columns)
+    csv_module_writer(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

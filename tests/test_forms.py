@@ -229,6 +229,24 @@ def test_inner_degree_mismatch():
                            fm.InvariantForm.basis("Omega"), g)
 
 
+def test_invariant_form_rejects_basis_element_of_wrong_degree():
+    with pytest.raises(DegreeMismatch):
+        InvariantForm(3, {"omega": pf.constant(1.0)})
+
+
+def test_sample_points_without_domain_is_invalid_geometry():
+    g = G2Profile(h=pf.constant(1.0), theta=pf.constant(0.0),
+                  G=pf.constant(1.0), structure=CY)
+    assert g.domain is None
+    with pytest.raises(InvalidGeometry):
+        g.sample_points(10)
+
+
+def test_integrate_profile_needs_circle_or_interval():
+    with pytest.raises(InvalidGeometry):
+        fm.integrate_profile(pf.constant(1.0), None)
+
+
 def test_inner_dr_dr_is_inverse_G_squared():
     rng = np.random.default_rng(17)
     g = random_g2_profile(rng, CY)

@@ -212,6 +212,17 @@ def test_integrate_reduced_reproduces_sine_cone():
     assert np.max(np.abs(traj.hp - np.cos(traj.rs))) < 1e-8
 
 
+def test_integrate_reduced_work_and_residuals_on_criterion_5_span():
+    # criterion 5's span: steps of at most 32 grid intervals keep the
+    # 801-point dense output within the residual budget for few evaluations
+    r0 = np.pi / 8
+    traj = so.integrate_reduced(np.sin(r0), np.cos(r0), -np.sin(r0), -16.0,
+                                (r0, 3 * np.pi / 8))
+    assert 0 < traj.nfev <= 600
+    rep = so.residuals_nk(so.candidate_from_trajectory(traj))
+    assert rep.worst <= 1.4e-8
+
+
 def test_integrate_reduced_rejects_cone_jets():
     with pytest.raises(SingularLocus):
         so.integrate_reduced(1.0, 1.0, 0.0, 0.0, (0.0, 1.0))
