@@ -43,6 +43,7 @@ from .errors import (
     StructureMismatch,
 )
 from .forms import G2Profile, StructureKind
+from .profiles import write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,7 @@ def parse_expression(text, domain=None):
 # ---------------------------------------------------------------------------
 
 STENCIL_ORDER = 4   # finite-difference order for sampled data and the flow
+_MIN_NODES = STENCIL_ORDER + pf.JET_ORDER   # the smallest mesh Sampled accepts
 
 _REQUIRED = object()
 
@@ -196,34 +198,24 @@ def _value(key, spec, value):
             out = [spec.type(x) for x in value]
             if spec.nargs != "*" and len(out) != spec.nargs:
                 raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"bad value {value!r}", key=key) from None
     if spec.choices is not None and out not in spec.choices:
         raise ConfigError(f"must be one of {list(spec.choices)}", key=key)
     return out
 
 
-def _domain(cls, key, *bounds):
-    """cls(*bounds) with float bounds; a bad bound is a ConfigError at key."""
-    try:
-        return cls(*map(float, bounds))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), key=key) from None
-
-
 def _parse_domain(obj, path="domain."):
+    """`profiles.domain_from_json`, a bad bound a ConfigError at the domain."""
     _require_keys(obj, {"kind", "r0", "r1", "period", "n"}, {"kind"}, path)
-    kind = obj["kind"]
-    if kind == "circle":
-        if "period" not in obj:
-            raise ConfigError("circle domain needs a period", key=path + "period")
-        return _domain(pf.Circle, path[:-1], obj["period"], obj.get("r0", 0.0))
-    if kind == "interval":
-        for k in ("r0", "r1"):
-            if k not in obj:
-                raise ConfigError("interval domain needs r0 and r1", key=path + k)
-        return _domain(pf.Interval, path[:-1], obj["r0"], obj["r1"])
-    raise ConfigError(f"unknown domain kind {kind!r}", key=path + "kind")
+    try:
+        return pf.domain_from_json(obj)
+    except KeyError as exc:
+        raise ConfigError(f"{obj['kind']} domain needs {exc.args[0]}",
+                          key=path + exc.args[0]) from None
+    except InvalidGeometry as exc:
+        known = obj["kind"] in ("circle", "interval")
+        raise ConfigError(str(exc), key=path[:-1] if known else path + "kind") from None
 
 
 def _parse_structure(name, path="structure"):
@@ -270,21 +262,19 @@ def load_config_file(path):
 
 
 def _flow_objects(c):
-    if c["t_end"] <= 0:
-        raise ConfigError("t_end must be positive", key="t_end")
-    if c["cfl"] <= 0:
-        raise ConfigError("cfl must be positive", key="cfl")
     domain = _parse_domain(c["domain"])
     if "n" not in c["domain"]:
         raise ConfigError("flow domain needs a node count n", key="domain.n")
-    n = int(c["domain"]["n"])
+    n = _value("domain.n", Key(int), c["domain"]["n"])
+    if n < _MIN_NODES:
+        raise ConfigError(f"need at least {_MIN_NODES} nodes", key="domain.n")
     _require_keys(c["initial"], {"h", "theta", "G"}, {"h", "theta", "G"},
                   "initial.")
     fields = {name: _parse_field(c["initial"][name], domain, n,
                                  f"initial.{name}")
               for name in ("h", "theta", "G")}
     structure = _parse_structure(c["structure"])
-    mesh = cfl.Mesh.from_domain(domain, n)
+    mesh = pf.Mesh.from_domain(domain, n)
     initial = {name: np.real(np.asarray(p.value(mesh.nodes)))
                for name, p in fields.items()}
     if structure is StructureKind.CY:
@@ -321,7 +311,11 @@ def _residual_objects(c):
 
 
 def _cy_objects(c):
-    domain = _domain(pf.Interval, "r1", c["r0"], c["r1"])
+    try:
+        domain = pf.domain_from_json({"kind": "interval", "r0": c["r0"],
+                                      "r1": c["r1"]})
+    except InvalidGeometry as exc:
+        raise ConfigError(str(exc), key="r1") from None
     return {"candidate": so.cy_closed_form(c["b"], c["c"], domain)}
 
 
@@ -338,6 +332,18 @@ _OBJECTS = {"flow": _flow_objects, "torsion": _torsion_objects,
             "nk": _nk_objects}
 
 
+# values a key's type admits but its subcommand cannot run with: key ->
+# (test of the resolved value, message)
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_FINITE = (lambda x: 0 < x < np.inf, "must be positive and finite")
+_SPAN = (lambda s: -np.inf < s[0] < s[1] < np.inf, "must be finite and increasing")
+_RANGES = {"verify": {"seed": (lambda x: x >= 0, "must not be negative"),
+                      "points": _POSITIVE},
+           "torsion": {"samples": _POSITIVE}, "residual": {"samples": _POSITIVE},
+           "flow": {"t_end": _FINITE, "cfl": _FINITE},
+           "reduce": {"span": _SPAN}, "shoot": {"span": _SPAN}}
+
+
 def parse_config(subcommand, raw, outdir="out"):
     """Resolve a raw config dict for the given subcommand.
 
@@ -352,6 +358,9 @@ def parse_config(subcommand, raw, outdir="out"):
                   [k for k, spec in keys.items() if spec.default is _REQUIRED], "")
     resolved = {k: _value(k, spec, raw.get(k, spec.default))
                 for k, spec in keys.items()}
+    for k, (ok, message) in _RANGES.get(subcommand, {}).items():
+        if not ok(resolved[k]):
+            raise ConfigError(message, key=k)
     build = _OBJECTS.get(subcommand)
     objects = build(resolved) if build else {}
     return RunConfig(subcommand, resolved, objects, outdir)
@@ -360,18 +369,6 @@ def parse_config(subcommand, raw, outdir="out"):
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
-
-def write_csv(path, header, columns):
-    """Columns as full-precision rows under a header, with CRLF line ends.
-
-    Header names are written as given, unquoted.
-    """
-    rows = np.column_stack(columns).astype(float).tolist()
-    fmt = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
-
 
 def write_json(path, obj):
     with open(path, "w") as fh:
@@ -450,9 +447,11 @@ def _run_torsion(config):
     samples = config.resolved["samples"]
     rep = ts.torsion_report(g, samples=samples)
     rs = g.sample_points(samples, interior=True)
+    tau0 = np.asarray(rep.tau0.value(rs))
+    tau1 = np.asarray(rep.tau1_coeff.value(rs))
     payload = {
-        "tau0_sup": float(np.max(np.abs(np.asarray(rep.tau0.value(rs))))),
-        "tau1_sup": float(np.max(np.abs(np.asarray(rep.tau1_coeff.value(rs))))),
+        "tau0_sup": float(np.max(np.abs(tau0))),
+        "tau1_sup": float(np.max(np.abs(tau1))),
         "tau2_norm": rep.tau2_norm,
         "tau3_sup": rep.tau3.sup_norm(rs),
         "coclosed_residual": rep.coclosed_residual,
@@ -463,8 +462,7 @@ def _run_torsion(config):
     if config.resolved["csv"]:
         write_csv(os.path.join(config.outdir, "torsion.csv"),
                   ["r", "tau0", "tau1_coeff"],
-                  [rs, np.real(np.asarray(rep.tau0.value(rs))),
-                   np.real(np.asarray(rep.tau1_coeff.value(rs)))])
+                  [rs, np.real(tau0), np.real(tau1)])
     return "Completed"
 
 

@@ -2,10 +2,11 @@
 
 The Calabi-Yau system evolves (theta, G) with h frozen at a constant; the
 nearly Kahler system evolves (h, theta, G) independently while the coclosed
-constraint h' = G cos(3 theta) is monitored, not imposed. Spatial
+constraint h' = G cos(3 theta) is monitored, not imposed. Flow states live
+on a `profiles.Mesh`, the grid `profiles.Sampled` uses too. Spatial
 derivatives are 4th order (periodic wrap on a circle, shifted stencils near
-interval ends), applied as the cached sparse matrices of
-`profiles.stencil_operator`. Each structure has one right-hand side, built
+interval ends), applied as the mesh's cached sparse matrices
+(`Mesh.deriv_matrix`). Each structure has one right-hand side, built
 from its pointwise rates (`cy_rates`, `nk_rates`) and shared by `rhs_cy`,
 `rhs_nk` and `run_flow`; one classical RK4 step advances either structure's
 fields under the diffusive step restriction dt <= cfl * min(G^2) * dr^2.
@@ -24,36 +25,11 @@ import numpy as np
 
 from .errors import SingularityDetected, StructureMismatch
 from .forms import StructureKind
-from .profiles import Circle, Interval, stencil_operator
+from .profiles import Mesh
 
 FLOOR = 1e-6            # positivity floor for h and G
 CONSTRAINT_BLOWUP = 1e-2
-
-
-@dataclass(frozen=True)
-class Mesh:
-    """Uniform 1-d mesh; periodic iff built on a circle."""
-
-    r0: float
-    dr: float
-    n: int
-    periodic: bool
-
-    @classmethod
-    def from_domain(cls, domain, n):
-        if isinstance(domain, Circle):
-            return cls(domain.r0, domain.period / n, n, True)
-        if isinstance(domain, Interval):
-            return cls(domain.r0, (domain.r1 - domain.r0) / (n - 1), n, False)
-        raise TypeError(f"cannot mesh {domain!r}")
-
-    @property
-    def nodes(self):
-        return self.r0 + self.dr * np.arange(self.n)
-
-    def deriv_matrix(self, m):
-        """Sparse 4th-order differentiation matrix for derivative m."""
-        return stencil_operator(self.n, self.dr, self.periodic, m, 4)
+INIT_CONSTRAINT_TOL = 1e-4  # largest sup |c| accepted in initial NK data
 
 
 def d1(mesh, f):
@@ -242,23 +218,23 @@ def _rk4(rhs, fields, dt):
             for f, a, b, c, d in zip(fields, k1, k2, k3, k4)]
 
 
-def run_flow(initial, t_end, output_times=(), cfl=0.2,
-             init_constraint_tol=1e-4):
+def run_flow(initial, t_end, output_times=(), cfl=0.2):
     """Integrate to t_end, snapshotting at the requested output times.
 
-    Halts early with status "SingularityDetected" when min h or min G falls
-    below the positivity floor, or "ConstraintBlowup" when the NK constraint
-    residual exceeds 1e-2; the last valid state is appended as a terminal
-    snapshot either way.
+    Initial NK data whose constraint residual exceeds INIT_CONSTRAINT_TOL
+    raises SingularityDetected. Halts early with status "SingularityDetected"
+    when min h or min G falls below the positivity floor, or
+    "ConstraintBlowup" when the NK constraint residual exceeds 1e-2; the last
+    valid state is appended as a terminal snapshot either way.
     """
     mesh, structure = initial.mesh, initial.structure
     nk = structure is StructureKind.NK
     if nk:
         c0 = float(np.max(np.abs(initial.constraint_residual())))
-        if c0 > init_constraint_tol:
+        if c0 > INIT_CONSTRAINT_TOL:
             raise SingularityDetected(
                 f"initial NK data violates the coclosed constraint "
-                f"(sup |c| = {c0:.3g} > {init_constraint_tol:.3g})")
+                f"(sup |c| = {c0:.3g} > {INIT_CONSTRAINT_TOL:.3g})")
     else:
         require_constant_h(initial.h)
 

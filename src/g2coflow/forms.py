@@ -292,7 +292,7 @@ class G2Profile:
     """Warped-product data (h, theta, G) defining phi and psi = *phi.
 
     h and G must be positive on the domain; this is spot-checked at
-    construction on a modest sample unless ``check=False``.
+    construction on a modest sample.
     """
 
     h: Profile
@@ -300,14 +300,13 @@ class G2Profile:
     G: Profile
     structure: StructureKind
     domain: object = None
-    check: bool = True
 
     def __post_init__(self):
         dom = self.domain
         if dom is None:
             dom = self.h.domain or self.theta.domain or self.G.domain
             object.__setattr__(self, "domain", dom)
-        if self.check and dom is not None:
+        if dom is not None:
             rs = self.sample_points(64, interior=True)
             for name, p in (("h", self.h), ("G", self.G)):
                 vals = np.real(np.asarray(p.value(rs)))
@@ -413,19 +412,19 @@ def integrate_profile(p, domain, tol=1e-10):
     return val
 
 
-def l2_inner(a, b, g, tol=1e-10):
+def l2_inner(a, b, g):
     """L2 inner product over the domain, base volume normalized to one."""
     integrand = pf.mul(pointwise_inner(a, b, g), volume_weight(g))
-    return integrate_profile(integrand, g.domain, tol)
+    return integrate_profile(integrand, g.domain)
 
 
 # ---------------------------------------------------------------------------
 # coclosedness and the Hodge Laplacian of psi
 # ---------------------------------------------------------------------------
 
-def coclosed_residual(g, n=64):
-    """sup |h' - G cos 3 theta| (NK) or sup |h'| (CY) over sample points."""
-    rs = g.sample_points(n)
+def coclosed_residual(g):
+    """sup |h' - G cos 3 theta| (NK) or sup |h'| (CY) over 64 sample points."""
+    rs = g.sample_points(64)
     hp = np.real(np.asarray(g.h.derivative().value(rs)))
     if g.structure is StructureKind.CY:
         return float(np.max(np.abs(hp)))
@@ -434,17 +433,17 @@ def coclosed_residual(g, n=64):
     return float(np.max(np.abs(hp - gc)))
 
 
-def hodge_laplacian_psi(g, tol=1e-7, check=True):
+def hodge_laplacian_psi(g, tol=1e-7):
     """-Delta_d psi computed from first principles as -d(*7 d phi).
 
     Requires the coclosed constraint (h' = 0 for CY, h' = G cos 3 theta for
     NK); with it, d psi = 0 so the codifferential term is all that survives.
+    Raises ConstraintViolated when `coclosed_residual` exceeds tol.
     """
-    if check:
-        res = coclosed_residual(g)
-        if res > tol:
-            raise ConstraintViolated(
-                f"coclosed residual {res:.3g} exceeds tolerance {tol:.3g}")
+    res = coclosed_residual(g)
+    if res > tol:
+        raise ConstraintViolated(
+            f"coclosed residual {res:.3g} exceeds tolerance {tol:.3g}")
     phi = build_phi(g)
     return -d(star7(d(phi, g.structure), g), g.structure)
 

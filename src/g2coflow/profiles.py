@@ -6,9 +6,11 @@ quadrature) and uniformly sampled grids combine freely. Derivatives are
 `derivative()` trees: symbolic for closed-form nodes, one finite-difference
 stencil product for a grid (centered in the interior, one-sided at interval
 ends; the stencils are built once per mesh as cached sparse matrices,
-`stencil_operator`, which the coflow mesh shares). A jet is the values of a
-profile and of its first four derivative trees at r; a bare grid's jet uses
-the direct m-th derivative stencils instead.
+`stencil_operator`). A jet is the values of a profile and of its first four
+derivative trees at r; a bare grid's jet uses the direct m-th derivative
+stencils instead. Each data format of the line is defined here once: domains
+and their JSON (`domain_from_json`), the uniform grid of a domain (`Mesh`,
+shared with the coflow) and CSV rows (`write_csv`).
 
 Profiles are immutable after construction; every operation returns a new
 object, so they are safe to share between threads.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -80,7 +83,7 @@ class Circle:
     __slots__ = ("period", "r0")
 
     def __init__(self, period, r0=0.0):
-        if period <= 0:
+        if not period > 0:
             raise InvalidGeometry("period must be positive")
         self.period = float(period)
         self.r0 = float(r0)
@@ -89,7 +92,7 @@ class Circle:
         return np.full(np.shape(r), True) if np.ndim(r) else True
 
     def sample_points(self, n, interior=False):
-        # a circle has no boundary; interior flag kept for API symmetry
+        # interior shifts the points by half a step, as on an interval
         return self.r0 + self.period * (np.arange(n) + (0.5 if interior else 0.0)) / n
 
     @property
@@ -152,12 +155,19 @@ class Interval:
 
 
 def domain_from_json(obj):
+    """The domain `to_json` wrote, bounds converted with float. A missing
+    bound raises KeyError; an unknown kind or a bad bound InvalidGeometry."""
     kind = obj.get("kind")
     if kind == "circle":
-        return Circle(obj["period"], obj.get("r0", 0.0))
-    if kind == "interval":
-        return Interval(obj["r0"], obj["r1"])
-    raise InvalidGeometry(f"unknown domain kind {kind!r}")
+        cls, bounds = Circle, (obj["period"], obj.get("r0", 0.0))
+    elif kind == "interval":
+        cls, bounds = Interval, (obj["r0"], obj["r1"])
+    else:
+        raise InvalidGeometry(f"unknown domain kind {kind!r}")
+    try:
+        return cls(*map(float, bounds))
+    except (TypeError, ValueError) as exc:
+        raise InvalidGeometry(str(exc)) from None
 
 
 def _merge_domain(a, b):
@@ -688,8 +698,53 @@ def stencil_operator(n, dr, periodic, m, order):
         shape=(n, n))
 
 
+@dataclass(frozen=True)
+class Mesh:
+    """Uniform mesh of n nodes r0 + k * dr on a domain; periodic iff built on
+    a circle (n nodes spanning one period), else n nodes from r0 to r1."""
+
+    r0: float
+    dr: float
+    n: int
+    periodic: bool
+
+    @classmethod
+    def from_domain(cls, domain, n):
+        if n < 2:
+            raise InvalidGeometry(f"a mesh needs at least 2 nodes, got {n}")
+        if isinstance(domain, Circle):
+            return cls(domain.r0, domain.period / n, n, True)
+        if isinstance(domain, Interval):
+            return cls(domain.r0, (domain.r1 - domain.r0) / (n - 1), n, False)
+        raise TypeError(f"cannot mesh {domain!r}")
+
+    @property
+    def nodes(self):
+        return self.r0 + self.dr * np.arange(self.n)
+
+    def index(self, r):
+        """Node index of r, elementwise with the shape of r; DomainError when
+        r is not a node (a circle's nodes repeat with its period)."""
+        rs = np.asarray(r, dtype=float)
+        t = (rs - self.r0) / self.dr
+        idx = np.rint(t).astype(int)
+        off = np.abs(t - idx) > 1e-8
+        if np.any(off):
+            raise DomainError(f"r={float(rs[off][0])!r} is not a mesh node")
+        if self.periodic:
+            return idx % self.n
+        outside = (idx < 0) | (idx >= self.n)
+        if np.any(outside):
+            raise DomainError(f"r={float(rs[outside][0])!r} outside the mesh")
+        return idx
+
+    def deriv_matrix(self, m):
+        """Sparse 4th-order differentiation matrix for derivative m."""
+        return stencil_operator(self.n, self.dr, self.periodic, m, 4)
+
+
 class Sampled(Profile):
-    """Profile backed by values on a uniform mesh.
+    """Profile backed by values on the nodes of a uniform `Mesh`.
 
     Jets are only available at mesh nodes and are computed with
     finite-difference stencils of the configured order: centered where the
@@ -697,53 +752,30 @@ class Sampled(Profile):
     circle. Each derivative is one product with a shared `stencil_operator`.
     """
 
-    __slots__ = ("values", "order", "n", "dr", "_r0", "_periodic")
+    __slots__ = ("values", "order", "mesh")
 
     def __init__(self, domain, values, order=4):
         if domain is None:
             raise InvalidGeometry("a Sampled profile needs an explicit domain")
         super().__init__(domain)
         self.values = np.asarray(values)
-        self.n = len(self.values)
-        if self.n < order + JET_ORDER:
+        if len(self.values) < order + JET_ORDER:
             raise InvalidGeometry("mesh too small for the configured stencil order")
         self.order = int(order)
-        self._periodic = isinstance(domain, Circle)
-        if self._periodic:
-            self.dr = domain.period / self.n
-            self._r0 = domain.r0
-        else:
-            self.dr = (domain.r1 - domain.r0) / (self.n - 1)
-            self._r0 = domain.r0
+        self.mesh = Mesh.from_domain(domain, len(self.values))
 
     @classmethod
     def from_function(cls, f, domain, n, order=4):
-        nodes = mesh_nodes(domain, n)
+        nodes = Mesh.from_domain(domain, n).nodes
         vals = f(nodes) if callable(f) and not isinstance(f, Profile) else f.value(nodes)
         return cls(domain, vals, order)
 
-    @property
-    def nodes(self):
-        return self._r0 + self.dr * np.arange(self.n)
-
-    def _node_index(self, r):
-        """Mesh index of r, elementwise with the shape of r."""
-        rs = np.asarray(r, dtype=float)
-        t = (rs - self._r0) / self.dr
-        idx = np.rint(t).astype(int)
-        off = np.abs(t - idx) > 1e-8
-        if np.any(off):
-            raise DomainError(
-                f"r={float(rs[off][0])!r} is not a mesh node of the sampled profile")
-        if self._periodic:
-            return idx % self.n
-        outside = (idx < 0) | (idx >= self.n)
-        if np.any(outside):
-            raise DomainError(f"r={float(rs[outside][0])!r} outside the sampled mesh")
-        return idx
+    n = property(lambda self: self.mesh.n)
+    dr = property(lambda self: self.mesh.dr)
+    nodes = property(lambda self: self.mesh.nodes)
 
     def _operator(self, m):
-        return stencil_operator(self.n, self.dr, self._periodic, m, self.order)
+        return stencil_operator(self.n, self.dr, self.mesh.periodic, m, self.order)
 
     def _jet_terms(self):
         # direct m-th derivative stencils, not repeated first-derivative ones
@@ -751,7 +783,7 @@ class Sampled(Profile):
                          for m in range(1, JET_ORDER + 1)]
 
     def _value(self, r, memo):
-        return self.values[self._node_index(r)]
+        return self.values[self.mesh.index(r)]
 
     def derivative(self):
         return Sampled(self.domain, self._operator(1) @ self.values, self.order)
@@ -764,13 +796,6 @@ class Sampled(Profile):
             "values_re": vals.real.tolist(),
             "values_im": vals.imag.tolist(),
         }
-
-
-def mesh_nodes(domain, n):
-    """The n uniform mesh nodes a Sampled profile on this domain would use."""
-    if isinstance(domain, Circle):
-        return domain.r0 + domain.period * np.arange(n) / n
-    return np.linspace(domain.r0, domain.r1, n)
 
 
 def sample_points(domain, members, n, interior=True):
@@ -936,13 +961,19 @@ def sample_table(p, rs):
     return np.column_stack(cols)
 
 
-def write_sample_csv(p, rs, path):
-    """Write the sample table of p to path with full double precision."""
-    import csv
+def write_csv(path, header, columns):
+    """Columns as full-precision rows under a header, with CRLF line ends.
 
-    table = sample_table(p, rs)
+    Header names are written as given, unquoted.
+    """
+    rows = np.column_stack(columns).astype(float).tolist()
+    fmt = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "value", "d1", "d2", "d3", "d4"])
-        for row in table:
-            w.writerow([f"{float(np.real(x)):.17g}" for x in row])
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def write_sample_csv(p, rs, path):
+    """Write the real part of the sample table of p to path, full precision."""
+    write_csv(path, ["r", "value", "d1", "d2", "d3", "d4"],
+              np.real(sample_table(p, rs)).T)

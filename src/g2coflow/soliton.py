@@ -23,7 +23,6 @@ from scipy import integrate, optimize
 from . import forms as fm
 from . import profiles as pf
 from .errors import (
-    ConstraintViolated,
     DivergentIntegral,
     InvalidParams,
     SignAmbiguity,
@@ -63,11 +62,10 @@ class SolitonCandidate:
             return "expanding"
         return "steady" if self.lam == 0 else "shrinking"
 
-    def g2_profile(self, check=True):
+    def g2_profile(self):
         return G2Profile(h=self.h, theta=self.theta,
                          G=pf.constant(1.0, self.domain),
-                         structure=self.structure, domain=self.domain,
-                         check=check)
+                         structure=self.structure, domain=self.domain)
 
     def sample_points(self, n=200):
         return pf.sample_points(self.domain, (self.h, self.theta, self.kprime), n)
@@ -278,12 +276,8 @@ def form_residual(cand, samples=200, tolerance=1e-8, constraint_tol=1e-7):
     sup of every basis coefficient; independent of the coordinate residuals.
     """
     g = cand.g2_profile()
-    res = fm.coclosed_residual(g)
-    if res > constraint_tol:
-        raise ConstraintViolated(
-            f"coclosed residual {res:.3g} exceeds {constraint_tol:.3g}")
     psi = fm.build_psi(g)
-    lap = fm.hodge_laplacian_psi(g, tol=constraint_tol)
+    lap = fm.hodge_laplacian_psi(g, tol=constraint_tol)  # checks coclosedness
     lie = fm.d(fm.interior_r(psi, cand.kprime), g.structure)
     resid = lap - lie - psi.scale(cand.lam)
     rs = cand.sample_points(samples)
@@ -363,8 +357,8 @@ class ReducedTrajectory:
         return float(self.rs[0]), float(self.rs[-1])
 
 
-def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, atol=1e-12,
-                      n_dense=801, max_step=None):
+def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,
+                      max_step=None):
     """Integrate the reduced ODE with DOP853, the Dormand-Prince 8(5,3) pair.
 
     Stops cleanly at the span end or on approach to the singular locus
@@ -397,7 +391,7 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, atol=1e-12,
 
     sol = integrate.solve_ivp(
         rhs, (r0, r1), (float(h0), float(dh0), float(ddh0)),
-        method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+        method="DOP853", rtol=rtol, atol=1e-12, dense_output=True,
         max_step=max_step, events=(near_flat, near_unit, near_zero_h),
     )
     if not sol.success and sol.status != 1:
@@ -462,14 +456,15 @@ def candidate_from_trajectory(traj, u_sign0=1.0):
 # eigenform and compactness identities
 # ---------------------------------------------------------------------------
 
-def eigenform_check(g, samples=200, constraint_tol=1e-7):
-    """Least-squares fit of Delta_d psi = mu^2 psi over basis coefficients.
+def eigenform_check(g):
+    """Least-squares fit of Delta_d psi = mu^2 psi over basis coefficients
+    at 200 sample points.
 
     Returns (mu_squared, sup residual of Delta_d psi - mu^2 psi).
     """
-    lap = fm.hodge_laplacian_psi(g, tol=constraint_tol)  # -Delta psi
+    lap = fm.hodge_laplacian_psi(g)  # -Delta psi
     psi = fm.build_psi(g)
-    rs = g.sample_points(samples, interior=True)
+    rs = g.sample_points(200, interior=True)
     num = 0.0
     den = 0.0
     cols = {}
@@ -486,7 +481,7 @@ def eigenform_check(g, samples=200, constraint_tol=1e-7):
     return mu2, resid
 
 
-def compact_identity_check(cand, tol=1e-9):
+def compact_identity_check(cand):
     """Both sides of the compact-soliton obstruction identity.
 
     Returns (||d* psi||^2, -7 lambda Vol(M)); equal for exact solitons since
@@ -499,8 +494,8 @@ def compact_identity_check(cand, tol=1e-9):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", integrate.IntegrationWarning)
-            lhs = fm.integrate_profile(density, g.domain, tol)
-            vol = fm.integrate_profile(fm.volume_weight(g), g.domain, tol)
+            lhs = fm.integrate_profile(density, g.domain, 1e-9)
+            vol = fm.integrate_profile(fm.volume_weight(g), g.domain, 1e-9)
     except (integrate.IntegrationWarning, ValueError) as exc:
         raise DivergentIntegral(str(exc)) from exc
     if not (np.isfinite(lhs) and np.isfinite(vol)):
@@ -524,7 +519,7 @@ class ShootReport:
 
 
 def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
-          rtol=1e-10, grid=13, residual_tol=1e-6, lam_tol=1e-9):
+          rtol=1e-10, grid=13, residual_tol=1e-6):
     """Grid scan for a sign change, then brentq over lambda for a boundary target.
 
     The closing functional is h'(r_end; lambda) - target (evaluated at the
@@ -558,7 +553,7 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
             break
     if bracket is None:
         return ShootReport(False, None, None, tuple(values), "NoBracket")
-    lam = optimize.brentq(closing, *bracket, xtol=lam_tol, rtol=1e-12)
+    lam = optimize.brentq(closing, *bracket, xtol=1e-9, rtol=1e-12)
 
     traj = integrate_reduced(h0, dh0, ddh0, lam, span, rtol=rtol)
     cand = candidate_from_trajectory(traj, u_sign0)

@@ -343,6 +343,29 @@ def test_invalid_nk_parameters_are_config_errors(tmp_path, capsys, flags, key):
     ("flow", {"structure": "CY", "t_end": 0.1,
               "domain": {"kind": "circle", "period": 6.0, "n": 16},
               "initial": {"h": "2 + sin(r)", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": "many"},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 0},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "interval", "r0": 0.0, "r1": 6.0, "n": 1},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 3},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("shoot", {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "span": [1.2, 0.4],
+               "target_dh_end": 0.4, "lam_range": [-25.0, -8.0]}),
+    ("shoot", {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "span": [0.4, 0.4],
+               "target_dh_end": 0.4, "lam_range": [-25.0, -8.0]}),
+    ("verify", {"points": 0}),
+    ("verify", {"seed": -1}),
+    ("torsion", {"structure": "CY", "h": "1", "theta": "0", "G": "1",
+                 "domain": {"kind": "circle", "period": 6.0}, "samples": 0}),
+    ("residual", {"structure": "NK", "h": "r", "theta": "0", "kprime": "0",
+                  "lambda": 0.0, "samples": 0,
+                  "domain": {"kind": "interval", "r0": 0.1, "r1": 2.1}}),
 ])
 def test_bad_config_values_exit_2(tmp_path, sub, cfg):
     path = tmp_path / "bad.json"
@@ -350,6 +373,58 @@ def test_bad_config_values_exit_2(tmp_path, sub, cfg):
     prefix = ["soliton", sub] if sub in ("cy", "shoot") else [sub]
     assert run_cli(*prefix, "--config", str(path),
                    "--out", str(tmp_path / "o")) == 2
+
+
+REDUCE = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "lambda": -16.0}
+SHOOT = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "target_dh_end": 0.4,
+         "lam_range": [-25.0, -8.0]}
+
+
+@pytest.mark.parametrize("sub,cfg,key", [
+    ("flow", {"t_end": float("nan")}, "t_end"),
+    ("flow", {"t_end": float("inf")}, "t_end"),
+    ("flow", {"cfl": float("nan")}, "cfl"),
+    ("flow", {"cfl": float("inf")}, "cfl"),
+    ("reduce", dict(REDUCE, span=[0.4, float("nan")]), "span"),
+    ("reduce", dict(REDUCE, span=[0.4, float("inf")]), "span"),
+    ("reduce", dict(REDUCE, span=[1.2, 0.4]), "span"),
+    ("shoot", dict(SHOOT, span=[float("nan"), 1.2]), "span"),
+])
+def test_nonfinite_or_empty_ranges_are_rejected_before_running(tmp_path, sub,
+                                                              cfg, key):
+    if sub == "flow":
+        cfg = dict(json.loads(open(flow_config(tmp_path)).read()), **cfg)
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(sub, cfg)
+    assert exc.value.key == key
+
+
+@pytest.mark.parametrize("domain,key", [
+    ({"kind": "circle"}, "domain.period"),
+    ({"kind": "interval", "r0": 0.0}, "domain.r1"),
+    ({"kind": "disk"}, "domain.kind"),
+    ({"kind": "circle", "period": -1}, "domain"),
+    ({"kind": "interval", "r0": 1.0, "r1": 1.0}, "domain"),
+    ({"kind": "circle", "period": None}, "domain"),
+    ({"kind": "circle", "period": float("nan")}, "domain"),
+])
+def test_domain_errors_keep_their_key_paths(tmp_path, domain, key):
+    cfg = json.loads(open(flow_config(tmp_path, domain=dict(domain, n=16))).read())
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config("flow", cfg)
+    assert exc.value.key == key
+
+
+def test_cy_interval_errors_keep_their_key_path():
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config("cy", {"b": 1.0, "c": 1.0, "r0": 2.0, "r1": 1.0})
+    assert exc.value.key == "r1"
+
+
+def test_domain_bounds_accept_numeric_strings(tmp_path):
+    cfg = json.loads(open(flow_config(
+        tmp_path, domain={"kind": "circle", "period": "6.0", "n": 16})).read())
+    assert cli.parse_config("flow", cfg).objects["state"].mesh.dr == 6.0 / 16
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import time
 import warnings
@@ -439,6 +440,25 @@ def test_sampled_derivative_profile():
     assert np.max(np.abs(ds.value(nodes) - np.cos(nodes))) < 1e-9
 
 
+@pytest.mark.parametrize("dom", [pf.Circle(2 * np.pi), pf.Interval(-0.5, 1.7)])
+def test_sampled_and_the_flow_share_one_mesh(dom):
+    from g2coflow import coflow
+
+    assert coflow.Mesh is pf.Mesh
+    v = np.cos(np.arange(801.0))
+    assert pf.Sampled(dom, v).mesh == pf.Mesh.from_domain(dom, len(v))
+    # values sit at exactly the nodes the profile reports
+    s = pf.Sampled.from_function(np.sin, dom, 801)
+    assert np.array_equal(s.values, np.sin(s.nodes))
+
+
+@pytest.mark.parametrize("dom,n", [(pf.Circle(1.0), 0), (pf.Circle(1.0), 1),
+                                   (pf.Interval(0.0, 1.0), 1)])
+def test_mesh_without_spacing_is_invalid_geometry(dom, n):
+    with pytest.raises(InvalidGeometry):
+        pf.Mesh.from_domain(dom, n)
+
+
 # ---------------------------------------------------------------------------
 # the shared stencil operator
 # ---------------------------------------------------------------------------
@@ -547,6 +567,23 @@ def test_write_sample_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "r,value,d1,d2,d3,d4"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("dom", [pf.Circle(2 * np.pi, 0.3), pf.Interval(-0.5, 1.7)])
+def test_write_sample_csv_matches_csv_module_bytes(tmp_path, dom):
+    # a complex-valued profile: only the real parts are written
+    r = pf.coordinate(dom)
+    p = pf.exp(pf.sin(r)) + 1j * pf.cos(2 * r)
+    rs = dom.sample_points(40)
+    table = pf.sample_table(p, rs)
+    assert np.iscomplexobj(table)
+    pf.write_sample_csv(p, rs, str(tmp_path / "new.csv"))
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["r", "value", "d1", "d2", "d3", "d4"])
+        for row in table:
+            w.writerow([f"{float(np.real(x)):.17g}" for x in row])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_quadrature_failure_on_wild_integrand():
