@@ -231,7 +231,10 @@ def _parse_field(entry, domain, n, key):
         return parse_expression(entry, domain)
     if isinstance(entry, dict) and set(entry) == {"file"}:
         vals = _load_sample_file(entry["file"], n, key)
-        return pf.Sampled(domain, vals, order=STENCIL_ORDER)
+        try:
+            return pf.Sampled(domain, vals, order=STENCIL_ORDER)
+        except InvalidGeometry as exc:   # too few rows for the stencil
+            raise ConfigError(str(exc), key=key) from None
     raise ConfigError("field must be an expression string or {\"file\": path}",
                       key=key)
 
@@ -338,6 +341,7 @@ _POSITIVE = (lambda x: x > 0, "must be positive")
 _FINITE = (lambda x: 0 < x < np.inf, "must be positive and finite")
 _SPAN = (lambda s: -np.inf < s[0] < s[1] < np.inf, "must be finite and increasing")
 _RANGES = {"verify": {"seed": (lambda x: x >= 0, "must not be negative"),
+                      "profiles": (lambda x: x >= 2, "must be at least 2"),
                       "points": _POSITIVE},
            "torsion": {"samples": _POSITIVE}, "residual": {"samples": _POSITIVE},
            "flow": {"t_end": _FINITE, "cfl": _FINITE},

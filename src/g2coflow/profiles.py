@@ -8,9 +8,11 @@ stencil product for a grid (centered in the interior, one-sided at interval
 ends; the stencils are built once per mesh as cached sparse matrices,
 `stencil_operator`). A jet is the values of a profile and of its first four
 derivative trees at r; a bare grid's jet uses the direct m-th derivative
-stencils instead. Each data format of the line is defined here once: domains
-and their JSON (`domain_from_json`), the uniform grid of a domain (`Mesh`,
-shared with the coflow) and CSV rows (`write_csv`).
+stencils instead. `Profile.value` and `Profile.jet` evaluate along one path:
+a domain check, one memo that computes each node once, a finiteness check.
+Each data format of the line is defined here once: domains and their JSON
+(`domain_from_json`), the uniform grid of a domain (`Mesh`, shared with the
+coflow) and CSV rows (`write_csv`).
 
 Profiles are immutable after construction; every operation returns a new
 object, so they are safe to share between threads.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,53 +43,37 @@ def _require_finite(components):
 # jets
 # ---------------------------------------------------------------------------
 
-class Jet:
+class Jet(tuple):
     """Value and first four derivatives of a scalar function at a point.
 
-    A container for what `Profile.jet` returns: ``c`` holds the
-    components (value, d1, ..., d4), each a real or complex scalar or a
-    numpy array of either. They are the values of the profile and of its
-    `derivative()` trees; no arithmetic is done on Jet objects.
+    What `Profile.jet` returns: the tuple (value, d1, ..., d4), each a real
+    or complex scalar or a numpy array of either. They are the values of the
+    profile and of its `derivative()` trees; no arithmetic is done on Jets.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ()
 
-    def __init__(self, value, derivs):
-        derivs = tuple(derivs)
-        if len(derivs) != JET_ORDER:
-            raise ValueError(f"expected {JET_ORDER} derivatives, got {len(derivs)}")
-        self.c = (value,) + derivs
-
-    @property
-    def value(self):
-        return self.c[0]
-
-    @property
-    def derivs(self):
-        return self.c[1:]
-
-    @classmethod
-    def from_components(cls, comps):
-        return cls(comps[0], comps[1:])
-
-    def __repr__(self):
-        return f"Jet(value={self.c[0]!r}, derivs={self.c[1:]!r})"
+    c = property(tuple)
+    value = property(lambda self: self[0])
+    derivs = property(lambda self: self[1:])
 
 
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class Circle:
     """Periodic domain of the given period, with origin r0."""
 
-    __slots__ = ("period", "r0")
+    period: float
+    r0: float = 0.0
 
-    def __init__(self, period, r0=0.0):
-        if not period > 0:
+    def __post_init__(self):
+        if not self.period > 0:
             raise InvalidGeometry("period must be positive")
-        self.period = float(period)
-        self.r0 = float(r0)
+        object.__setattr__(self, "period", float(self.period))
+        object.__setattr__(self, "r0", float(self.r0))
 
     def contains(self, r):
         return np.full(np.shape(r), True) if np.ndim(r) else True
@@ -99,33 +86,22 @@ class Circle:
     def length(self):
         return self.period
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Circle)
-            and other.period == self.period
-            and other.r0 == self.r0
-        )
-
-    def __hash__(self):
-        return hash(("circle", self.period, self.r0))
-
-    def __repr__(self):
-        return f"Circle(period={self.period}, r0={self.r0})"
-
     def to_json(self):
         return {"kind": "circle", "period": self.period, "r0": self.r0}
 
 
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval [r0, r1]."""
 
-    __slots__ = ("r0", "r1")
+    r0: float
+    r1: float
 
-    def __init__(self, r0, r1):
-        if not r1 > r0:
+    def __post_init__(self):
+        if not self.r1 > self.r0:
             raise InvalidGeometry("need r1 > r0")
-        self.r0 = float(r0)
-        self.r1 = float(r1)
+        object.__setattr__(self, "r0", float(self.r0))
+        object.__setattr__(self, "r1", float(self.r1))
 
     def contains(self, r):
         slack = 1e-12 * (self.r1 - self.r0)
@@ -140,15 +116,6 @@ class Interval:
     @property
     def length(self):
         return self.r1 - self.r0
-
-    def __eq__(self, other):
-        return isinstance(other, Interval) and (other.r0, other.r1) == (self.r0, self.r1)
-
-    def __hash__(self):
-        return hash(("interval", self.r0, self.r1))
-
-    def __repr__(self):
-        return f"Interval({self.r0}, {self.r1})"
 
     def to_json(self):
         return {"kind": "interval", "r0": self.r0, "r1": self.r1}
@@ -193,11 +160,7 @@ class Profile:
     # evaluation -----------------------------------------------------------
     def jet(self, r):
         """Jet (value and derivatives 1..4) at r; r may be an array."""
-        self._check_domain(r)
-        memo = {}
-        comps = tuple(p._value(r, memo) for p in self._jet_terms())
-        _require_finite(comps)
-        return Jet.from_components(comps)
+        return Jet(self._evaluate(r, self._jet_terms()))
 
     def _jet_terms(self):
         """The profile and its derivative trees of orders 1..JET_ORDER."""
@@ -207,19 +170,29 @@ class Profile:
         return terms
 
     def value(self, r):
-        self._check_domain(r)
-        v = self._value(r, {})
-        _require_finite((v,))
-        return v
+        return self._evaluate(r, (self,))[0]
 
     __call__ = value
 
-    def _check_domain(self, r):
+    def _evaluate(self, r, terms):
+        """Values of the terms at r, within this profile's domain, each node
+        computed once, all finite."""
         if self.domain is not None and not np.all(self.domain.contains(r)):
             raise DomainError(f"coordinate {r!r} outside {self.domain!r}")
+        memo = {}
+        values = tuple(p._value(r, memo) for p in terms)
+        _require_finite(values)
+        return values
+
+    def _value(self, r, memo):
+        """Value at r; memo maps id(node) to the node's value at this r."""
+        v = memo.get(id(self))
+        if v is None:
+            v = memo[id(self)] = self._eval(r, memo)
+        return v
 
     # tree plumbing, overridden by nodes ------------------------------------
-    def _value(self, r, memo):  # pragma: no cover - abstract
+    def _eval(self, r, memo):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def derivative(self):  # pragma: no cover - abstract
@@ -288,7 +261,7 @@ class Constant(Profile):
         super().__init__(domain)
         self.c = c
 
-    def _value(self, r, memo):
+    def _eval(self, r, memo):
         shape = np.shape(r)
         return np.full(shape, self.c) if shape else self.c
 
@@ -305,7 +278,7 @@ class Coordinate(Profile):
 
     __slots__ = ()
 
-    def _value(self, r, memo):
+    def _eval(self, r, memo):
         return np.asarray(r, dtype=float) if np.shape(r) else float(r)
 
     def derivative(self):
@@ -316,6 +289,9 @@ class Coordinate(Profile):
 
 
 class _Binary(Profile):
+    """Node whose value is `_op` of the values of a and b: an `operator`
+    function, or a method where the operation needs checks."""
+
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
@@ -323,11 +299,8 @@ class _Binary(Profile):
         self.a = a
         self.b = b
 
-    def _value(self, r, memo):
-        key = id(self)
-        if key not in memo:
-            memo[key] = self._compute_value(self.a._value(r, memo), self.b._value(r, memo))
-        return memo[key]
+    def _eval(self, r, memo):
+        return self._op(self.a._value(r, memo), self.b._value(r, memo))
 
     def _json(self):
         return {"type": self._tag, "args": [self.a._json(), self.b._json()]}
@@ -335,10 +308,7 @@ class _Binary(Profile):
 
 class Add(_Binary):
     __slots__ = ()
-    _tag = "add"
-
-    def _compute_value(self, a, b):
-        return a + b
+    _tag, _op = "add", operator.add
 
     def derivative(self):
         return add(self.a.derivative(), self.b.derivative())
@@ -346,10 +316,7 @@ class Add(_Binary):
 
 class Sub(_Binary):
     __slots__ = ()
-    _tag = "sub"
-
-    def _compute_value(self, a, b):
-        return a - b
+    _tag, _op = "sub", operator.sub
 
     def derivative(self):
         return sub(self.a.derivative(), self.b.derivative())
@@ -357,10 +324,7 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
-    _tag = "mul"
-
-    def _compute_value(self, a, b):
-        return a * b
+    _tag, _op = "mul", operator.mul
 
     def derivative(self):
         return add(mul(self.a.derivative(), self.b), mul(self.a, self.b.derivative()))
@@ -370,7 +334,7 @@ class Div(_Binary):
     __slots__ = ()
     _tag = "div"
 
-    def _compute_value(self, a, b):
+    def _op(self, a, b):
         try:
             with np.errstate(divide="ignore", invalid="ignore"):
                 v = a / b
@@ -385,17 +349,17 @@ class Div(_Binary):
 
 
 class _Unary(Profile):
+    """Node whose value is `_op` of the value of a: a numpy function, or a
+    method where the operation needs more."""
+
     __slots__ = ("a",)
 
     def __init__(self, a):
         super().__init__(a.domain)
         self.a = a
 
-    def _value(self, r, memo):
-        key = id(self)
-        if key not in memo:
-            memo[key] = self._compute_value(self.a._value(r, memo))
-        return memo[key]
+    def _eval(self, r, memo):
+        return self._op(self.a._value(r, memo))
 
     def _json(self):
         return {"type": self._tag, "args": [self.a._json()]}
@@ -403,10 +367,7 @@ class _Unary(Profile):
 
 class Sin(_Unary):
     __slots__ = ()
-    _tag = "sin"
-
-    def _compute_value(self, a):
-        return np.sin(a)
+    _tag, _op = "sin", np.sin
 
     def derivative(self):
         return mul(cos(self.a), self.a.derivative())
@@ -414,10 +375,7 @@ class Sin(_Unary):
 
 class Cos(_Unary):
     __slots__ = ()
-    _tag = "cos"
-
-    def _compute_value(self, a):
-        return np.cos(a)
+    _tag, _op = "cos", np.cos
 
     def derivative(self):
         return mul(constant(-1.0), mul(sin(self.a), self.a.derivative()))
@@ -425,10 +383,7 @@ class Cos(_Unary):
 
 class Exp(_Unary):
     __slots__ = ()
-    _tag = "exp"
-
-    def _compute_value(self, a):
-        return np.exp(a)
+    _tag, _op = "exp", np.exp
 
     def derivative(self):
         return mul(exp(self.a), self.a.derivative())
@@ -438,7 +393,7 @@ class Arctan(_Unary):
     __slots__ = ()
     _tag = "arctan"
 
-    def _compute_value(self, a):
+    def _op(self, a):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.arctan(a)
 
@@ -451,10 +406,7 @@ class Conj(_Unary):
     """Complex conjugate; commutes with d/dr since r is real."""
 
     __slots__ = ()
-    _tag = "conj"
-
-    def _compute_value(self, a):
-        return np.conjugate(a)
+    _tag, _op = "conj", np.conjugate
 
     def derivative(self):
         return conj(self.a.derivative())
@@ -470,7 +422,7 @@ class Pow(_Unary):
         super().__init__(a)
         self.n = int(n)
 
-    def _compute_value(self, a):
+    def _op(self, a):
         return a ** self.n
 
     def derivative(self):
@@ -518,7 +470,7 @@ class Antiderivative(Profile):
     def _anchor(self, k):
         return self.r0 + k * self.panel
 
-    def _integrals(self, r):
+    def _eval(self, r, memo):
         x = np.asarray(r, dtype=float)
         flat = x.ravel()
         k = np.trunc((flat - self.r0) / self.panel)
@@ -544,12 +496,6 @@ class Antiderivative(Profile):
         i = k.astype(np.int64)
         prefix = np.where(i >= 0, above[np.maximum(i, 0)], below[np.maximum(-i, 0)])
         return (self.c0 + (prefix + seg[n_full:])).reshape(x.shape)[()]
-
-    def _value(self, r, memo):
-        key = id(self)
-        if key not in memo:
-            memo[key] = self._integrals(r)
-        return memo[key]
 
     def derivative(self):
         return self.integrand
@@ -766,9 +712,8 @@ class Sampled(Profile):
 
     @classmethod
     def from_function(cls, f, domain, n, order=4):
-        nodes = Mesh.from_domain(domain, n).nodes
-        vals = f(nodes) if callable(f) and not isinstance(f, Profile) else f.value(nodes)
-        return cls(domain, vals, order)
+        """Sampled at the mesh nodes of f, a function of arrays or a Profile."""
+        return cls(domain, f(Mesh.from_domain(domain, n).nodes), order)
 
     n = property(lambda self: self.mesh.n)
     dr = property(lambda self: self.mesh.dr)
@@ -782,7 +727,7 @@ class Sampled(Profile):
         return [self] + [Sampled(self.domain, self._operator(m) @ self.values, self.order)
                          for m in range(1, JET_ORDER + 1)]
 
-    def _value(self, r, memo):
+    def _eval(self, r, memo):
         return self.values[self.mesh.index(r)]
 
     def derivative(self):

@@ -453,3 +453,39 @@ def test_write_csv_matches_csv_module_bytes(tmp_path, n_rows):
     cli.write_csv(tmp_path / "new.csv", header, columns)
     csv_module_writer(tmp_path / "old.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_sample_file_too_short_for_the_stencil_is_a_config_error(tmp_path, capsys):
+    # 5 rows and no domain.n: the mesh comes from the file, too small to build
+    path = tmp_path / "theta.csv"
+    path.write_text("r,value\n" + "\n".join(f"{r},0" for r in range(5)))
+    cfg = json.loads(open(torsion_config(tmp_path)).read())
+    cfg["theta"] = {"file": str(path)}
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config("torsion", cfg)
+    assert exc.value.key == "theta"
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps(cfg))
+    assert run_cli("torsion", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_verify_needs_at_least_two_profiles(tmp_path, n):
+    # n_profiles // 2 per structure: below 2 the suite would check nothing
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config("verify", {"profiles": n})
+    assert exc.value.key == "profiles"
+    assert run_cli("verify", "--profiles", str(n), "--out", str(tmp_path / "o")) == 2
+    assert not (tmp_path / "o").exists()
+    assert cli.parse_config("verify", {"profiles": 2}).resolved["profiles"] == 2
+
+
+def test_numerical_failure_during_a_run_exits_1(tmp_path, capsys):
+    # h' = 0 at the start sits on the reduced ODE's singular locus
+    code = run_cli("soliton", "reduce", "--h0", "0.5", "--dh0", "0", "--ddh0", "0.1",
+                   "--lambda", "-16", "--span", "0.4", "1.0",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "singular locus" in err

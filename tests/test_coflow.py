@@ -392,3 +392,40 @@ def test_step_diagnostics_match_the_state_methods(structure):
     assert tau0_sup == np.max(np.abs(final.tau0()))
     if structure is NK:
         assert c == np.max(np.abs(final.constraint_residual()))
+
+
+def test_positivity_lost_inside_the_first_stage_halts_at_t0():
+    # dh/dt = -3/h = -60: half an RK4 step drives h = 0.05 below zero
+    s = circle_state(n=64, structure=NK, h=lambda r: np.full_like(r, 0.05),
+                     theta=lambda r: np.full_like(r, np.pi / 6))
+    run = cf.run_flow(s, t_end=0.01)
+    assert run.status == "SingularityDetected"
+    assert run.diagnostics == ()
+    (final,) = run.snapshots
+    assert final.t == 0.0
+    for name in ("h", "theta", "G"):
+        assert np.array_equal(getattr(final, name), getattr(s, name))
+
+
+def test_flow_formulas_converge_to_the_form_algebra_on_coclosed_data():
+    # two routes: the flow's array formulas on sampled fields against the
+    # closed-form torsion and the exact constraint h' = G cos 3 theta that
+    # the quadrature-built h satisfies. An interval, since coclosed NK h is
+    # not periodic.
+    from g2coflow.torsion import tau01_closed
+
+    dom = pf.Interval(0.0, 2 * np.pi)
+    g = random_g2_profile(np.random.default_rng(0), NK, domain=dom, coclosed=True)
+    tau0 = tau01_closed(g)[0]
+    tau0_err, constraint = [], []
+    for n in (128, 256, 512):
+        mesh = Mesh.from_domain(dom, n)
+        r = mesh.nodes
+        s = FlowState(mesh=mesh, h=np.real(g.h(r)), theta=np.real(g.theta(r)),
+                      G=np.real(g.G(r)), t=0.0, structure=NK)
+        tau0_err.append(np.max(np.abs(s.tau0() - np.real(tau0(r)))))
+        constraint.append(np.max(np.abs(s.constraint_residual())))
+    assert tau0_err[-1] < 1e-7
+    assert np.all(np.log2(np.divide(tau0_err[:-1], tau0_err[1:])) > 3.7)
+    assert constraint[-1] < 1e-3
+    assert np.all(np.log2(np.divide(constraint[:-1], constraint[1:])) > 1.9)

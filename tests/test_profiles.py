@@ -594,3 +594,23 @@ def test_quadrature_failure_on_wild_integrand():
     q = pf.antiderivative(wild, 1.0, 0.0, tol=1e-14)
     with pytest.raises(QuadratureFailure):
         q.value(1e-7)
+
+
+@pytest.mark.parametrize("r", [1.1, -0.1])
+def test_mesh_index_outside_an_interval_is_a_domain_error(r):
+    mesh = pf.Mesh.from_domain(pf.Interval(0.0, 1.0), 11)
+    assert mesh.index(1.0) == 10
+    with pytest.raises(DomainError, match="outside the mesh"):
+        mesh.index(r)
+
+
+def test_domains_and_jets_are_value_types():
+    assert pf.Circle(6) == pf.Circle(6.0, 0) and isinstance(pf.Circle(6).period, float)
+    assert pf.Interval(0, 1) == pf.Interval(0.0, 1.0)
+    assert len({pf.Interval(0, 1), pf.Interval(0.0, 1.0), pf.Circle(1.0)}) == 2
+    assert repr(pf.Interval(0, 1)) == "Interval(r0=0.0, r1=1.0)"
+    with pytest.raises(AttributeError):
+        pf.Circle(1.0).period = 2.0
+    j = pf.sin(R).jet(0.0)
+    assert isinstance(j, tuple) and len(j) == 5
+    assert j.value == j[0] and j.derivs == tuple(j[1:]) and j.c == tuple(j)

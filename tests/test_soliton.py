@@ -475,3 +475,22 @@ def test_shoot_perturbed_target():
                    residual_tol=1e-2)
     assert rep.lam is not None
     assert abs(rep.lam + 16.0) < 0.1
+
+
+def test_shoot_without_a_bracket_reports_every_scan_point_as_nan():
+    # h = 1e-4 with h' = 0.5 fails every closing integration
+    rep = so.shoot(1e-4, 0.5, 0.0, (0.4, 1.0), 0.3, (-25, -8))
+    assert not rep.found and rep.reason == "NoBracket"
+    assert rep.lam is None and rep.candidate is None
+    lams = [lam for lam, _ in rep.closing_values]
+    assert lams == list(np.linspace(-25.0, -8.0, 13))
+    assert all(np.isnan(value) for _, value in rep.closing_values)
+
+
+def test_residuals_reject_the_other_structure():
+    from g2coflow.errors import StructureMismatch
+
+    with pytest.raises(StructureMismatch):
+        so.residuals_cy(so.nk_special("cylinder", b=1.2, c=0.3))
+    with pytest.raises(StructureMismatch):
+        so.residuals_nk(so.cy_closed_form(0.5, 2.0))
