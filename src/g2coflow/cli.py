@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -241,9 +242,13 @@ def _parse_field(entry, domain, n, key):
 
 def _load_sample_file(path, n, key):
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read sample file: {exc}", key=key) from None
+    if rows.size == 0:
+        raise ConfigError("sample file has no data rows", key=key)
     vals = rows[:, -1]
     if n is not None and len(vals) != n:
         raise ConfigError(f"sample file has {len(vals)} rows, mesh has {n}",

@@ -5,11 +5,12 @@ nearly Kahler system evolves (h, theta, G) independently while the coclosed
 constraint h' = G cos(3 theta) is monitored, not imposed. Flow states live
 on a `profiles.Mesh`, the grid `profiles.Sampled` uses too. Spatial
 derivatives are 4th order (periodic wrap on a circle, shifted stencils near
-interval ends), applied as the mesh's cached sparse matrices
-(`Mesh.deriv_matrix`). Each structure has one right-hand side, built
-from its pointwise rates (`cy_rates`, `nk_rates`) and shared by `rhs_cy`,
-`rhs_nk` and `run_flow`; one classical RK4 step advances either structure's
-fields under the diffusive step restriction dt <= cfl * min(G^2) * dr^2.
+interval ends), from the mesh's cached sparse matrices (`Mesh.deriv_matrix`).
+The fields travel as one flat vector ([theta, G] for CY, [h, theta, G] for
+NK). One right-hand side per structure, shared by `rhs_cy`, `rhs_nk` and
+`run_flow`, takes both derivatives of every field in one block-diagonal
+stencil product, then applies `cy_rates`/`nk_rates`. One classical RK4 step
+advances the vector under the diffusive restriction dt <= cfl min(G^2) dr^2.
 
 On an interval the boundary is Dirichlet: endpoint values are frozen (their
 time derivative is zeroed). The constraint diagnostic uses a 2nd-order
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import SingularityDetected, StructureMismatch
 from .forms import StructureKind
@@ -144,10 +146,11 @@ def nk_rates(h, h1, h2, theta, theta1, theta2, G, G1):
                 - 2 sin(3 theta) cos(3 theta)/h^2
     """
     s3, c3 = np.sin(3.0 * theta), np.cos(3.0 * theta)
-    dh = h2 / G ** 2 + 3.0 * h1 ** 2 / (h * G ** 2) - h1 * G1 / G ** 3 - 3.0 / h
-    dG = -3.0 * G * s3 ** 2 / h ** 2 - 9.0 * theta1 ** 2 / G
-    dtheta = theta2 / G ** 2 + 6.0 * theta1 * c3 / (h * G) - theta1 * G1 / G ** 3 \
-        - 2.0 * s3 * c3 / h ** 2
+    G_sq, G_cu, h_sq = G ** 2, G ** 3, h ** 2
+    dh = h2 / G_sq + 3.0 * h1 ** 2 / (h * G_sq) - h1 * G1 / G_cu - 3.0 / h
+    dG = -3.0 * G * s3 ** 2 / h_sq - 9.0 * theta1 ** 2 / G
+    dtheta = theta2 / G_sq + 6.0 * theta1 * c3 / (h * G) - theta1 * G1 / G_cu \
+        - 2.0 * s3 * c3 / h_sq
     return dh, dtheta, dG
 
 
@@ -159,33 +162,27 @@ def require_constant_h(h):
 
 
 def _rhs(mesh, structure):
-    """The right-hand side of one structure's flow: a function from the
-    evolved fields ([theta, G] for CY, [h, theta, G] for NK) to their rates.
-
-    Each call raises SingularityDetected when h or G is not positive and, on
-    an interval, zeroes the endpoint rates.
+    """The right-hand side of one structure's flow: a function from the flat
+    vector of the evolved fields ([theta, G] for CY, [h, theta, G] for NK) to
+    the flat vector of their rates. Each call raises SingularityDetected when
+    h or G is not positive and, on an interval, zeroes the endpoint rates.
     """
-    D1, D2 = mesh.deriv_matrix(1), mesh.deriv_matrix(2)
-    if structure is StructureKind.CY:
-        positive = (1,)
+    n, nk = mesh.n, structure is StructureKind.NK
+    k = 3 if nk else 2
+    positive = slice(0, None, 2) if nk else slice(1, None)  # the h and G rows
+    # stacking keeps each row's column order: every sum runs as in D @ f
+    D12 = sparse.vstack([mesh.deriv_matrix(1), mesh.deriv_matrix(2)], "csr")
+    M = sparse.block_diag([D12] * k, format="csr")
 
-        def rates(theta, G):
-            return cy_rates(D1 @ theta, D2 @ theta, G, D1 @ G)
-    else:
-        positive = (0, 2)
-
-        def rates(h, theta, G):
-            return nk_rates(h, D1 @ h, D2 @ h, theta, D1 @ theta, D2 @ theta,
-                            G, D1 @ G)
-
-    def rhs(fields):
-        for i in positive:
-            if fields[i].min() <= 0:
-                raise SingularityDetected("h or G lost positivity inside a step")
-        out = rates(*fields)
+    def rhs(y):
+        f = y.reshape(k, n)
+        if f[positive].min() <= 0:
+            raise SingularityDetected("h or G lost positivity inside a step")
+        d = (M @ y).reshape(k, 2, n)  # d[i] = (D1 f[i], D2 f[i])
+        out = np.concatenate(nk_rates(f[0], *d[0], f[1], *d[1], f[2], d[2, 0])
+                             if nk else cy_rates(*d[0], f[1], d[1, 0]))
         if not mesh.periodic:
-            for rate in out:
-                rate[0] = rate[-1] = 0.0  # Dirichlet: endpoint values frozen
+            out[0::n] = out[n - 1::n] = 0.0  # Dirichlet: endpoint values frozen
         return out
 
     return rhs
@@ -196,26 +193,26 @@ def rhs_cy(state):
     if state.structure is not StructureKind.CY:
         raise StructureMismatch("rhs_cy needs a CY state")
     require_constant_h(state.h)
-    return _rhs(state.mesh, state.structure)([state.theta, state.G])
+    y = np.concatenate([state.theta, state.G])
+    return tuple(_rhs(state.mesh, state.structure)(y).reshape(2, -1))
 
 
 def rhs_nk(state):
     """(dh/dt, dtheta/dt, dG/dt) for the NK system."""
     if state.structure is not StructureKind.NK:
         raise StructureMismatch("rhs_nk needs an NK state")
-    return _rhs(state.mesh, state.structure)([state.h, state.theta, state.G])
+    y = np.concatenate([state.h, state.theta, state.G])
+    return tuple(_rhs(state.mesh, state.structure)(y).reshape(3, -1))
 
 
-def _rk4(rhs, fields, dt):
-    """One classical RK4 step of d(fields)/dt = rhs(fields)."""
+def _rk4(rhs, y, dt):
+    """One classical RK4 step of dy/dt = rhs(y)."""
     half = 0.5 * dt
-    k1 = rhs(fields)
-    k2 = rhs([f + half * k for f, k in zip(fields, k1)])
-    k3 = rhs([f + half * k for f, k in zip(fields, k2)])
-    k4 = rhs([f + dt * k for f, k in zip(fields, k3)])
-    sixth = dt / 6.0
-    return [f + sixth * (a + 2.0 * (b + c) + d)
-            for f, a, b, c, d in zip(fields, k1, k2, k3, k4)]
+    k1 = rhs(y)
+    k2 = rhs(y + half * k1)
+    k3 = rhs(y + half * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def run_flow(initial, t_end, output_times=(), cfl=0.2):
@@ -244,7 +241,8 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
 
     marks = sorted({float(t) for t in output_times if initial.t < t <= t_end})
     marks.append(float(t_end))
-    h, theta, G = (initial.h.copy(), initial.theta.copy(), initial.G.copy())
+    h, theta, G = initial.h, initial.theta, initial.G
+    y = np.concatenate([h, theta, G] if nk else [theta, G])
     t = initial.t
     snapshots = [initial] if (output_times and initial.t in output_times) else []
     diagnostics = []
@@ -258,22 +256,22 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
         while t < mark - 1e-14:
             dt = min(cfl * float(G.min() ** 2) * dr2, mark - t)
             try:
-                if nk:
-                    h, theta, G = _rk4(rhs, [h, theta, G], dt)
-                else:
-                    theta, G = _rk4(rhs, [theta, G], dt)
+                y = _rk4(rhs, y, dt)
             except SingularityDetected:
                 status = "SingularityDetected"
                 break
             t += dt
-            tau0 = _tau0(D1, structure, h, theta, G)
+            fields = y.reshape(-1, mesh.n)  # views of the evolved fields
+            theta, G = fields[-2:]
             if nk:
+                h = fields[0]
                 c = float(np.max(np.abs(
                     _constraint_residual(mesh, structure, h, theta, G))))
                 min_h = float(h.min())
             else:
                 c = 0.0  # h is constant along the CY flow
                 min_h = float(h[0])
+            tau0 = _tau0(D1, structure, h, theta, G)
             min_G = float(G.min())
             diagnostics.append((t, dt, c, float(np.max(np.abs(tau0))),
                                 min_h, min_G))

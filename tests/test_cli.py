@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -468,6 +469,25 @@ def test_sample_file_too_short_for_the_stencil_is_a_config_error(tmp_path, capsy
     bad.write_text(json.dumps(cfg))
     assert run_cli("torsion", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_header_only_sample_file_is_a_config_error_without_a_warning(tmp_path, capsys):
+    path = tmp_path / "theta.csv"
+    path.write_text("r,theta\n")
+    cfg = json.loads(open(torsion_config(tmp_path)).read())
+    cfg["theta"] = {"file": str(path)}
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's "input contained no data" too
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config("torsion", cfg)
+        assert exc.value.key == "theta"
+        assert "no data rows" in str(exc.value)
+        assert run_cli("torsion", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "no data rows (at 'theta')" in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("n", [0, 1])

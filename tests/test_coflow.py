@@ -366,6 +366,98 @@ def test_a_flow_step_is_one_rk4_step_of_the_public_rhs(case):
         assert np.array_equal(final.h, s.h)
 
 
+def public_rk4_steps(s, t_end, max_steps):
+    """RK4 steps of the public rhs_cy/rhs_nk from state s toward t_end, with
+    run_flow's documented dt = min(cfl min(G)^2 dr^2, t_end - t) at its
+    default cfl, recomputed each step: the final fields and (t, dt) rows."""
+    names = ("theta", "G") if s.structure is CY else ("h", "theta", "G")
+    rhs = cf.rhs_cy if s.structure is CY else cf.rhs_nk
+    fields, t, rows = {name: getattr(s, name) for name in names}, s.t, []
+
+    def rates(k, scale):
+        return rhs(dataclasses.replace(s, **{name: fields[name] + scale * rate
+                                             for name, rate in zip(names, k)}))
+
+    while t < t_end - 1e-14 and len(rows) < max_steps:
+        dt = min(0.2 * float(np.min(fields["G"]) ** 2) * s.mesh.dr ** 2, t_end - t)
+        k1 = rhs(dataclasses.replace(s, **fields))
+        k2 = rates(k1, 0.5 * dt)
+        k3 = rates(k2, 0.5 * dt)
+        k4 = rates(k3, dt)
+        fields = {name: fields[name] + dt / 6.0 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+                  for i, name in enumerate(names)}
+        t += dt
+        rows.append((t, dt))
+    return fields, rows
+
+
+@pytest.mark.parametrize("case", ["cy-circle", "cy-interval", "nk-circle",
+                                  "nk-interval"])
+def test_25_flow_steps_are_25_rk4_steps_of_the_public_rhs(case):
+    s = one_step_states()[case]
+    _, free = public_rk4_steps(s, np.inf, 25)
+    t_end = free[23][0] + 0.5 * free[24][1]   # the 25th step is cut short
+    run = cf.run_flow(s, t_end=t_end)
+    steps = len(run.diagnostics)
+    if case == "nk-interval":
+        # the frozen endpoints of the sine cone break the constraint at once
+        assert (run.status, steps) == ("ConstraintBlowup", 6)
+    else:
+        assert (run.status, steps) == ("Completed", 25)
+    fields, rows = public_rk4_steps(s, t_end, steps)
+    assert len(rows) == steps and rows[:-1] == free[:steps - 1]
+    assert [row[:2] for row in run.diagnostics] == rows
+    final = run.snapshots[-1]
+    for name, values in fields.items():
+        assert np.array_equal(getattr(final, name), values)
+    if s.structure is CY:
+        assert np.array_equal(final.h, s.h)
+
+
+@pytest.mark.parametrize("n", [8, 97, 512])
+@pytest.mark.parametrize("domain", [pf.Circle(2 * np.pi), pf.Interval(0.2, 3.0)])
+def test_public_rhs_is_the_rates_of_per_field_stencil_products(domain, n):
+    mesh = Mesh.from_domain(domain, n)
+    rng = np.random.default_rng(n)
+    h, theta, G = 1.0 + rng.random(n), rng.normal(size=n), 0.5 + rng.random(n)
+    D1, D2 = mesh.deriv_matrix(1), mesh.deriv_matrix(2)
+    cases = [
+        (cf.rhs_cy(FlowState(mesh=mesh, h=np.full(n, 1.5), theta=theta, G=G,
+                             t=0.0, structure=CY)),
+         cf.cy_rates(D1 @ theta, D2 @ theta, G, D1 @ G)),
+        (cf.rhs_nk(FlowState(mesh=mesh, h=h, theta=theta, G=G, t=0.0,
+                             structure=NK)),
+         cf.nk_rates(h, D1 @ h, D2 @ h, theta, D1 @ theta, D2 @ theta, G, D1 @ G)),
+    ]
+    for got, want in cases:
+        assert len(got) == len(want)
+        for rate, expected in zip(got, want):
+            if not mesh.periodic:
+                expected[0] = expected[-1] = 0.0  # Dirichlet: endpoints frozen
+            assert np.array_equal(rate, expected)
+
+
+def test_nk_rates_is_the_written_out_formula():
+    rng = np.random.default_rng(3)
+    n = 2000
+    # h and G from just above the positivity floor up to O(100)
+    h, G = (rng.permutation(np.concatenate([cf.FLOOR * (1.0 + rng.random(100)),
+                                            10.0 ** rng.uniform(-4, 2, n - 100)]))
+            for _ in range(2))
+    theta, h1, h2, theta1, theta2, G1 = rng.normal(size=(6, n))
+    s3, c3 = np.sin(3.0 * theta), np.cos(3.0 * theta)
+    want = (
+        h2 / G ** 2 + 3.0 * h1 ** 2 / (h * G ** 2) - h1 * G1 / G ** 3 - 3.0 / h,
+        theta2 / G ** 2 + 6.0 * theta1 * c3 / (h * G) - theta1 * G1 / G ** 3
+        - 2.0 * s3 * c3 / h ** 2,
+        -3.0 * G * s3 ** 2 / h ** 2 - 9.0 * theta1 ** 2 / G,
+    )
+    got = cf.nk_rates(h, h1, h2, theta, theta1, theta2, G, G1)
+    assert len(got) == 3
+    for rate, expected in zip(got, want):
+        assert np.array_equal(rate, expected)
+
+
 def test_singularity_detection_stops_run():
     # cylinder data shrinks h at rate -3/h; h hits the floor in t ~ 1/6
     s = circle_state(n=64, structure=NK,
