@@ -245,7 +245,7 @@ def _load_sample_file(path, n, key):
         with warnings.catch_warnings():  # an empty file is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: a non-numeric value
         raise ConfigError(f"cannot read sample file: {exc}", key=key) from None
     if rows.size == 0:
         raise ConfigError("sample file has no data rows", key=key)

@@ -116,16 +116,6 @@ class FlowRun:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def scalar_laplacian(f, state):
-    """Rough Laplacian of a radial function on the warped metric:
-    f''/G^2 + 6 h' f'/(h G^2) - f' G'/G^3."""
-    m = state.mesh
-    fp, fpp = d1(m, f), d2(m, f)
-    hp, Gp = d1(m, state.h), d1(m, state.G)
-    return fpp / state.G ** 2 + 6.0 * hp * fp / (state.h * state.G ** 2) \
-        - fp * Gp / state.G ** 3
-
-
 def cy_rates(theta1, theta2, G, G1):
     """Pointwise CY coflow rates from the field derivatives.
 

@@ -1,8 +1,9 @@
 """Scalar functions of the coordinate r with derivative jets up to order 4.
 
 Two backends share one algebra. Closed-form expression trees (constants, r,
-arithmetic, sin/cos/exp/arctan, integer powers, antiderivatives by
-quadrature) and uniformly sampled grids combine freely. Derivatives are
+arithmetic, sin/cos/exp/arctan, integer powers, antiderivatives by one
+Chebyshev series per fixed panel, the package's one quadrature) and
+uniformly sampled grids combine freely. Derivatives are
 `derivative()` trees: symbolic for closed-form nodes, one finite-difference
 stencil product for a grid (centered in the interior, one-sided at interval
 ends; the stencils are built once per mesh as cached sparse matrices,
@@ -26,6 +27,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy import sparse
 
 from .errors import DomainError, InvalidGeometry, QuadratureFailure, SingularEval
@@ -434,23 +436,26 @@ class Pow(_Unary):
 
 
 class Antiderivative(Profile):
-    """q(r) = c0 + integral of the integrand from r0 to r, by adaptive Simpson.
+    """q(r) = c0 + integral of the integrand from r0 to r, by Chebyshev series.
 
-    The quadrature works on fixed panels anchored at r0, with breakpoints at
-    r0 + k * panel. A value is c0 plus the prefix sum of the full panels
-    between r0 and the breakpoint next to r on r0's side, plus the partial
-    panel from that breakpoint to r. Prefix sums are accumulated outward from
-    r0 in a fixed order and cached; every panel and partial panel is
-    integrated on its own (`_simpson_batch`) with tolerance tol * panel, so
-    the error does not grow with the number of panels. A value is therefore a
-    pure function of r: it does not depend on the other points of its batch
-    or on what was evaluated before. The quadrature rule and tolerance are
-    recorded in ``metadata``.
+    The quadrature works on fixed panels [r0 + k * panel, r0 + (k + 1) * panel],
+    clipped to an `Interval` domain, whose end panels hold its ends. Each
+    panel carries one Chebyshev series of the integral from its lower end
+    (`_panel_series`), fitted to tol absolute per unit length. A value is c0
+    plus the integrals of the panels from r0 to the lower end of r's panel,
+    summed outward from r0 in a fixed order, plus the series of r's panel at
+    r. Series and sums are cached, so a value re-integrates nothing and is a
+    pure function of r, whatever else its batch holds or was evaluated
+    before. The rule and tolerance are recorded in ``metadata``.
+
+    The whole panel that holds r is sampled: with no domain or on a circle
+    that reaches past r, so an integrand singular there raises
+    QuadratureFailure.
     """
 
-    __slots__ = ("integrand", "r0", "c0", "tol", "_prefix")
+    __slots__ = ("integrand", "r0", "c0", "tol", "_cache")
 
-    rule = "adaptive_simpson"
+    rule = "chebyshev_panels"
     panel = 0.25
 
     def __init__(self, integrand, r0, c0, tol=1e-12):
@@ -459,43 +464,64 @@ class Antiderivative(Profile):
         self.r0 = float(r0)
         self.c0 = c0
         self.tol = float(tol)
-        # integrals from r0 to r0 + k * panel for k = 0, 1, ... and k = 0, -1, ...;
+        # (first panel index, one zero-padded series per row, series lengths,
+        # integrals from r0 to each row's lower end and past the last row);
         # replaced whole when extended, so readers never see a partial update
-        self._prefix = (np.zeros(1), np.zeros(1))
+        self._cache = (0, np.zeros((0, 1)), np.zeros(0, dtype=np.int64), np.zeros(1))
 
     @property
     def metadata(self):
         return {"rule": self.rule, "tolerance": self.tol, "r0": self.r0}
 
-    def _anchor(self, k):
-        return self.r0 + k * self.panel
+    def _bounds(self):
+        """Where panels are clipped: an interval domain's ends, widened to r0."""
+        if isinstance(self.domain, Interval):
+            return min(self.domain.r0, self.r0), max(self.domain.r1, self.r0)
+        return -np.inf, np.inf
+
+    def _ends(self, k):
+        lo, hi = self._bounds()
+        return (np.maximum(self.r0 + k * self.panel, lo),
+                np.minimum(self.r0 + (k + 1) * self.panel, hi))
 
     def _eval(self, r, memo):
         x = np.asarray(r, dtype=float)
         flat = x.ravel()
-        k = np.trunc((flat - self.r0) / self.panel)
-        # each panel costs at least two evaluations of the per-value budget
-        if not np.all(np.abs(k) <= _MAX_EVALS // 2):
+        k = np.floor((flat - self.r0) / self.panel)
+        if not np.all(np.abs(k) <= _MAX_PANELS):  # nan included
             raise QuadratureFailure(
                 f"coordinate {r!r} is too far from r0 = {self.r0} to integrate")
-        above, below = self._prefix
-        # full panels not cached yet, on either side of r0
-        up = np.arange(len(above) - 1, k.max(initial=0.0))
-        down = np.arange(len(below) - 1, -k.min(initial=0.0))
-        seg = _simpson_batch(
-            lambda t: self.integrand._value(t, {}),
-            np.concatenate((self._anchor(up), self._anchor(-down), self._anchor(k))),
-            np.concatenate((self._anchor(up + 1), self._anchor(-down - 1), flat)),
-            self.tol * self.panel,
-        )
-        n_up, n_full = len(up), len(up) + len(down)
-        if n_full:
-            above = _accumulate(above, seg[:n_up])
-            below = _accumulate(below, seg[n_up:n_full])
-            self._prefix = (above, below)
-        i = k.astype(np.int64)
-        prefix = np.where(i >= 0, above[np.maximum(i, 0)], below[np.maximum(-i, 0)])
-        return (self.c0 + (prefix + seg[n_full:])).reshape(x.shape)[()]
+        lo, hi = self._bounds()
+        k = np.clip(k, np.floor((lo - self.r0) / self.panel),
+                    np.ceil((hi - self.r0) / self.panel) - 1).astype(np.int64)
+        first, series, size, prefix = self._extend(k.min(initial=0), k.max(initial=0))
+        a, b = self._ends(k)
+        i = k - first
+        t = 2.0 * (flat - a) / (b - a) - 1.0
+        part = chebyshev.chebval(t, series[i, :size[i].max(initial=1)].T, tensor=False)
+        return (self.c0 + (prefix[i] + 0.5 * (b - a) * part)).reshape(x.shape)[()]
+
+    def _extend(self, kmin, kmax):
+        """The cache, extended to hold panels kmin..kmax and all panels
+        between them and r0."""
+        first, series, size, prefix = self._cache
+        right = np.arange(first + len(size), kmax + 1)
+        left = np.arange(first - 1, kmin - 1, -1)   # outward from r0
+        if not (len(right) or len(left)):
+            return self._cache
+        a, b = self._ends(np.concatenate((right, left)))
+        fits = _panel_series(lambda t: self.integrand._value(t, {}), a, b, self.tol)
+        whole = 0.5 * (b - a) * np.array([chebyshev.chebval(1.0, s) for s in fits])
+        # running sums that add one panel at a time, continued from the cache
+        up = np.cumsum(np.concatenate((prefix[-1:], whole[:len(right)])))
+        down = np.cumsum(np.concatenate((prefix[:1], -whole[len(right):])))
+        rows = fits[len(right):][::-1] + [s[:n] for s, n in zip(series, size)] \
+            + fits[:len(right)]
+        sizes = np.array([len(s) for s in rows])
+        padded = np.array([np.pad(s, (0, sizes.max() - len(s))) for s in rows])
+        self._cache = (first - len(left), padded, sizes,
+                       np.concatenate((down[:0:-1], prefix, up[1:])))
+        return self._cache
 
     def derivative(self):
         return self.integrand
@@ -512,71 +538,52 @@ class Antiderivative(Profile):
         }
 
 
-def _accumulate(prefix, panels):
-    """prefix extended by running sums that add one panel at a time."""
-    return np.concatenate((prefix[:-1], np.cumsum(np.concatenate((prefix[-1:], panels)))))
+_MAX_POINTS = 257       # Chebyshev points per panel before QuadratureFailure
+_MAX_PANELS = 100_000   # panels between r0 and a value before QuadratureFailure
 
 
-_MAX_DEPTH = 48
-_MAX_EVALS = 200_000
-_MAX_INTERVALS = 2 ** 17   # intervals one refinement keeps across its levels
+def _cheb_coeffs(v):
+    """Chebyshev coefficients of the interpolants of the rows of v, sampled
+    at the n first-kind points cos(pi (j + 1/2) / n), j = 0..n-1: a DCT-II,
+    one FFT of each row's even extension."""
+    n = v.shape[1]
+    y = np.fft.fft(np.concatenate((v, v[:, ::-1]), axis=1), axis=1)[:, :n]
+    c = y * (np.exp(-0.5j * np.pi * np.arange(n) / n) / n)
+    c[:, 0] *= 0.5
+    return c if np.iscomplexobj(v) else c.real
 
 
-def _simpson_batch(f, a, b, tol):
-    """Adaptive Simpson integrals of f over the segments [a[i], b[i]].
+def _panel_series(f, a, b, tol):
+    """For each panel [a[i], b[i]], the Chebyshev series in x in [-1, 1] of
+    the integral of f from a[i], in units of half the panel width.
 
-    Each segment follows the recursive rule of Lyness (1969, J. ACM 16:483):
-    an interval is accepted when |delta| <= 15 tol, with the result
-    left + right + delta / 15, and is otherwise split in two with tol halved.
-    The live intervals of all segments are refined together, breadth first,
-    with one call of f (on an array) per level. A segment's result is summed
-    over its own binary tree, exactly as the recursion sums it, so it does not
-    depend on the other segments. QuadratureFailure is raised when a segment
-    needs more than _MAX_DEPTH levels or _MAX_EVALS evaluations.
+    f is sampled at n = 17, 33, ..., _MAX_POINTS first-kind Chebyshev points
+    of every panel not yet resolved, one call of f per n. A panel is resolved
+    at the first n whose last four coefficients sum to at most
+    max(tol, 1e-14 * the largest) (Aurentz & Trefethen 2017, "Chopping a
+    Chebyshev series"); its series is then integrated exactly. Each row is
+    transformed on its own, so a panel's series does not depend on the other
+    panels. Raises QuadratureFailure when a panel is unresolved at
+    _MAX_POINTS.
     """
-    n = len(a)
-    seg_a, seg_b = a, b
-    m = 0.5 * (a + b)
-    fa, fm, fb = np.split(f(np.concatenate((a, m, b))), 3)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    owner = np.arange(n)
-    used = np.zeros(n, dtype=np.int64)
-    levels, kept, level_tol = [], n, tol
-    for depth in range(_MAX_DEPTH + 1):
-        if not len(a):
-            break
-        m = 0.5 * (a + b)
-        flm, frm = np.split(f(np.concatenate((0.5 * (a + m), 0.5 * (m + b)))), 2)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        split = ~(np.abs(delta) <= 15.0 * level_tol)
-        levels.append((left + right + delta / 15.0, split))
-        used += 2 * np.bincount(owner, minlength=n)
-        owner = np.repeat(owner[split], 2)
-        if len(owner) and (depth == _MAX_DEPTH or used[owner].max() >= _MAX_EVALS):
-            worst = owner[np.argmax(used[owner])]
-            raise QuadratureFailure(
-                f"adaptive Simpson did not converge on [{seg_a[worst]}, "
-                f"{seg_b[worst]}] within {_MAX_DEPTH} levels and "
-                f"{_MAX_EVALS} evaluations")
-        kept += len(owner)
-        if kept > _MAX_INTERVALS and n > 1:
-            # too many intervals at once: integrate each half of the segments alone
-            half = n // 2
-            return np.concatenate((_simpson_batch(f, seg_a[:half], seg_b[:half], tol),
-                                   _simpson_batch(f, seg_a[half:], seg_b[half:], tol)))
-        # children of interval j sit at 2j (left half) and 2j + 1 (right half)
-        a, b, fa, fm, fb, whole = (
-            np.stack((lo[split], hi[split]), axis=1).ravel()
-            for lo, hi in ((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right)))
-        level_tol *= 0.5
-    # an interval that was split is worth the sum of its two children
-    value = np.zeros(0)
-    for est, split in reversed(levels):
-        est[split] = value[0::2] + value[1::2]
-        value = est
-    return value
+    fits = [None] * len(a)
+    todo = np.arange(len(a))
+    n = 17
+    while len(todo) and n <= _MAX_POINTS:
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        lo, hi = a[todo, None], b[todo, None]
+        c = _cheb_coeffs(f(0.5 * (lo + hi) + 0.5 * (hi - lo) * x))
+        mag = np.abs(c)
+        done = mag[:, -4:].sum(axis=1) <= np.maximum(tol, 1e-14 * mag.max(axis=1))
+        for j, s in zip(todo[done], chebyshev.chebint(c[done], lbnd=-1, axis=1)):
+            fits[j] = s
+        todo = todo[~done]
+        n = 2 * n - 1
+    if len(todo):
+        raise QuadratureFailure(
+            f"no Chebyshev series of {_MAX_POINTS} points resolves the integrand "
+            f"on [{a[todo[0]]}, {b[todo[0]]}]")
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +858,9 @@ def jet_at(p, r):
 
 
 def antiderivative(p, r0, c0, tol=1e-12):
-    """Profile q with q(r0) = c0 and q' = p, values by adaptive Simpson on
-    fixed panels anchored at r0."""
+    """Profile q with q(r0) = c0 and q' = p, values from one Chebyshev series
+    per fixed panel anchored at r0, fitted to tol absolute per unit length;
+    see `Antiderivative`."""
     return Antiderivative(p, r0, c0, tol)
 
 

@@ -471,6 +471,22 @@ def test_sample_file_too_short_for_the_stencil_is_a_config_error(tmp_path, capsy
     assert "config error" in capsys.readouterr().err
 
 
+def test_non_numeric_sample_value_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "theta.csv"
+    path.write_text("r,theta\n0,abc\n")
+    cfg = json.loads(open(torsion_config(tmp_path)).read())
+    cfg["theta"] = {"file": str(path)}
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config("torsion", cfg)
+    assert exc.value.key == "theta"
+    bad = tmp_path / "abc.json"
+    bad.write_text(json.dumps(cfg))
+    assert run_cli("torsion", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "(at 'theta')" in err
+    assert "Traceback" not in err
+
+
 def test_header_only_sample_file_is_a_config_error_without_a_warning(tmp_path, capsys):
     path = tmp_path / "theta.csv"
     path.write_text("r,theta\n")

@@ -70,23 +70,6 @@ def test_periodic_low_order_derivative_matches_the_rolled_stencil():
     assert np.array_equal(cf.d1_low_order(mesh, f), rolled)
 
 
-def test_scalar_laplacian_examples():
-    mesh = Mesh.from_domain(pf.Interval(1.0, 2.0), 101)
-    r = mesh.nodes
-    f = r ** 2
-    flat = FlowState(mesh=mesh, h=np.ones_like(r), theta=np.zeros_like(r),
-                     G=np.ones_like(r), t=0.0, structure=CY)
-    assert np.max(np.abs(cf.scalar_laplacian(f, flat) - 2.0)) < 1e-9
-
-    coned = FlowState(mesh=mesh, h=r, theta=np.zeros_like(r),
-                      G=np.ones_like(r), t=0.0, structure=NK)
-    assert np.max(np.abs(cf.scalar_laplacian(f, coned) - 14.0)) < 1e-8
-
-    slow = FlowState(mesh=mesh, h=np.ones_like(r), theta=np.zeros_like(r),
-                     G=2.0 * np.ones_like(r), t=0.0, structure=CY)
-    assert np.max(np.abs(cf.scalar_laplacian(f, slow) - 0.5)) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------

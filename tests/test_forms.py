@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import integrate
 from hypothesis import strategies as st
 
 from g2coflow import forms as fm
@@ -245,6 +246,25 @@ def test_sample_points_without_domain_is_invalid_geometry():
 def test_integrate_profile_needs_circle_or_interval():
     with pytest.raises(InvalidGeometry):
         fm.integrate_profile(pf.constant(1.0), None)
+
+
+@pytest.mark.parametrize("domain", [pf.Circle(2 * np.pi, 0.3), pf.Interval(0.2, 2.9)])
+def test_integrate_profile_matches_quad(domain):
+    # scipy's adaptive Gauss-Kronrod quadrature is the independent route; at
+    # 1e-14 it reaches roundoff, which full_output reports instead of warning
+    r = pf.coordinate(domain)
+    for p in (pf.exp(pf.sin(r)) * (2 + pf.cos(3 * r)) + 1j * r,
+              pf.antiderivative(pf.exp(pf.cos(2 * r)), 0.3, 0.5)):
+        a, b = fm._domain_bounds(domain)
+        want = integrate.quad(lambda t: float(np.real(p.value(t))), a, b,
+                              epsabs=1e-14, epsrel=1e-14, limit=200, full_output=1)[0]
+        assert abs(fm.integrate_profile(p, domain) - want) < 1e-13
+
+
+def test_integrate_profile_stops_at_the_interval_end():
+    # a profile with no domain and a pole just past the end of integration
+    p = 1.0 / (pf.coordinate() - 2.11)
+    assert abs(fm.integrate_profile(p, pf.Interval(0.3, 2.1)) - np.log(0.01 / 1.81)) < 1e-12
 
 
 def test_inner_dr_dr_is_inverse_G_squared():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from g2coflow import profiles as pf
 from g2coflow.errors import DomainError, G2CoflowError, InvalidGeometry, SingularEval
@@ -205,7 +206,7 @@ def test_antiderivative_of_cosine_is_sine():
     q = pf.antiderivative(pf.cos(R), 0.0, 0.0)
     for r in np.linspace(0, np.pi, 9):
         assert abs(q.value(float(r)) - np.sin(r)) < 1e-12
-    assert q.metadata["rule"] == "adaptive_simpson"
+    assert q.metadata["rule"] == "chebyshev_panels"
     assert q.metadata["tolerance"] == 1e-12
 
 
@@ -237,33 +238,42 @@ def test_antiderivative_then_derivative_identity():
             assert abs(q.value(float(r)) - f.value(float(r))) < 1e-10
 
 
-def _recursive_simpson(f, a, b, tol, depth=48):
-    """Scalar recursive adaptive Simpson (Lyness 1969), the reference for the
-    batched quadrature: same accept test, same sums in the same order."""
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        assert depth > 0
-        return (rec(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-                + rec(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    return rec(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, depth)
+def _cosine_sum(v):
+    """Chebyshev coefficients of the interpolant of v at the first-kind
+    points cos(pi (j + 1/2) / n), written out as the O(n^2) cosine sum."""
+    n = len(v)
+    j = np.arange(n)
+    c = np.array([2.0 / n * np.sum(v * np.cos(np.pi * k * (j + 0.5) / n))
+                  for k in range(n)])
+    c[0] *= 0.5
+    return c
 
 
-def test_batched_simpson_equals_the_recursive_rule_bitwise():
-    g = pf.cos(3 * R) * pf.exp(pf.sin(R)) + 1j * pf.sin(2 * R)
-    a = np.array([0.0, 0.25, 2.0, 1.3, -0.5])
-    b = np.array([0.25, 0.5, 1.1, 1.3, -3.0])  # reversed and empty segments too
-    got = pf._simpson_batch(lambda t: g._value(t, {}), a, b, 1e-12)
-    want = [_recursive_simpson(lambda t: g._value(np.array([t]), {})[0], x, y, 1e-12)
-            for x, y in zip(a, b)]
-    assert np.array_equal(got, np.array(want))
+@pytest.mark.parametrize("n", [17, 33, 65, 129, 257])
+def test_panel_coefficients_are_the_cosine_sum(n):
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    for rows in (v, v.real):
+        got = pf._cheb_coeffs(rows)
+        assert np.iscomplexobj(got) == np.iscomplexobj(rows)
+        for row, want in zip(got, map(_cosine_sum, rows)):
+            assert np.max(np.abs(row - want)) < 1e-14 * np.sum(np.abs(v))
+
+
+def test_batched_panel_series_equal_each_panel_fitted_alone_bitwise():
+    a = np.array([0.0, 0.25, 2.0, 1.3, -0.5, -0.27])
+    b = np.array([0.25, 0.5, 2.25, 1.35, -0.25, -0.02])
+    for g in (pf.cos(3 * R) * pf.exp(pf.sin(R)) + 1j * pf.sin(2 * R),
+              pf.sin(1.0 / (R + 0.55))):
+        f = lambda t: g._value(t, {})
+        batch = pf._panel_series(f, a, b, 1e-12)
+        for i, s in enumerate(batch):
+            assert np.array_equal(s, pf._panel_series(f, a[i:i + 1], b[i:i + 1], 1e-12)[0])
+        # half the width times the series at x = 1 is the panel's integral
+        whole = 0.5 * (b[0] - a[0]) * np.polynomial.chebyshev.chebval(1.0, batch[0])
+        assert abs(whole - pf.antiderivative(g, a[0], 0.0).value(b[0])) < 1e-15
+    # the panels of one batch were resolved at different numbers of points
+    assert len({len(s) for s in batch}) > 1
 
 
 def test_antiderivative_does_not_depend_on_evaluation_order():
@@ -293,6 +303,23 @@ def test_coclosed_nk_h_does_not_depend_on_history():
             h.value(float(r))
         got = {r: h.value(float(r)) for r in rng.permutation(rs)}
         assert np.array_equal(np.array([got[r] for r in rs]), want)
+
+
+def test_coclosed_nk_h_matches_quad():
+    # scipy's adaptive Gauss-Kronrod quadrature between consecutive points
+    # is the independent route
+    from g2coflow.forms import StructureKind
+    from g2coflow.verify import random_g2_profile
+
+    rs = pf.Circle(2 * np.pi).sample_points(50, interior=True)
+    edges = np.concatenate(([0.0], rs))
+    for seed in range(10):
+        g = random_g2_profile(np.random.default_rng(seed), StructureKind.NK, coclosed=True)
+        f = g.G * pf.cos(3 * g.theta)
+        want = np.cumsum([integrate.quad(lambda t: float(f.value(t)), x, y,
+                                         epsabs=1e-14, epsrel=1e-14)[0]
+                          for x, y in zip(edges[:-1], edges[1:])])
+        assert np.max(np.abs(pf.antiderivative(f, 0.0, 0.0).value(rs) - want)) < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -361,14 +388,6 @@ def test_antiderivative_scalar_equals_array_entry():
         scalar = q.value(r)
         assert np.ndim(scalar) == 0
         assert scalar == q.value(np.array([[r, 0.1]]))[0, 0]
-
-
-def test_antiderivative_refined_in_parts_keeps_values(monkeypatch):
-    wiggly = pf.sin(4.0 / (R + 0.3))
-    rs = np.linspace(0.01, 2.5, 40)
-    want = pf.antiderivative(wiggly, 0.0, 0.0).value(rs)
-    monkeypatch.setattr(pf, "_MAX_INTERVALS", 64)
-    assert np.array_equal(pf.antiderivative(wiggly, 0.0, 0.0).value(rs), want)
 
 
 def test_quadrature_failure_on_a_batch_is_quick():

@@ -8,7 +8,7 @@ import pytest
 
 from g2coflow import profiles as pf
 from g2coflow import soliton as so
-from g2coflow.errors import InvalidParams, SignAmbiguity, SingularLocus
+from g2coflow.errors import DivergentIntegral, InvalidParams, SignAmbiguity, SingularLocus
 from g2coflow.forms import G2Profile, StructureKind
 from g2coflow.soliton import Family
 
@@ -400,6 +400,18 @@ def test_compact_identity_trivial_product():
     lhs, rhs = so.compact_identity_check(cand)
     assert abs(lhs) < 1e-12
     assert rhs == 0.0
+
+
+def test_compact_identity_of_a_divergent_volume_is_a_divergent_integral():
+    # h = 1/r makes the volume weight G h^6 = r^-6, not integrable at r = 0
+    dom = pf.Interval(0.0, 1.0)
+    r = pf.coordinate(dom)
+    cand = so.SolitonCandidate(
+        h=1.0 / r, theta=pf.constant(0.0, dom), kprime=pf.constant(0.0, dom),
+        lam=-1.0, structure=NK, family=Family.CUSTOM, domain=dom,
+    )
+    with pytest.raises(DivergentIntegral):
+        so.compact_identity_check(cand)
 
 
 def test_compact_identity_cylinder():
