@@ -19,7 +19,8 @@ state = FlowState(mesh=mesh, h=np.ones(n), theta=eps * np.sin(mesh.nodes),
                   G=np.ones(n), t=0.0, structure=StructureKind.CY)
 
 run = cf.run_flow(state, t_end=1.0, output_times=(0.25, 0.5, 0.75))
-print(f"status: {run.status}, steps: {len(run.diagnostics)}")
+print(f"status: {run.status}, steps: {run.steps} ({run.rejected} rejected, "
+      f"{run.rhs_evals} RHS evaluations)")
 print(f"{'t':>6} {'sup|theta|':>12} {'e^-t law':>12} {'sup|G-1|':>10}")
 for snap in run.snapshots:
     sup_t = np.max(np.abs(snap.theta))

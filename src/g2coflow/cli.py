@@ -445,8 +445,12 @@ def _run_flow(config):
         "rows": [list(map(float, row)) for row in rundata.diagnostics],
         "status": rundata.status,
         "snapshot_times": [snap.t for snap in rundata.snapshots],
+        "steps": rundata.steps,
+        "rejected": rundata.rejected,
+        "rhs_evals": rundata.rhs_evals,
     })
-    print(f"flow {rundata.status} after {len(rundata.diagnostics)} steps; "
+    print(f"flow {rundata.status} after {rundata.steps} steps "
+          f"({rundata.rejected} rejected, {rundata.rhs_evals} RHS evaluations); "
           f"{len(rundata.snapshots)} snapshots in {config.outdir}")
     return rundata.status
 

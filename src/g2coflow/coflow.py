@@ -9,8 +9,20 @@ interval ends), from the mesh's cached sparse matrices (`Mesh.deriv_matrix`).
 The fields travel as one flat vector ([theta, G] for CY, [h, theta, G] for
 NK). One right-hand side per structure, shared by `rhs_cy`, `rhs_nk` and
 `run_flow`, takes both derivatives of every field in one block-diagonal
-stencil product, then applies `cy_rates`/`nk_rates`. One classical RK4 step
-advances the vector under the diffusive restriction dt <= cfl min(G^2) dr^2.
+stencil product, then applies `cy_rates`/`nk_rates`.
+
+Time steps are explicit and stabilized, so their size follows accuracy, not
+the diffusive limit dt ~ min(G^2) dr^2 of a classical Runge-Kutta step. A base
+step is s first-order damped Chebyshev stages (Verwer, Hundsdorfer &
+Sommeijer 1990), whose coefficients come from the Chebyshev three-term
+recurrence; s is the fewest stages whose stability interval covers 1/0.9 of
+the step's spectral-radius bound rho dt. One macro step of size dt runs the
+base step k times at dt/k for k = 1..4 and extrapolates the four results to
+4th order (Richardson; the extrapolated stabilized Runge-Kutta idea of
+Martin-Vaquero & Kleefeld 2016). The 3rd-order extrapolation of the last
+three gives a local error estimate; a step is accepted when its RMS, relative
+to TOL (1 + |y|), is at most 1, and the next step grows or shrinks by the
+usual fourth-root rule.
 
 On an interval the boundary is Dirichlet: endpoint values are frozen (their
 time derivative is zeroed). The constraint diagnostic uses a 2nd-order
@@ -20,6 +32,8 @@ under simultaneous mesh/time refinement.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,16 +46,10 @@ from .profiles import Mesh
 FLOOR = 1e-6            # positivity floor for h and G
 CONSTRAINT_BLOWUP = 1e-2
 INIT_CONSTRAINT_TOL = 1e-4  # largest sup |c| accepted in initial NK data
-
-
-def d1(mesh, f):
-    """First derivative, 4th order."""
-    return mesh.deriv_matrix(1) @ f
-
-
-def d2(mesh, f):
-    """Second derivative, 4th order."""
-    return mesh.deriv_matrix(2) @ f
+TOL = 1e-11             # local error tolerance of one macro step
+# the h and G rows of the flat state ([theta, G] for CY, [h, theta, G] for NK)
+_POSITIVE_ROWS = {StructureKind.CY: slice(1, None),
+                  StructureKind.NK: slice(0, None, 2)}
 
 
 def d1_low_order(mesh, f):
@@ -105,11 +113,19 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowRun:
-    """Snapshots at requested output times plus per-step diagnostics."""
+    """Snapshots at requested output times, one diagnostics record per
+    accepted step, and the run's work: rejected steps and RHS evaluations."""
 
     snapshots: tuple
     diagnostics: tuple   # records: (t, dt, sup|c|, sup tau0, min h, min G)
     status: str          # "Completed" | "SingularityDetected" | "ConstraintBlowup"
+    rejected: int        # steps that failed the error test and were retried
+    rhs_evals: int       # right-hand side evaluations, rejected steps included
+
+    @property
+    def steps(self):
+        """Accepted steps."""
+        return len(self.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +175,7 @@ def _rhs(mesh, structure):
     """
     n, nk = mesh.n, structure is StructureKind.NK
     k = 3 if nk else 2
-    positive = slice(0, None, 2) if nk else slice(1, None)  # the h and G rows
+    positive = _POSITIVE_ROWS[structure]
     # stacking keeps each row's column order: every sum runs as in D @ f
     D12 = sparse.vstack([mesh.deriv_matrix(1), mesh.deriv_matrix(2)], "csr")
     M = sparse.block_diag([D12] * k, format="csr")
@@ -195,24 +211,79 @@ def rhs_nk(state):
     return tuple(_rhs(state.mesh, state.structure)(y).reshape(3, -1))
 
 
-def _rk4(rhs, y, dt):
-    """One classical RK4 step of dy/dt = rhs(y)."""
-    half = 0.5 * dt
-    k1 = rhs(y)
-    k2 = rhs(y + half * k1)
-    k3 = rhs(y + half * k2)
-    k4 = rhs(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+# ---------------------------------------------------------------------------
+# time stepping
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def chebyshev_coefficients(s):
+    """(w0, w1, b) of the s-stage damped Chebyshev step: w0 = 1 + 2/s^2,
+    w1 = T_s(w0)/T_s'(w0) and b[j] = 1/T_j(w0), by the three-term recurrence.
+
+    On y' = lambda y the step multiplies y by T_s(w0 + w1 h lambda)/T_s(w0),
+    at most 1 in size for h lambda in [-beta(s), 0], beta(s) = (1 + w0)/w1,
+    and 0.964 s^2 <= beta(s) <= 2 s^2. The damping 2 in w0 keeps the
+    extrapolated step stable too; at 0.5 it is not.
+    """
+    w0 = 1.0 + 2.0 / s ** 2
+    T, dT = [1.0, w0], [0.0, 1.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+    return w0, T[s] / dT[s], tuple(1.0 / v for v in T)
+
+
+def stages(rho_dt):
+    """The fewest stages s with 0.9 beta(s) >= rho_dt."""
+    s = max(1, math.isqrt(int(rho_dt / 2.0)))  # fewer fail: beta(s) <= 2 s^2
+    while True:
+        w0, w1, _ = chebyshev_coefficients(s)
+        if 0.9 * (1.0 + w0) / w1 >= rho_dt:
+            return s
+        s += 1
+
+
+def _chebyshev_step(rhs, y, h, s):
+    """One first-order step of size h: the s damped Chebyshev stages
+    Y_j = 2 w0 (b_j/b_{j-1}) Y_{j-1} - (b_j/b_{j-2}) Y_{j-2}
+    + 2 w1 (b_j/b_{j-1}) h F(Y_{j-1}), from Y_0 = y, Y_1 = y + (w1/w0) h F(y)."""
+    w0, w1, b = chebyshev_coefficients(s)
+    prev, cur = y, y + (w1 / w0 * h) * rhs(y)
+    for j in range(2, s + 1):
+        mu = b[j] / b[j - 1]
+        prev, cur = cur, ((2.0 * w0 * mu) * cur - (b[j] / b[j - 2]) * prev
+                          + (2.0 * w1 * mu * h) * rhs(cur))
+    return cur
+
+
+def _extrapolated_step(rhs, y, dt, s):
+    """k Chebyshev steps of size dt/k for k = 1..4, extrapolated: the
+    4th-order result and the 3rd-order one from k = 2..4 (10 s RHS calls)."""
+    ys = []
+    for k in (1, 2, 3, 4):
+        yk = y
+        for _ in range(k):
+            yk = _chebyshev_step(rhs, yk, dt / k, s)
+        ys.append(yk)
+    y1, y2, y3, y4 = ys
+    return (-1.0 / 6.0 * y1 + 4.0 * y2 - 13.5 * y3 + 32.0 / 3.0 * y4,
+            2.0 * y2 - 9.0 * y3 + 8.0 * y4)
 
 
 def run_flow(initial, t_end, output_times=(), cfl=0.2):
     """Integrate to t_end, snapshotting at the requested output times.
 
+    Steps are extrapolated damped-Chebyshev macro steps (module docstring)
+    under the local error tolerance TOL. The first trial step is
+    cfl min(G)^2 dr^2; later ones follow the error estimate, and a step cut
+    short at an output time leaves the next trial step as it was. A step
+    whose result has h or G not positive is rejected like an inaccurate one.
     Initial NK data whose constraint residual exceeds INIT_CONSTRAINT_TOL
     raises SingularityDetected. Halts early with status "SingularityDetected"
-    when min h or min G falls below the positivity floor, or
+    when h or G loses positivity inside a stage (the last accepted state is
+    kept) or min h or min G falls below the positivity floor, or
     "ConstraintBlowup" when the NK constraint residual exceeds 1e-2; the last
-    valid state is appended as a terminal snapshot either way.
+    state is appended as a terminal snapshot either way.
     """
     mesh, structure = initial.mesh, initial.structure
     nk = structure is StructureKind.NK
@@ -228,6 +299,14 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     rhs = _rhs(mesh, structure)
     D1 = mesh.deriv_matrix(1)
     dr2 = mesh.dr ** 2
+    positive = _POSITIVE_ROWS[structure]
+    rejected = rhs_evals = 0
+
+    def counted_rhs(v):
+        nonlocal rhs_evals
+        rates = rhs(v)
+        rhs_evals += 1
+        return rates
 
     marks = sorted({float(t) for t in output_times if initial.t < t <= t_end})
     marks.append(float(t_end))
@@ -237,6 +316,7 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     snapshots = [initial] if (output_times and initial.t in output_times) else []
     diagnostics = []
     status = "Completed"
+    dt = cfl * float(G.min() ** 2) * dr2
 
     def pack():
         return FlowState(mesh=mesh, h=h.copy(), theta=theta.copy(),
@@ -244,13 +324,29 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
 
     for mark in marks:
         while t < mark - 1e-14:
-            dt = min(cfl * float(G.min() ** 2) * dr2, mark - t)
+            step = min(dt, mark - t)
+            min_h, min_G = float(h.min()), float(G.min())
+            rho = 16.0 / 3.0 / (min_G ** 2 * dr2)  # spectral-radius bound
+            if nk:
+                rho += 12.0 / min_h ** 2 + 10.0 / (min_h * min_G * mesh.dr)
             try:
-                y = _rk4(rhs, y, dt)
+                new, low = _extrapolated_step(counted_rhs, y, step,
+                                              stages(rho * step))
             except SingularityDetected:
                 status = "SingularityDetected"
                 break
-            t += dt
+            err = float(np.sqrt(np.mean(np.square(
+                (new - low) / (TOL * (1.0 + np.abs(y)))))))
+            if not new.reshape(-1, mesh.n)[positive].min() > 0:
+                err = np.inf  # h or G not positive: retry shorter
+            grow = min(4.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 4.0
+            if err > 1.0:
+                rejected += 1
+                dt = grow * step
+                continue
+            if step == dt:  # not cut short at an output time
+                dt = grow * step
+            y, t = new, t + step
             fields = y.reshape(-1, mesh.n)  # views of the evolved fields
             theta, G = fields[-2:]
             if nk:
@@ -263,7 +359,7 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
                 min_h = float(h[0])
             tau0 = _tau0(D1, structure, h, theta, G)
             min_G = float(G.min())
-            diagnostics.append((t, dt, c, float(np.max(np.abs(tau0))),
+            diagnostics.append((t, step, c, float(np.max(np.abs(tau0))),
                                 min_h, min_G))
             if min_h < FLOOR or min_G < FLOOR:
                 status = "SingularityDetected"
@@ -276,4 +372,5 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
             break
         snapshots.append(pack())
 
-    return FlowRun(tuple(snapshots), tuple(diagnostics), status)
+    return FlowRun(tuple(snapshots), tuple(diagnostics), status, rejected,
+                   rhs_evals)

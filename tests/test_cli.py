@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from g2coflow import cli
+from g2coflow import cli, coflow
 from g2coflow.errors import ConfigError
 
 
@@ -76,6 +76,22 @@ def test_flow_defaults_and_run(tmp_path):
     snap = (out / "snapshot_000.csv").read_text().splitlines()
     assert snap[0] == "r,h,theta,G,constraint_residual,tau0"
     assert len(snap) == 65
+
+
+def test_flow_writes_its_work_counters(tmp_path, capsys):
+    cfg = flow_config(tmp_path, domain={"kind": "interval", "r0": 0.0,
+                                        "r1": 2 * np.pi, "n": 64},
+                      initial={"h": "1", "theta": "0.3*sin(r/2)", "G": "1"})
+    out = tmp_path / "out"
+    assert run_cli("flow", "--config", cfg, "--out", str(out)) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    config = cli.parse_config("flow", json.loads(open(cfg).read()))
+    run = coflow.run_flow(config.objects["state"], 0.05, (), 0.2)
+    assert (diag["steps"], diag["rejected"], diag["rhs_evals"]) == (
+        run.steps, run.rejected, run.rhs_evals)
+    assert diag["steps"] == len(diag["rows"]) and diag["rejected"] > 0
+    assert (f"after {run.steps} steps ({run.rejected} rejected, "
+            f"{run.rhs_evals} RHS evaluations)") in capsys.readouterr().out
 
 
 def test_flow_unknown_key_is_config_error(tmp_path):

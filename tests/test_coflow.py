@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def circle_state(n=128, structure=CY, h=None, theta=None, G=None, period=2 * np.
 
 
 # ---------------------------------------------------------------------------
-# derivatives and the scalar Laplacian
+# derivatives
 # ---------------------------------------------------------------------------
 
 def test_periodic_derivatives_fourth_order():
@@ -37,8 +38,8 @@ def test_periodic_derivatives_fourth_order():
         mesh = Mesh.from_domain(pf.Circle(2 * np.pi), n)
         f = np.sin(mesh.nodes)
         errs.append(max(
-            np.max(np.abs(cf.d1(mesh, f) - np.cos(mesh.nodes))),
-            np.max(np.abs(cf.d2(mesh, f) + np.sin(mesh.nodes))),
+            np.max(np.abs(mesh.deriv_matrix(1) @ f - np.cos(mesh.nodes))),
+            np.max(np.abs(mesh.deriv_matrix(2) @ f + np.sin(mesh.nodes))),
         ))
     assert np.log2(errs[0] / errs[1]) > 3.5
 
@@ -47,8 +48,8 @@ def test_interval_derivatives_fourth_order_at_edges():
     for n in (41, 81):
         mesh = Mesh.from_domain(pf.Interval(0.0, 1.0), n)
         f = np.exp(mesh.nodes)
-        assert np.max(np.abs(cf.d1(mesh, f) - f)) < 50 * mesh.dr ** 4
-        assert np.max(np.abs(cf.d2(mesh, f) - f)) < 500 * mesh.dr ** 4
+        assert np.max(np.abs(mesh.deriv_matrix(1) @ f - f)) < 50 * mesh.dr ** 4
+        assert np.max(np.abs(mesh.deriv_matrix(2) @ f - f)) < 500 * mesh.dr ** 4
 
 
 @pytest.mark.parametrize("domain", [pf.Circle(2 * np.pi), pf.Interval(0.0, 1.0)])
@@ -320,81 +321,174 @@ def one_step_states():
     }
 
 
-@pytest.mark.parametrize("case", ["cy-circle", "cy-interval", "nk-circle",
-                                  "nk-interval"])
-def test_a_flow_step_is_one_rk4_step_of_the_public_rhs(case):
-    s = one_step_states()[case]
-    if s.structure is CY:
-        names, rhs = ("theta", "G"), cf.rhs_cy
-    else:
-        names, rhs = ("h", "theta", "G"), cf.rhs_nk
-    dt = 0.2 * float(np.min(s.G) ** 2) * s.mesh.dr ** 2   # run_flow's default cfl
-
-    def shifted(k, scale):
-        return dataclasses.replace(s, **{name: getattr(s, name) + scale * rate
-                                         for name, rate in zip(names, k)})
-
-    k1 = rhs(s)
-    k2 = rhs(shifted(k1, 0.5 * dt))
-    k3 = rhs(shifted(k2, 0.5 * dt))
-    k4 = rhs(shifted(k3, dt))
-    run = cf.run_flow(s, t_end=dt)
-    assert len(run.diagnostics) == 1
-    final = run.snapshots[-1]
-    for i, name in enumerate(names):
-        want = getattr(s, name) + dt / 6.0 * (
-            k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-        assert np.array_equal(getattr(final, name), want)
-    if s.structure is CY:
-        assert np.array_equal(final.h, s.h)
+CASES = ["cy-circle", "cy-interval", "nk-circle", "nk-interval"]
+FIELDS = {CY: ("theta", "G"), NK: ("h", "theta", "G")}
 
 
-def public_rk4_steps(s, t_end, max_steps):
-    """RK4 steps of the public rhs_cy/rhs_nk from state s toward t_end, with
-    run_flow's documented dt = min(cfl min(G)^2 dr^2, t_end - t) at its
-    default cfl, recomputed each step: the final fields and (t, dt) rows."""
-    names = ("theta", "G") if s.structure is CY else ("h", "theta", "G")
+def public_flat_rhs(s):
+    """The public rhs_cy/rhs_nk as a function of the flat vector of state s's
+    evolved fields."""
+    names = FIELDS[s.structure]
     rhs = cf.rhs_cy if s.structure is CY else cf.rhs_nk
-    fields, t, rows = {name: getattr(s, name) for name in names}, s.t, []
 
-    def rates(k, scale):
-        return rhs(dataclasses.replace(s, **{name: fields[name] + scale * rate
-                                             for name, rate in zip(names, k)}))
+    def rates(y):
+        fields = dict(zip(names, y.reshape(len(names), -1)))
+        return np.concatenate(rhs(dataclasses.replace(s, **fields)))
 
-    while t < t_end - 1e-14 and len(rows) < max_steps:
-        dt = min(0.2 * float(np.min(fields["G"]) ** 2) * s.mesh.dr ** 2, t_end - t)
-        k1 = rhs(dataclasses.replace(s, **fields))
-        k2 = rates(k1, 0.5 * dt)
-        k3 = rates(k2, 0.5 * dt)
-        k4 = rates(k3, dt)
-        fields = {name: fields[name] + dt / 6.0 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-                  for i, name in enumerate(names)}
-        t += dt
-        rows.append((t, dt))
-    return fields, rows
+    return rates
 
 
-@pytest.mark.parametrize("case", ["cy-circle", "cy-interval", "nk-circle",
-                                  "nk-interval"])
-def test_25_flow_steps_are_25_rk4_steps_of_the_public_rhs(case):
+@functools.cache
+def chebyshev(s):
+    """(w0, w1, (1/T_j(w0))) of the s-stage damped Chebyshev step."""
+    w0 = 1.0 + 2.0 / s ** 2
+    T, dT = [1.0, w0], [0.0, 1.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+    return w0, T[s] / dT[s], tuple(1.0 / v for v in T)
+
+
+def extrapolated_step(F, y, dt, s):
+    """k s-stage damped Chebyshev steps of size dt/k for k = 1..4, combined
+    to 4th order with the weights -1/6, 4, -27/2, 32/3 and to 3rd order with
+    2, -9, 8 from k = 2..4."""
+    w0, w1, b = chebyshev(s)
+    results = []
+    for k in (1, 2, 3, 4):
+        h, yk = dt / k, y
+        for _ in range(k):
+            prev, cur = yk, yk + (w1 / w0 * h) * F(yk)
+            for j in range(2, s + 1):
+                mu = b[j] / b[j - 1]
+                prev, cur = cur, ((2.0 * w0 * mu) * cur - (b[j] / b[j - 2]) * prev
+                                  + (2.0 * w1 * mu * h) * F(cur))
+            yk = cur
+        results.append(yk)
+    y1, y2, y3, y4 = results
+    return (-1.0 / 6.0 * y1 + 4.0 * y2 - 13.5 * y3 + 32.0 / 3.0 * y4,
+            2.0 * y2 - 9.0 * y3 + 8.0 * y4)
+
+
+def public_extrapolated_steps(s, t_end, max_steps, output_times=()):
+    """run_flow's documented stepping at its default cfl, written out over
+    the public rhs_cy/rhs_nk: macro steps toward t_end that stop at output
+    times, after max_steps accepted steps, and where run_flow halts.
+
+    Returns the state at each output time and at the end, the (t, dt) row of
+    each accepted step, the status, the rejected steps and the RHS
+    evaluations, 10 s for every attempted step of s stages.
+    """
+    F, names = public_flat_rhs(s), FIELDS[s.structure]
+    mesh, nk = s.mesh, s.structure is NK
+    state, snaps, rows, rejected, evals = s, [], [], 0, 0
+    status = "Completed"
+    dt = 0.2 * float(np.min(s.G) ** 2) * mesh.dr ** 2
+    for mark in sorted(t for t in output_times if s.t < t <= t_end) + [t_end]:
+        while (state.t < mark - 1e-14 and len(rows) < max_steps
+               and status == "Completed"):
+            step = min(dt, mark - state.t)
+            min_h, min_G = float(np.min(state.h)), float(np.min(state.G))
+            rho = 16.0 / 3.0 / (min_G ** 2 * mesh.dr ** 2)
+            if nk:
+                rho += 12.0 / min_h ** 2 + 10.0 / (min_h * min_G * mesh.dr)
+            stages = 1
+            while (0.9 * (1.0 + chebyshev(stages)[0]) / chebyshev(stages)[1]
+                   < rho * step):
+                stages += 1
+            y = np.concatenate([getattr(state, name) for name in names])
+            evals += 10 * stages
+            new, low = extrapolated_step(F, y, step, stages)
+            try:
+                candidate = dataclasses.replace(
+                    state, t=state.t + step,
+                    **dict(zip(names, new.reshape(len(names), -1))))
+                err = float(np.sqrt(np.mean(np.square(
+                    (new - low) / (cf.TOL * (1.0 + np.abs(y)))))))
+            except SingularityDetected:   # h or G not positive: reject
+                err = np.inf
+            grow = min(4.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 4.0
+            if err > 1.0:
+                rejected += 1
+                dt = grow * step
+                continue
+            if step == dt:   # a step cut short at an output time keeps dt
+                dt = grow * step
+            state = candidate
+            rows.append((state.t, step))
+            if min(np.min(state.h), np.min(state.G)) < cf.FLOOR:
+                status = "SingularityDetected"
+            elif nk and (np.max(np.abs(state.constraint_residual()))
+                         > cf.CONSTRAINT_BLOWUP):
+                status = "ConstraintBlowup"
+        snaps.append(state)
+        if status != "Completed" or len(rows) == max_steps:
+            break
+    return snaps, rows, status, rejected, evals
+
+
+def assert_run_is(run, s, reference):
+    snaps, rows, status, rejected, evals = reference
+    assert run.status == status
+    assert [row[:2] for row in run.diagnostics] == rows
+    assert (run.steps, run.rejected, run.rhs_evals) == (len(rows), rejected, evals)
+    assert [snap.t for snap in run.snapshots] == [snap.t for snap in snaps]
+    for snap, want in zip(run.snapshots, snaps):
+        for name in ("h", "theta", "G"):
+            assert np.array_equal(getattr(snap, name), getattr(want, name))
+    if s.structure is CY:
+        assert np.array_equal(run.snapshots[-1].h, s.h)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_flow_step_is_one_extrapolated_step_of_the_public_rhs(case):
     s = one_step_states()[case]
-    _, free = public_rk4_steps(s, np.inf, 25)
-    t_end = free[23][0] + 0.5 * free[24][1]   # the 25th step is cut short
-    run = cf.run_flow(s, t_end=t_end)
-    steps = len(run.diagnostics)
+    # the first accepted step: on the circles the first trial step
+    # 0.2 min(G)^2 dr^2, on the intervals a retry after one rejection
+    _, (first,), *_ = public_extrapolated_steps(s, np.inf, 1)
+    run = cf.run_flow(s, t_end=first[0])
+    reference = public_extrapolated_steps(s, first[0], np.inf)
+    assert reference[1] == [first]
+    assert_run_is(run, s, reference)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_25_flow_steps_are_25_extrapolated_steps_of_the_public_rhs(case):
+    s = one_step_states()[case]
+    _, free, status, *_ = public_extrapolated_steps(s, np.inf, 25)
     if case == "nk-interval":
         # the frozen endpoints of the sine cone break the constraint at once
-        assert (run.status, steps) == ("ConstraintBlowup", 6)
+        assert (status, len(free)) == ("ConstraintBlowup", 12)
+        t_end = 1.0
     else:
-        assert (run.status, steps) == ("Completed", 25)
-    fields, rows = public_rk4_steps(s, t_end, steps)
-    assert len(rows) == steps and rows[:-1] == free[:steps - 1]
-    assert [row[:2] for row in run.diagnostics] == rows
-    final = run.snapshots[-1]
-    for name, values in fields.items():
-        assert np.array_equal(getattr(final, name), values)
-    if s.structure is CY:
-        assert np.array_equal(final.h, s.h)
+        assert (status, len(free)) == ("Completed", 25)
+        t_end = free[23][0] + 0.5 * free[24][1]   # the 25th step is cut short
+    run = cf.run_flow(s, t_end=t_end)
+    reference = public_extrapolated_steps(s, t_end, np.inf)
+    assert reference[1][:-1] == free[:-1]
+    assert_run_is(run, s, reference)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_flow_steps_across_output_times_are_the_public_extrapolated_steps(case):
+    # an output time cuts a step short and leaves the next trial step as it
+    # was; the rejected steps of cy-interval are retried at the shorter step
+    s = one_step_states()[case]
+    _, free, *_ = public_extrapolated_steps(s, np.inf, 12)
+    marks = (free[5][0] + 0.3 * free[6][1], free[8][0] + 0.9 * free[9][1])
+    run = cf.run_flow(s, t_end=free[-1][0], output_times=marks)
+    assert run.status == ("ConstraintBlowup" if case == "nk-interval" else "Completed")
+    assert_run_is(run, s, public_extrapolated_steps(s, free[-1][0], np.inf, marks))
+    if case == "cy-interval":
+        assert run.rejected > 0
+
+
+def test_rhs_evals_are_ten_per_stage_of_every_attempted_step():
+    s = one_step_states()["cy-interval"]
+    run = cf.run_flow(s, t_end=0.01)
+    *_, rejected, evals = public_extrapolated_steps(s, 0.01, np.inf)
+    assert run.rejected == rejected > 0
+    assert run.rhs_evals == evals
 
 
 @pytest.mark.parametrize("n", [8, 97, 512])
@@ -418,6 +512,107 @@ def test_public_rhs_is_the_rates_of_per_field_stencil_products(domain, n):
             if not mesh.periodic:
                 expected[0] = expected[-1] = 0.0  # Dirichlet: endpoints frozen
             assert np.array_equal(rate, expected)
+
+
+def dop853_cases(n):
+    """(state, t_end) of CY and NK runs on a circle and on an interval at n
+    nodes. The CY phases are small, so the accurate steps are long and take
+    up to 9 stages at n = 32; the NK h solves h' = G cos 3 theta."""
+    circle = Mesh.from_domain(pf.Circle(2 * np.pi), n)
+    interval = pf.Interval(0.5, 3.0)
+    mesh = Mesh.from_domain(interval, n)
+    r = mesh.nodes
+    bump = 0.02 * pf.sin(np.pi * (pf.coordinate(interval) - 0.5) / 2.5)
+    h = pf.antiderivative(pf.cos(3 * bump), 0.5, 0.5)
+    return {
+        "cy-circle": (FlowState(mesh=circle, h=np.ones(n),
+                                theta=1e-4 * np.sin(circle.nodes),
+                                G=1 + 0.1 * np.cos(circle.nodes), t=0.0,
+                                structure=CY), 0.5),
+        "cy-interval": (FlowState(mesh=mesh, h=np.full(n, 1.5),
+                                  theta=0.1 + 1e-4 * np.sin(np.pi * (r - 0.5) / 2.5),
+                                  G=1 + 0.1 * np.sin(r), t=0.0, structure=CY), 0.5),
+        "nk-circle": (near_cylinder_state(n), 0.05),
+        "nk-interval": (FlowState(mesh=mesh, h=np.real(h.value(r)),
+                                  theta=np.real(bump.value(r)), G=np.ones(n),
+                                  t=0.0, structure=NK), 0.05),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("case", CASES)
+def test_flow_matches_dop853_on_the_same_rhs(case, n):
+    # an independent route through the same semi-discrete system: scipy's
+    # DOP853 at rtol = atol = 1e-12. The flow differs from it by 3e-11 at
+    # most. A wrong extrapolation weight or recurrence coefficient either
+    # moves the result by far more or fails the error test at every step
+    # of two or more stages, which the bound on rejected steps catches
+    from scipy.integrate import solve_ivp
+
+    s, t_end = dop853_cases(n)[case]
+    run = cf.run_flow(s, t_end=t_end)
+    assert run.status == "Completed"
+    assert run.rejected <= 3
+    names = FIELDS[s.structure]
+    y0 = np.concatenate([getattr(s, name) for name in names])
+    final = run.snapshots[-1]
+    F = public_flat_rhs(s)
+    sol = solve_ivp(lambda _t, y: F(y), (0.0, final.t), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-12)
+    assert sol.success
+    got = np.concatenate([getattr(final, name) for name in names])
+    assert np.max(np.abs(got - sol.y[:, -1])) < 1e-10
+    assert np.max(np.abs(got - y0)) > 1e-5   # the fields do move
+
+
+MAX_STAGES = 400   # tier-1 and the benchmark's flow runs use at most 78
+
+
+def chebyshev_t(s, x):
+    """T_s(x) for x >= -1, from cos(s arccos x) and cosh(s arccosh x)."""
+    return np.where(x > 1.0, np.cosh(s * np.arccosh(np.maximum(x, 1.0))),
+                    np.cos(s * np.arccos(np.clip(x, -1.0, 1.0))))
+
+
+def extrapolated_polynomial(s, w0, w1, z):
+    """sum_k w_k R(z/k)^k with R(z) = T_s(w0 + w1 z)/T_s(w0) and the
+    weights -1/6, 4, -27/2, 32/3: the macro step's factor on y' = z y, dt = 1."""
+    weights = (-1.0 / 6.0, 4.0, -27.0 / 2.0, 32.0 / 3.0)
+    return sum(w * (chebyshev_t(s, w0 + w1 * z / k) / chebyshev_t(s, w0)) ** k
+               for k, w in enumerate(weights, start=1))
+
+
+def test_extrapolated_step_is_stable_for_every_stage_count():
+    # w1 = T_s(w0)/T_s'(w0) against numpy's Chebyshev series; every s is the
+    # one the stepper picks just inside 0.9 beta(s); and on a grid fine
+    # against the polynomial's ~4s oscillations the step stays in the unit
+    # disc over [-0.9 beta(s), 0]
+    for s in range(1, MAX_STAGES + 1):
+        w0, w1, _ = cf.chebyshev_coefficients(s)
+        T = np.polynomial.Chebyshev.basis(s)
+        assert w0 == 1.0 + 2.0 / s ** 2
+        assert abs(w1 - T(w0) / T.deriv()(w0)) < 1e-12 * w1
+        beta = (1.0 + w0) / w1
+        assert 0.964 * s ** 2 < beta <= 2.0 * s ** 2
+        assert cf.stages(0.9 * beta * (1.0 - 1e-9)) == s
+        z = np.linspace(-0.9 * beta, 0.0, 40 * s + 400)
+        assert np.max(np.abs(extrapolated_polynomial(s, w0, w1, z))) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 7, 40, 300])
+def test_extrapolated_step_on_the_test_equation_is_its_polynomial(s):
+    # the stepper itself on y' = z y, dt = 1: its factor is the polynomial
+    # (to the rounding of 10 s stages), and against e^z its two results
+    # have local errors O(z^5) and O(z^4): orders 4 and 3
+    w0, w1, _ = cf.chebyshev_coefficients(s)
+    z = np.linspace(-0.9 * (1.0 + w0) / w1, 0.0, 2001)
+    high, _ = cf._extrapolated_step(lambda y: z * y, np.ones_like(z), 1.0, s)
+    assert np.max(np.abs(high - extrapolated_polynomial(s, w0, w1, z))) < 1e-10
+    z = np.array([-0.1, -0.05])
+    for got, order in zip(cf._extrapolated_step(lambda y: z * y, np.ones(2), 1.0, s),
+                          (4, 3)):
+        err = np.abs(got - np.exp(z))
+        assert abs(np.log2(err[0] / err[1]) - (order + 1)) < 0.3
 
 
 def test_nk_rates_is_the_written_out_formula():
@@ -470,7 +665,8 @@ def test_step_diagnostics_match_the_state_methods(structure):
 
 
 def test_positivity_lost_inside_the_first_stage_halts_at_t0():
-    # dh/dt = -3/h = -60: half an RK4 step drives h = 0.05 below zero
+    # dh/dt = -3/h = -60: the first trial step, 0.2 dr^2 ~ 0.0019, would move
+    # h = 0.05 by -0.12, so a stage of its first base step has h below zero
     s = circle_state(n=64, structure=NK, h=lambda r: np.full_like(r, 0.05),
                      theta=lambda r: np.full_like(r, np.pi / 6))
     run = cf.run_flow(s, t_end=0.01)
@@ -480,6 +676,19 @@ def test_positivity_lost_inside_the_first_stage_halts_at_t0():
     assert final.t == 0.0
     for name in ("h", "theta", "G"):
         assert np.array_equal(getattr(final, name), getattr(s, name))
+
+
+def test_a_step_whose_result_loses_positivity_is_retried_shorter():
+    # h = 0.1 on the cylinder: the stages of the first trial step keep h > 0
+    # but their extrapolation does not, so that step is rejected; the run
+    # then follows h^2 = 0.01 - 6t down to the floor
+    s = circle_state(n=64, structure=NK, h=lambda r: np.full_like(r, 0.1),
+                     theta=lambda r: np.full_like(r, np.pi / 6))
+    run = cf.run_flow(s, t_end=0.01)
+    assert run.status == "SingularityDetected"
+    assert run.rejected > 0
+    assert run.diagnostics[0][1] < 0.2 * s.mesh.dr ** 2
+    assert abs(run.diagnostics[-1][0] - 0.01 / 6.0) < 1e-9
 
 
 def test_flow_formulas_converge_to_the_form_algebra_on_coclosed_data():
