@@ -39,7 +39,6 @@ from .profiles import (
     coordinate,
     cos,
     exp,
-    jet_at,
     sin,
 )
 from .soliton import (
@@ -67,7 +66,7 @@ __all__ = [
     "build_phi", "build_psi", "codifferential", "d", "hodge_laplacian_psi", "interior_r",
     "l2_inner", "pointwise_inner", "star7", "wedge",
     "Circle", "Interval", "Jet", "Profile", "Sampled", "antiderivative",
-    "arctan", "constant", "coordinate", "cos", "exp", "jet_at", "sin",
+    "arctan", "constant", "coordinate", "cos", "exp", "sin",
     "Family", "ResidualReport", "SolitonCandidate", "compact_identity_check",
     "cy_closed_form", "eigenform_check", "form_residual", "integrate_reduced",
     "nk_special", "recover_theta_k", "reduced_rhs", "residuals_cy",

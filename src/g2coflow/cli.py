@@ -186,17 +186,25 @@ def _require_keys(obj, allowed, required, path):
             raise ConfigError("missing configuration key", key=f"{path}{key}")
 
 
+def _convert(type, x):
+    """x converted by type: only a bool is a bool, and an integer takes no
+    fractional value."""
+    if (type is bool) != isinstance(x, bool):
+        raise TypeError
+    if type is int and isinstance(x, float) and not x.is_integer():
+        raise ValueError
+    return type(x)
+
+
 def _value(key, spec, value):
     """A key's value converted by its spec; structured values pass as given."""
     if spec.type is None or (value is None and spec.default is None):
         return value
     try:
         if spec.nargs is None:
-            if spec.type is bool and not isinstance(value, bool):
-                raise TypeError
-            out = spec.type(value)
+            out = _convert(spec.type, value)
         else:
-            out = [spec.type(x) for x in value]
+            out = [_convert(spec.type, x) for x in value]
             if spec.nargs != "*" and len(out) != spec.nargs:
                 raise ValueError
     except (TypeError, ValueError, OverflowError):
@@ -343,14 +351,19 @@ _OBJECTS = {"flow": _flow_objects, "torsion": _torsion_objects,
 # values a key's type admits but its subcommand cannot run with: key ->
 # (test of the resolved value, message)
 _POSITIVE = (lambda x: x > 0, "must be positive")
-_FINITE = (lambda x: 0 < x < np.inf, "must be positive and finite")
+_AT_LEAST_2 = (lambda x: x >= 2, "must be at least 2")
+_FINITE = (lambda x: bool(np.all(np.isfinite(x))), "must be finite")
+_POSITIVE_FINITE = (lambda x: 0 < x < np.inf, "must be positive and finite")
 _SPAN = (lambda s: -np.inf < s[0] < s[1] < np.inf, "must be finite and increasing")
+_ODE = {"h0": _FINITE, "dh0": _FINITE, "ddh0": _FINITE, "span": _SPAN,
+        "u_sign0": _FINITE, "rtol": _POSITIVE_FINITE}
 _RANGES = {"verify": {"seed": (lambda x: x >= 0, "must not be negative"),
-                      "profiles": (lambda x: x >= 2, "must be at least 2"),
-                      "points": _POSITIVE},
+                      "profiles": _AT_LEAST_2, "points": _POSITIVE},
            "torsion": {"samples": _POSITIVE}, "residual": {"samples": _POSITIVE},
-           "flow": {"t_end": _FINITE, "cfl": _FINITE},
-           "reduce": {"span": _SPAN}, "shoot": {"span": _SPAN}}
+           "flow": {"t_end": _POSITIVE_FINITE, "cfl": _POSITIVE_FINITE},
+           "reduce": {**_ODE, "lambda": _FINITE},
+           "shoot": {**_ODE, "target_dh_end": _FINITE, "lam_range": _FINITE,
+                     "grid": _AT_LEAST_2}}
 
 
 def parse_config(subcommand, raw, outdir="out"):

@@ -13,9 +13,9 @@ class InvalidGeometry(G2CoflowError, ValueError):
     """A domain, profile or G2-structure built from values outside their
     range: an interval with r1 <= r0, a circle with period <= 0, h or G not
     positive, profiles on incompatible domains, a sampled profile with no
-    domain or too few mesh nodes for its stencils, or serialized profile JSON
-    naming an unknown domain kind or node type. Also a ValueError, so callers
-    catching that keep working."""
+    domain or too few mesh nodes for its stencils, or a domain object naming
+    an unknown kind. Also a ValueError, so callers catching that keep
+    working."""
 
 
 class SingularEval(G2CoflowError):
@@ -23,15 +23,12 @@ class SingularEval(G2CoflowError):
 
 
 class QuadratureFailure(G2CoflowError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A Chebyshev-panel antiderivative could not resolve its integrand on a
+    panel, or was asked for a value too many panels from its anchor."""
 
 
 class DegreeMismatch(G2CoflowError):
     """Inner product or sum of forms of different degree."""
-
-
-class DegreeOverflow(G2CoflowError):
-    """Strict-mode wedge whose result would exceed the top degree."""
 
 
 class ConstraintViolated(G2CoflowError):
@@ -59,7 +56,7 @@ class SignAmbiguity(G2CoflowError):
 
 
 class InvalidParams(G2CoflowError):
-    """Soliton family parameters outside their validity range.
+    """Soliton family parameters or a reduced-ODE jet outside their range.
 
     The offending parameter, when known, is named in ``param``.
     """

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import profiles as pf
-from .errors import (
-    ConstraintViolated,
-    DegreeMismatch,
-    DegreeOverflow,
-    InvalidGeometry,
-)
+from .errors import ConstraintViolated, DegreeMismatch, InvalidGeometry
 from .profiles import Circle, Interval, Profile
 
 __all__ = [
@@ -117,14 +112,15 @@ def _wedge_nparts(x, y):
 class InvariantForm:
     """Homogeneous form with complex Profile coefficients on the fixed basis.
 
-    ``coeffs`` maps basis tags to Profiles; missing tags are zero. ``real``
-    marks forms known to be real (Omegabar coefficients conjugate to Omega
-    ones, everything else real-valued); it propagates conservatively.
+    ``coeffs`` maps basis tags to Profiles; missing tags are zero. Reality
+    is a property of the values, not recorded: a real form such as phi or
+    psi has Omegabar coefficients conjugate to its Omega ones and real-valued
+    coefficients elsewhere.
     """
 
-    __slots__ = ("degree", "coeffs", "real")
+    __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree, coeffs, real=False):
+    def __init__(self, degree, coeffs):
         self.degree = int(degree)
         clean = {}
         for tag, p in coeffs.items():
@@ -135,7 +131,6 @@ class InvariantForm:
                 continue
             clean[tag] = p
         self.coeffs = clean
-        self.real = bool(real)
 
     @classmethod
     def zero(cls, degree):
@@ -161,7 +156,7 @@ class InvariantForm:
         out = dict(self.coeffs)
         for tag, p in other.coeffs.items():
             out[tag] = pf.add(out[tag], p) if tag in out else p
-        return InvariantForm(self.degree, out, self.real and other.real)
+        return InvariantForm(self.degree, out)
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
@@ -172,9 +167,8 @@ class InvariantForm:
     def scale(self, s):
         """Multiply every coefficient by a scalar or Profile."""
         s = pf.as_profile(s)
-        real = self.real and isinstance(s, pf.Constant) and np.imag(s.c) == 0
         return InvariantForm(
-            self.degree, {t: pf.mul(s, p) for t, p in self.coeffs.items()}, real
+            self.degree, {t: pf.mul(s, p) for t, p in self.coeffs.items()}
         )
 
     def coefficient_values(self, rs):
@@ -188,42 +182,17 @@ class InvariantForm:
             worst = max(worst, float(np.max(np.abs(vals))))
         return worst
 
-    def to_json(self):
-        entries = []
-        for tag in BASIS_TAGS:
-            if tag not in self.coeffs:
-                continue
-            p = self.coeffs[tag]
-            half = pf.constant(0.5)
-            re = pf.mul(half, pf.add(p, pf.conj(p)))
-            im = pf.mul(pf.constant(-0.5j), pf.sub(p, pf.conj(p)))
-            entries.append({"basis": tag, "re": re.to_json(), "im": im.to_json()})
-        return {"degree": self.degree, "entries": entries}
-
-    @classmethod
-    def from_json(cls, obj):
-        coeffs = {}
-        for e in obj["entries"]:
-            re = pf.profile_from_json(e["re"])
-            im = pf.profile_from_json(e["im"])
-            coeffs[e["basis"]] = pf.add(re, pf.mul(pf.constant(1j), im))
-        return cls(obj["degree"], coeffs)
-
     def __repr__(self):
         tags = ", ".join(sorted(self.coeffs)) or "0"
         return f"InvariantForm(degree={self.degree}, [{tags}])"
 
 
-def wedge(a, b, strict=False):
-    """Wedge product. Results of degree > 7 are the zero form (or an error
-    in strict mode)."""
+def wedge(a, b):
+    """Wedge product. Results of degree > 7 are the zero form."""
     deg = a.degree + b.degree
     if deg > 7:
-        if strict:
-            raise DegreeOverflow(f"wedge would have degree {deg} > 7")
         return InvariantForm.zero(7)
     out = {}
-    real = a.real and b.real
     for ta, fa in a.coeffs.items():
         dra, na = _SPLIT[ta]
         for tb, fb in b.coeffs.items():
@@ -241,7 +210,7 @@ def wedge(a, b, strict=False):
             coeff = pf.mul(pf.mul(fa, fb), pf.constant(sign * scalar))
             tag = _tag(dra or drb, npart)
             out[tag] = pf.add(out[tag], coeff) if tag in out else coeff
-    return InvariantForm(deg, out, real)
+    return InvariantForm(deg, out)
 
 
 def d(a, structure):
@@ -268,7 +237,7 @@ def d(a, structure):
         else:
             for scalar, m in table.get(npart, ()):
                 accumulate(_tag(True, m), pf.mul(f, pf.constant(-scalar)))
-    return InvariantForm(a.degree + 1, out, a.real)
+    return InvariantForm(a.degree + 1, out)
 
 
 def interior_r(a, s):
@@ -320,7 +289,7 @@ class G2Profile:
         return pf.mul(pf.pow_int(self.h, 3), phase)
 
     def sample_points(self, n, interior=True):
-        """n evaluation points; grid-backed data restricts them to mesh nodes."""
+        """n evaluation points; grid-backed data keeps them on mesh nodes."""
         if self.domain is None:
             raise InvalidGeometry("G2Profile has no domain to sample")
         return pf.sample_points(self.domain, (self.h, self.theta, self.G), n,
@@ -335,7 +304,7 @@ def build_phi(g):
         "Omega": pf.mul(half, F3),
         "Omegabar": pf.mul(half, pf.conj(F3)),
         "dr_omega": pf.mul(pf.constant(-1.0), pf.mul(g.G, pf.pow_int(g.h, 2))),
-    }, real=True)
+    })
 
 
 def build_psi(g):
@@ -346,7 +315,7 @@ def build_psi(g):
         "dr_Omega": c,
         "dr_Omegabar": pf.conj(c),
         "omega2_half": pf.mul(pf.constant(-1.0), pf.pow_int(g.h, 4)),
-    }, real=True)
+    })
 
 
 def star7(a, g):
@@ -369,7 +338,7 @@ def star7(a, g):
             coeff = pf.mul(pf.mul(f, pf.constant(scalar)), pf.div(power, g.G))
             tag = _tag(False, starred)
         out[tag] = pf.add(out[tag], coeff) if tag in out else coeff
-    return InvariantForm(7 - a.degree, out, a.real)
+    return InvariantForm(7 - a.degree, out)
 
 
 def codifferential(a, g):
@@ -464,7 +433,7 @@ def laplacian_psi_closed_form(g):
         return InvariantForm(4, {
             "dr_Omega": A,
             "dr_Omegabar": pf.conj(A),
-        }, real=True)
+        })
     t3 = pf.mul(pf.constant(3.0), g.theta)
     h2 = pf.pow_int(g.h, 2)
     A = pf.add(
@@ -480,4 +449,4 @@ def laplacian_psi_closed_form(g):
         "dr_Omega": A,
         "dr_Omegabar": pf.conj(A),
         "omega2_half": B,
-    }, real=True)
+    })

@@ -88,9 +88,6 @@ class Circle:
     def length(self):
         return self.period
 
-    def to_json(self):
-        return {"kind": "circle", "period": self.period, "r0": self.r0}
-
 
 @dataclass(frozen=True, slots=True)
 class Interval:
@@ -119,13 +116,11 @@ class Interval:
     def length(self):
         return self.r1 - self.r0
 
-    def to_json(self):
-        return {"kind": "interval", "r0": self.r0, "r1": self.r1}
-
 
 def domain_from_json(obj):
-    """The domain `to_json` wrote, bounds converted with float. A missing
-    bound raises KeyError; an unknown kind or a bad bound InvalidGeometry."""
+    """The domain a {"kind": "circle" | "interval", ...} object names, bounds
+    converted with float. A missing bound raises KeyError; an unknown kind or
+    a bad bound (a bool included) InvalidGeometry."""
     kind = obj.get("kind")
     if kind == "circle":
         cls, bounds = Circle, (obj["period"], obj.get("r0", 0.0))
@@ -134,6 +129,8 @@ def domain_from_json(obj):
     else:
         raise InvalidGeometry(f"unknown domain kind {kind!r}")
     try:
+        if any(isinstance(b, bool) for b in bounds):
+            raise TypeError(f"domain bounds must be numbers, got {bounds!r}")
         return cls(*map(float, bounds))
     except (TypeError, ValueError) as exc:
         raise InvalidGeometry(str(exc)) from None
@@ -200,9 +197,6 @@ class Profile:
     def derivative(self):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _json(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     # operators --------------------------------------------------------------
     def __add__(self, other):
         return add(self, other)
@@ -237,12 +231,6 @@ class Profile:
     def conj(self):
         return conj(self)
 
-    def to_json(self):
-        out = {"root": self._json()}
-        if self.domain is not None:
-            out["domain"] = self.domain.to_json()
-        return out
-
 
 def as_profile(x, domain=None):
     if isinstance(x, Profile):
@@ -270,10 +258,6 @@ class Constant(Profile):
     def derivative(self):
         return Constant(0.0, self.domain)
 
-    def _json(self):
-        c = complex(self.c)
-        return {"type": "const", "re": c.real, "im": c.imag}
-
 
 class Coordinate(Profile):
     """The identity function r -> r."""
@@ -285,9 +269,6 @@ class Coordinate(Profile):
 
     def derivative(self):
         return Constant(1.0, self.domain)
-
-    def _json(self):
-        return {"type": "coord"}
 
 
 class _Binary(Profile):
@@ -304,13 +285,10 @@ class _Binary(Profile):
     def _eval(self, r, memo):
         return self._op(self.a._value(r, memo), self.b._value(r, memo))
 
-    def _json(self):
-        return {"type": self._tag, "args": [self.a._json(), self.b._json()]}
-
 
 class Add(_Binary):
     __slots__ = ()
-    _tag, _op = "add", operator.add
+    _op = operator.add
 
     def derivative(self):
         return add(self.a.derivative(), self.b.derivative())
@@ -318,7 +296,7 @@ class Add(_Binary):
 
 class Sub(_Binary):
     __slots__ = ()
-    _tag, _op = "sub", operator.sub
+    _op = operator.sub
 
     def derivative(self):
         return sub(self.a.derivative(), self.b.derivative())
@@ -326,7 +304,7 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
-    _tag, _op = "mul", operator.mul
+    _op = operator.mul
 
     def derivative(self):
         return add(mul(self.a.derivative(), self.b), mul(self.a, self.b.derivative()))
@@ -334,7 +312,6 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
-    _tag = "div"
 
     def _op(self, a, b):
         try:
@@ -363,13 +340,10 @@ class _Unary(Profile):
     def _eval(self, r, memo):
         return self._op(self.a._value(r, memo))
 
-    def _json(self):
-        return {"type": self._tag, "args": [self.a._json()]}
-
 
 class Sin(_Unary):
     __slots__ = ()
-    _tag, _op = "sin", np.sin
+    _op = np.sin
 
     def derivative(self):
         return mul(cos(self.a), self.a.derivative())
@@ -377,7 +351,7 @@ class Sin(_Unary):
 
 class Cos(_Unary):
     __slots__ = ()
-    _tag, _op = "cos", np.cos
+    _op = np.cos
 
     def derivative(self):
         return mul(constant(-1.0), mul(sin(self.a), self.a.derivative()))
@@ -385,7 +359,7 @@ class Cos(_Unary):
 
 class Exp(_Unary):
     __slots__ = ()
-    _tag, _op = "exp", np.exp
+    _op = np.exp
 
     def derivative(self):
         return mul(exp(self.a), self.a.derivative())
@@ -393,7 +367,6 @@ class Exp(_Unary):
 
 class Arctan(_Unary):
     __slots__ = ()
-    _tag = "arctan"
 
     def _op(self, a):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -408,7 +381,7 @@ class Conj(_Unary):
     """Complex conjugate; commutes with d/dr since r is real."""
 
     __slots__ = ()
-    _tag, _op = "conj", np.conjugate
+    _op = np.conjugate
 
     def derivative(self):
         return conj(self.a.derivative())
@@ -418,7 +391,6 @@ class Pow(_Unary):
     """Integer power, exponent >= 2."""
 
     __slots__ = ("n",)
-    _tag = "pow"
 
     def __init__(self, a, n):
         super().__init__(a)
@@ -430,9 +402,6 @@ class Pow(_Unary):
     def derivative(self):
         return mul(mul(constant(float(self.n)), pow_int(self.a, self.n - 1)),
                    self.a.derivative())
-
-    def _json(self):
-        return {"type": "pow", "n": self.n, "args": [self.a._json()]}
 
 
 class Antiderivative(Profile):
@@ -446,7 +415,7 @@ class Antiderivative(Profile):
     summed outward from r0 in a fixed order, plus the series of r's panel at
     r. Series and sums are cached, so a value re-integrates nothing and is a
     pure function of r, whatever else its batch holds or was evaluated
-    before. The rule and tolerance are recorded in ``metadata``.
+    before.
 
     The whole panel that holds r is sampled: with no domain or on a circle
     that reaches past r, so an integrand singular there raises
@@ -455,7 +424,6 @@ class Antiderivative(Profile):
 
     __slots__ = ("integrand", "r0", "c0", "tol", "_cache")
 
-    rule = "chebyshev_panels"
     panel = 0.25
 
     def __init__(self, integrand, r0, c0, tol=1e-12):
@@ -468,10 +436,6 @@ class Antiderivative(Profile):
         # integrals from r0 to each row's lower end and past the last row);
         # replaced whole when extended, so readers never see a partial update
         self._cache = (0, np.zeros((0, 1)), np.zeros(0, dtype=np.int64), np.zeros(1))
-
-    @property
-    def metadata(self):
-        return {"rule": self.rule, "tolerance": self.tol, "r0": self.r0}
 
     def _bounds(self):
         """Where panels are clipped: an interval domain's ends, widened to r0."""
@@ -525,17 +489,6 @@ class Antiderivative(Profile):
 
     def derivative(self):
         return self.integrand
-
-    def _json(self):
-        c0 = complex(self.c0)
-        return {
-            "type": "antiderivative",
-            "r0": self.r0,
-            "c0_re": c0.real,
-            "c0_im": c0.imag,
-            "tol": self.tol,
-            "args": [self.integrand._json()],
-        }
 
 
 _MAX_POINTS = 257       # Chebyshev points per panel before QuadratureFailure
@@ -740,15 +693,6 @@ class Sampled(Profile):
     def derivative(self):
         return Sampled(self.domain, self._operator(1) @ self.values, self.order)
 
-    def _json(self):
-        vals = np.asarray(self.values, dtype=complex)
-        return {
-            "type": "sampled",
-            "order": self.order,
-            "values_re": vals.real.tolist(),
-            "values_im": vals.imag.tolist(),
-        }
-
 
 def sample_points(domain, members, n, interior=True):
     """n evaluation points for profiles on `domain`; when one of `members`
@@ -848,15 +792,6 @@ def conj(a):
     return Conj(a)
 
 
-def jet_at(p, r):
-    """Jet of profile p at coordinate r.
-
-    Raises DomainError outside the domain (or off-mesh for Sampled) and
-    SingularEval when a denominator vanishes.
-    """
-    return p.jet(r)
-
-
 def antiderivative(p, r0, c0, tol=1e-12):
     """Profile q with q(r0) = c0 and q' = p, values from one Chebyshev series
     per fixed panel anchored at r0, fitted to tol absolute per unit length;
@@ -865,54 +800,8 @@ def antiderivative(p, r0, c0, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# (de)serialization
+# CSV output
 # ---------------------------------------------------------------------------
-
-_UNARY_BY_TAG = {"sin": sin, "cos": cos, "exp": exp, "arctan": arctan, "conj": conj}
-_BINARY_BY_TAG = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def profile_from_json(obj):
-    domain = domain_from_json(obj["domain"]) if "domain" in obj else None
-
-    def build(node):
-        t = node["type"]
-        if t == "const":
-            c = node["re"] + 1j * node["im"]
-            return Constant(c.real if c.imag == 0 else c)
-        if t == "coord":
-            return Coordinate(domain)
-        if t in _UNARY_BY_TAG:
-            return _UNARY_BY_TAG[t](build(node["args"][0]))
-        if t in _BINARY_BY_TAG:
-            return _BINARY_BY_TAG[t](build(node["args"][0]), build(node["args"][1]))
-        if t == "pow":
-            return pow_int(build(node["args"][0]), node["n"])
-        if t == "antiderivative":
-            c0 = node["c0_re"] + 1j * node["c0_im"]
-            return Antiderivative(
-                build(node["args"][0]), node["r0"],
-                c0.real if c0.imag == 0 else c0, node["tol"],
-            )
-        if t == "sampled":
-            vals = np.asarray(node["values_re"]) + 1j * np.asarray(node["values_im"])
-            if np.all(vals.imag == 0):
-                vals = vals.real
-            return Sampled(domain, vals, node["order"])
-        raise InvalidGeometry(f"unknown profile node type {t!r}")
-
-    root = build(obj["root"])
-    if root.domain is None:
-        root.domain = domain
-    return root
-
-
-def sample_table(p, rs):
-    """(len(rs), 6) array of r, value, d1..d4 for CSV export."""
-    jet = p.jet(np.asarray(rs, dtype=float))
-    cols = [np.asarray(rs, dtype=float)] + [np.real_if_close(np.asarray(c)) for c in jet.c]
-    return np.column_stack(cols)
-
 
 def write_csv(path, header, columns):
     """Columns as full-precision rows under a header, with CRLF line ends.
@@ -925,8 +814,3 @@ def write_csv(path, header, columns):
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
-
-def write_sample_csv(p, rs, path):
-    """Write the real part of the sample table of p to path, full precision."""
-    write_csv(path, ["r", "value", "d1", "d2", "d3", "d4"],
-              np.real(sample_table(p, rs)).T)

@@ -316,9 +316,13 @@ def _reduced_terms(h, hp, hpp, lam):
 def reduced_rhs(h, hp, hpp, lam):
     """h''' from the third-order polynomial soliton ODE for h.
 
-    Requires 0 < |h'| < 1, h > 0, and the leading coefficient
-    h^3 h'((h')^2 - 1) bounded away from zero.
+    Requires a finite jet and lambda (InvalidParams otherwise), 0 < |h'| < 1,
+    h > 0, and the leading coefficient h^3 h'((h')^2 - 1) bounded away from
+    zero.
     """
+    for name, x in (("h", h), ("h'", hp), ("h''", hpp), ("lambda", lam)):
+        if not np.isfinite(x):
+            raise InvalidParams(f"{name} = {x} is not finite", param=name)
     if h <= 0:
         raise SingularLocus(f"h = {h} is not positive")
     if abs(hp) <= LOCUS_TOL or abs(abs(hp) - 1.0) <= LOCUS_TOL:
@@ -352,10 +356,6 @@ class ReducedTrajectory:
     lam: float
     status: str             # "completed" | "singular_locus"
     nfev: int = 0           # right-hand-side evaluations spent by the integrator
-
-    @property
-    def span(self):
-        return float(self.rs[0]), float(self.rs[-1])
 
 
 def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,

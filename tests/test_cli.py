@@ -383,6 +383,14 @@ def test_invalid_nk_parameters_are_config_errors(tmp_path, capsys, flags, key):
     ("residual", {"structure": "NK", "h": "r", "theta": "0", "kprime": "0",
                   "lambda": 0.0, "samples": 0,
                   "domain": {"kind": "interval", "r0": 0.1, "r1": 2.1}}),
+    ("verify", {"profiles": 4.9}),
+    ("verify", {"seed": True}),
+    ("flow", {"structure": "CY", "t_end": True,
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 64.8},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
 ])
 def test_bad_config_values_exit_2(tmp_path, sub, cfg):
     path = tmp_path / "bad.json"
@@ -392,9 +400,10 @@ def test_bad_config_values_exit_2(tmp_path, sub, cfg):
                    "--out", str(tmp_path / "o")) == 2
 
 
-REDUCE = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "lambda": -16.0}
+REDUCE = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "lambda": -16.0,
+          "span": [0.4, 1.0]}
 SHOOT = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "target_dh_end": 0.4,
-         "lam_range": [-25.0, -8.0]}
+         "lam_range": [-25.0, -8.0], "span": [0.4, 1.0]}
 
 
 @pytest.mark.parametrize("sub,cfg,key", [
@@ -406,6 +415,17 @@ SHOOT = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "target_dh_end": 0.4,
     ("reduce", dict(REDUCE, span=[0.4, float("inf")]), "span"),
     ("reduce", dict(REDUCE, span=[1.2, 0.4]), "span"),
     ("shoot", dict(SHOOT, span=[float("nan"), 1.2]), "span"),
+    ("reduce", dict(REDUCE, **{"lambda": float("nan")}), "lambda"),
+    ("reduce", dict(REDUCE, **{"lambda": float("inf")}), "lambda"),
+    ("reduce", dict(REDUCE, h0=float("nan")), "h0"),
+    ("reduce", dict(REDUCE, dh0=float("-inf")), "dh0"),
+    ("reduce", dict(REDUCE, ddh0=float("nan")), "ddh0"),
+    ("reduce", dict(REDUCE, rtol=-1.0), "rtol"),
+    ("reduce", dict(REDUCE, u_sign0=float("nan")), "u_sign0"),
+    ("shoot", dict(SHOOT, lam_range=[float("nan"), -10.0]), "lam_range"),
+    ("shoot", dict(SHOOT, target_dh_end=float("inf")), "target_dh_end"),
+    ("shoot", dict(SHOOT, rtol=float("nan")), "rtol"),
+    ("shoot", dict(SHOOT, grid=-1), "grid"),
 ])
 def test_nonfinite_or_empty_ranges_are_rejected_before_running(tmp_path, sub,
                                                               cfg, key):
@@ -424,6 +444,7 @@ def test_nonfinite_or_empty_ranges_are_rejected_before_running(tmp_path, sub,
     ({"kind": "interval", "r0": 1.0, "r1": 1.0}, "domain"),
     ({"kind": "circle", "period": None}, "domain"),
     ({"kind": "circle", "period": float("nan")}, "domain"),
+    ({"kind": "circle", "period": True}, "domain"),
 ])
 def test_domain_errors_keep_their_key_paths(tmp_path, domain, key):
     cfg = json.loads(open(flow_config(tmp_path, domain=dict(domain, n=16))).read())

@@ -1,5 +1,3 @@
-import csv
-import json
 import time
 import warnings
 
@@ -37,19 +35,19 @@ def random_closed_form(rng, depth=3):
 
 
 def test_jet_of_sine_at_zero():
-    j = pf.jet_at(pf.sin(R), 0.0)
+    j = pf.sin(R).jet(0.0)
     assert np.allclose(j.c, (0.0, 1.0, 0.0, -1.0, 0.0), atol=1e-15)
 
 
 def test_jet_of_square_at_three():
-    j = pf.jet_at(R * R, 3.0)
+    j = (R * R).jet(3.0)
     assert np.allclose(j.c, (9.0, 6.0, 2.0, 0.0, 0.0), atol=1e-13)
 
 
 def test_jet_of_cy_soliton_phase_at_zero():
     # (2/3) arctan(e^r): value pi/6 and slope 1/3 at r = 0
     th = (2.0 / 3.0) * pf.arctan(pf.exp(R))
-    j = pf.jet_at(th, 0.0)
+    j = th.jet(0.0)
     assert abs(j.value - np.pi / 6) < 1e-14
     assert abs(j.derivs[0] - 1.0 / 3.0) < 1e-14
 
@@ -187,10 +185,9 @@ def test_incompatible_domains_rejected():
 @pytest.mark.parametrize("build", [
     lambda: pf.coordinate(pf.Interval(0.0, 1.0)) + pf.coordinate(pf.Circle(2 * np.pi)),
     lambda: pf.domain_from_json({"kind": "disk"}),
-    lambda: pf.profile_from_json({"root": {"type": "spline"}}),
     lambda: pf.Sampled(None, np.zeros(16)),
     lambda: pf.Sampled(pf.Circle(1.0), np.zeros(7)),
-], ids=["incompatible-domains", "unknown-domain-kind", "unknown-node-type",
+], ids=["incompatible-domains", "unknown-domain-kind",
         "sampled-without-domain", "sampled-mesh-too-small"])
 def test_bad_profile_input_raises_a_typed_error(build):
     with pytest.raises(G2CoflowError) as exc:
@@ -206,8 +203,6 @@ def test_antiderivative_of_cosine_is_sine():
     q = pf.antiderivative(pf.cos(R), 0.0, 0.0)
     for r in np.linspace(0, np.pi, 9):
         assert abs(q.value(float(r)) - np.sin(r)) < 1e-12
-    assert q.metadata["rule"] == "chebyshev_panels"
-    assert q.metadata["tolerance"] == 1e-12
 
 
 def test_antiderivative_sine_cone_profile():
@@ -546,63 +541,6 @@ def test_sampled_derivative_reuses_the_cached_operator():
     assert after.misses == before.misses
     assert after.hits == before.hits + 1
     assert s._operator(1) is pf.stencil_operator(s.n, s.dr, False, 1, s.order)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_json_roundtrip_closed_form():
-    dom = pf.Circle(2 * np.pi)
-    p = (2 + pf.sin(pf.coordinate(dom))) ** 3 / (1 + pf.cos(pf.coordinate(dom)) ** 2)
-    blob = json.dumps(p.to_json())
-    q = pf.profile_from_json(json.loads(blob))
-    rs = np.linspace(0, 6, 13)
-    assert np.allclose(p.value(rs), q.value(rs), atol=1e-14)
-    jp, jq = p.jet(rs), q.jet(rs)
-    for a, b in zip(jp.c, jq.c):
-        assert np.allclose(a, b, atol=1e-12)
-
-
-def test_json_roundtrip_sampled_and_antiderivative():
-    dom = pf.Interval(0.0, np.pi)
-    s = pf.Sampled.from_function(np.cos, dom, 33)
-    q = pf.profile_from_json(s.to_json())
-    assert np.allclose(q.values, s.values)
-    a = pf.antiderivative(pf.cos(R), 0.0, 0.0)
-    b = pf.profile_from_json(a.to_json())
-    assert abs(b.value(1.0) - np.sin(1.0)) < 1e-11
-
-
-def test_sample_table_layout():
-    tbl = pf.sample_table(pf.sin(R), np.linspace(0, 1, 5))
-    assert tbl.shape == (5, 6)
-    assert abs(tbl[0, 2] - 1.0) < 1e-14  # d1 of sin at 0
-
-
-def test_write_sample_csv(tmp_path):
-    path = tmp_path / "p.csv"
-    pf.write_sample_csv(pf.sin(R), np.linspace(0, 1, 4), str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r,value,d1,d2,d3,d4"
-    assert len(lines) == 5
-
-
-@pytest.mark.parametrize("dom", [pf.Circle(2 * np.pi, 0.3), pf.Interval(-0.5, 1.7)])
-def test_write_sample_csv_matches_csv_module_bytes(tmp_path, dom):
-    # a complex-valued profile: only the real parts are written
-    r = pf.coordinate(dom)
-    p = pf.exp(pf.sin(r)) + 1j * pf.cos(2 * r)
-    rs = dom.sample_points(40)
-    table = pf.sample_table(p, rs)
-    assert np.iscomplexobj(table)
-    pf.write_sample_csv(p, rs, str(tmp_path / "new.csv"))
-    with open(tmp_path / "old.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "value", "d1", "d2", "d3", "d4"])
-        for row in table:
-            w.writerow([f"{float(np.real(x)):.17g}" for x in row])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_quadrature_failure_on_wild_integrand():

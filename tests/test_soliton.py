@@ -203,6 +203,18 @@ def test_reduced_rhs_self_consistency_random():
         assert abs(so.reduced_residual(h, hp, hpp, h3, lam)) < 1e-9 * max(1, abs(h3))
 
 
+@pytest.mark.parametrize("jet,lam,param", [
+    ((0.4, 0.9, -0.4), float("nan"), "lambda"),
+    ((0.4, 0.9, -0.4), float("inf"), "lambda"),
+    ((float("nan"), 0.9, -0.4), -16.0, "h"),
+    ((0.4, 0.9, float("-inf")), -16.0, "h''"),
+])
+def test_integrate_reduced_rejects_a_nonfinite_jet_or_lambda(jet, lam, param):
+    with pytest.raises(InvalidParams) as exc:
+        so.integrate_reduced(*jet, lam, (0.4, 1.0))
+    assert exc.value.param == param
+
+
 def test_integrate_reduced_reproduces_sine_cone():
     r0 = np.pi / 8
     traj = so.integrate_reduced(np.sin(r0), np.cos(r0), -np.sin(r0), -16.0,
