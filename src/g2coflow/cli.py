@@ -359,11 +359,18 @@ _ODE = {"h0": _FINITE, "dh0": _FINITE, "ddh0": _FINITE, "span": _SPAN,
         "u_sign0": _FINITE, "rtol": _POSITIVE_FINITE}
 _RANGES = {"verify": {"seed": (lambda x: x >= 0, "must not be negative"),
                       "profiles": _AT_LEAST_2, "points": _POSITIVE},
-           "torsion": {"samples": _POSITIVE}, "residual": {"samples": _POSITIVE},
+           "torsion": {"samples": _POSITIVE},
+           "residual": {"samples": _POSITIVE, "lambda": _FINITE,
+                        "tolerance": _POSITIVE_FINITE},
            "flow": {"t_end": _POSITIVE_FINITE, "cfl": _POSITIVE_FINITE},
-           "reduce": {**_ODE, "lambda": _FINITE},
+           "cy": {"b": _FINITE, "c": _FINITE, "r0": _FINITE, "r1": _FINITE,
+                  "tolerance": _POSITIVE_FINITE},
+           "nk": {"b": _FINITE, "c": _FINITE, "tolerance": _POSITIVE_FINITE,
+                  "lambda": (lambda x: x is None or np.isfinite(x),
+                             "must be finite")},
+           "reduce": {**_ODE, "lambda": _FINITE, "tolerance": _POSITIVE_FINITE},
            "shoot": {**_ODE, "target_dh_end": _FINITE, "lam_range": _FINITE,
-                     "grid": _AT_LEAST_2}}
+                     "grid": _AT_LEAST_2, "residual_tol": _POSITIVE_FINITE}}
 
 
 def parse_config(subcommand, raw, outdir="out"):

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import SingularityDetected, StructureMismatch
 from .forms import StructureKind
@@ -173,6 +172,7 @@ def _rhs(mesh, structure):
     the flat vector of their rates. Each call raises SingularityDetected when
     h or G is not positive and, on an interval, zeroes the endpoint rates.
     """
+    from scipy import sparse
     n, nk = mesh.n, structure is StructureKind.NK
     k = 3 if nk else 2
     positive = _POSITIVE_ROWS[structure]

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import sparse
 
 from .errors import DomainError, InvalidGeometry, QuadratureFailure, SingularEval
 
@@ -584,6 +583,7 @@ def stencil_operator(n, dr, periodic, m, order):
     wrap around on a circle. Matrices are cached and shared: do not modify
     them in place.
     """
+    from scipy import sparse
     size = _stencil_size(m, order)
     half = size // 2
     offsets = np.arange(-half, size - half)

@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from . import forms as fm
 from . import profiles as pf
@@ -189,7 +188,7 @@ def nk_special(family, b=0.0, c=0.0, lam=None, domain=None):
         if b <= 0:
             raise InvalidParams("cylinder needs b > 0", param="b")
         want = -12.0 / b ** 2
-        if lam is not None and abs(lam - want) > 1e-12:
+        if lam is not None and not abs(lam - want) <= 1e-12:
             raise InvalidParams(f"cylinder forces lam = -12/b^2 = {want}",
                                 param="lambda")
         lam = want
@@ -369,6 +368,7 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,
     residual checks on that grid; with n_dense=2 the cap exceeds the span,
     so a caller that needs only the end point gets free steps.
     """
+    from scipy import integrate
     r0, r1 = float(span[0]), float(span[1])
     if max_step is None:
         max_step = 32.0 * (r1 - r0) / max(n_dense - 1, 1)
@@ -525,6 +525,7 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
     keep two samples; only the final candidate is integrated densely.
     Returns a ShootReport; found=False carries the scanned bracket report.
     """
+    from scipy import optimize
     memo = {}  # brentq re-evaluates the bracket ends the scan already has
 
     def closing(lam):

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,13 +266,14 @@ def shoot_config(tmp_path):
     return str(path)
 
 
+RESIDUAL = {"structure": "NK", "domain": {"kind": "interval", "r0": 0.1, "r1": 2.1},
+            "h": "r + 0.5", "theta": "0", "kprime": "-0.5*(r + 0.5)",
+            "lambda": 2.0}
+
+
 def residual_config(tmp_path):
     path = tmp_path / "res.json"
-    path.write_text(json.dumps({
-        "structure": "NK",
-        "domain": {"kind": "interval", "r0": 0.1, "r1": 2.1},
-        "h": "r + 0.5", "theta": "0", "kprime": "-0.5*(r + 0.5)",
-        "lambda": 2.0}))
+    path.write_text(json.dumps(RESIDUAL))
     return str(path)
 
 
@@ -404,6 +409,8 @@ REDUCE = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "lambda": -16.0,
           "span": [0.4, 1.0]}
 SHOOT = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "target_dh_end": 0.4,
          "lam_range": [-25.0, -8.0], "span": [0.4, 1.0]}
+CY = {"b": 1.0, "c": 1.0}
+NK = {"family": "cylinder", "b": 1.0}
 
 
 @pytest.mark.parametrize("sub,cfg,key", [
@@ -426,6 +433,19 @@ SHOOT = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "target_dh_end": 0.4,
     ("shoot", dict(SHOOT, target_dh_end=float("inf")), "target_dh_end"),
     ("shoot", dict(SHOOT, rtol=float("nan")), "rtol"),
     ("shoot", dict(SHOOT, grid=-1), "grid"),
+    ("cy", dict(CY, b=float("nan")), "b"),
+    ("cy", dict(CY, c=float("inf")), "c"),
+    ("cy", dict(CY, r0=float("nan")), "r0"),
+    ("cy", dict(CY, r1=float("inf")), "r1"),
+    ("cy", dict(CY, tolerance=float("nan")), "tolerance"),
+    ("nk", dict(NK, b=float("nan")), "b"),
+    ("nk", dict(NK, c=float("inf")), "c"),
+    ("nk", dict(NK, **{"lambda": float("nan")}), "lambda"),
+    ("nk", dict(NK, tolerance=0.0), "tolerance"),
+    ("reduce", dict(REDUCE, tolerance=float("nan")), "tolerance"),
+    ("residual", dict(RESIDUAL, tolerance=float("inf")), "tolerance"),
+    ("residual", dict(RESIDUAL, **{"lambda": float("nan")}), "lambda"),
+    ("shoot", dict(SHOOT, residual_tol=float("nan")), "residual_tol"),
 ])
 def test_nonfinite_or_empty_ranges_are_rejected_before_running(tmp_path, sub,
                                                               cfg, key):
@@ -562,3 +582,31 @@ def test_numerical_failure_during_a_run_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "singular locus" in err
+
+
+LAZY_SCRIPT = """
+import sys
+from g2coflow import cli
+if len(sys.argv) > 1:
+    assert cli.main(sys.argv[1:]) == 0
+print([m for m in ("scipy.sparse", "scipy.integrate", "scipy.optimize")
+       if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["soliton", "nk", "--family", "cylinder", "--b", "1"],
+])
+def test_scipy_subpackages_load_only_when_a_computation_needs_them(tmp_path,
+                                                                  argv):
+    # importing them costs most of a short run's start-up, so the modules
+    # import each inside the function that calls it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    if argv:
+        argv = argv + ["--out", str(tmp_path / "o")]
+    run = subprocess.run([sys.executable, "-c", LAZY_SCRIPT, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"

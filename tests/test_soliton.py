@@ -87,6 +87,8 @@ def test_special_family_parameters():
         so.nk_special("cylinder", b=-1.0)
     with pytest.raises(InvalidParams):
         so.nk_special("sinecone", lam=-12.0)
+    with pytest.raises(InvalidParams):   # NaN is not within 1e-12 of -12
+        so.nk_special("cylinder", b=1.0, lam=float("nan"))
 
 
 @pytest.mark.parametrize("family", ["foo", "cy_closed_form"])
