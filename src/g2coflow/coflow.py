@@ -8,8 +8,9 @@ derivatives are 4th order (periodic wrap on a circle, shifted stencils near
 interval ends), from the mesh's cached sparse matrices (`Mesh.deriv_matrix`).
 The fields travel as one flat vector ([theta, G] for CY, [h, theta, G] for
 NK). One right-hand side per structure, shared by `rhs_cy`, `rhs_nk` and
-`run_flow`, takes both derivatives of every field in one block-diagonal
-stencil product, then applies `cy_rates`/`nk_rates`.
+`run_flow`, takes one state or a batch of up to four, makes one
+block-diagonal stencil product for the derivatives the rates use, then
+applies `cy_rates`/`nk_rates`.
 
 Time steps are explicit and stabilized, so their size follows accuracy, not
 the diffusive limit dt ~ min(G^2) dr^2 of a classical Runge-Kutta step. A base
@@ -19,10 +20,13 @@ recurrence; s is the fewest stages whose stability interval covers 1/0.9 of
 the step's spectral-radius bound rho dt. One macro step of size dt runs the
 base step k times at dt/k for k = 1..4 and extrapolates the four results to
 4th order (Richardson; the extrapolated stabilized Runge-Kutta idea of
-Martin-Vaquero & Kleefeld 2016). The 3rd-order extrapolation of the last
-three gives a local error estimate; a step is accepted when its RMS, relative
-to TOL (1 + |y|), is at most 1, and the next step grows or shrinks by the
-usual fourth-root rule.
+Martin-Vaquero & Kleefeld 2016). The four sequences are independent until
+then, so they run in lockstep as the rows of one batch (the parallel form of
+extrapolation, Deuflhard 1985): 4 s right-hand-side calls evaluate the macro
+step's 10 s - 3 states, each row bitwise as if it ran alone. The 3rd-order
+extrapolation of the last three gives a local error estimate; a step is
+accepted when its RMS, relative to TOL (1 + |y|), is at most 1, and the next
+step grows or shrinks by the usual fourth-root rule.
 
 On an interval the boundary is Dirichlet: endpoint values are frozen (their
 time derivative is zeroed). The constraint diagnostic uses a 2nd-order
@@ -113,13 +117,14 @@ class FlowState:
 @dataclass(frozen=True)
 class FlowRun:
     """Snapshots at requested output times, one diagnostics record per
-    accepted step, and the run's work: rejected steps and RHS evaluations."""
+    accepted step, and the run's work: rejected steps and the states the
+    right-hand side evaluated, 10 s per attempted step of s stages."""
 
     snapshots: tuple
     diagnostics: tuple   # records: (t, dt, sup|c|, sup tau0, min h, min G)
     status: str          # "Completed" | "SingularityDetected" | "ConstraintBlowup"
     rejected: int        # steps that failed the error test and were retried
-    rhs_evals: int       # right-hand side evaluations, rejected steps included
+    rhs_evals: int       # F(y), shared by 4 first stages, counts 4 times
 
     @property
     def steps(self):
@@ -168,28 +173,44 @@ def require_constant_h(h):
 
 def _rhs(mesh, structure):
     """The right-hand side of one structure's flow: a function from the flat
-    vector of the evolved fields ([theta, G] for CY, [h, theta, G] for NK) to
-    the flat vector of their rates. Each call raises SingularityDetected when
-    h or G is not positive and, on an interval, zeroes the endpoint rates.
+    vector of the evolved fields ([theta, G] for CY, [h, theta, G] for NK),
+    or from a batch of up to 4 such vectors as the rows of an (m, N) array,
+    to the rates in the same shape. Each row is bitwise the rates of that
+    row alone. Each call raises SingularityDetected when h or G is not
+    positive in any row and, on an interval, zeroes the endpoint rates.
     """
     from scipy import sparse
     n, nk = mesh.n, structure is StructureKind.NK
     k = 3 if nk else 2
     positive = _POSITIVE_ROWS[structure]
-    # stacking keeps each row's column order: every sum runs as in D @ f
-    D12 = sparse.vstack([mesh.deriv_matrix(1), mesh.deriv_matrix(2)], "csr")
-    M = sparse.block_diag([D12] * k, format="csr")
+    # (D1 f, D2 f) of every field but G, then D1 G; stacking keeps each row's
+    # column order, so every sum runs as in D @ f
+    D1 = mesh.deriv_matrix(1)
+    D12 = sparse.vstack([D1, mesh.deriv_matrix(2)], "csr")
+    M = sparse.block_diag([D12] * (k - 1) + [D1], format="csr")
+    # M four times down the diagonal; the operator of an m-row batch is its
+    # first m row blocks, sharing the arrays (m = 1 is M itself)
+    R, N, nnz = M.shape[0], k * n, M.nnz
+    data = np.tile(M.data, 4)
+    indices = np.concatenate([M.indices + i * N for i in range(4)])
+    indptr = np.concatenate([M.indptr[:-1] + i * nnz for i in range(4)]
+                            + [M.indptr[-1:] + 3 * nnz])
+    ops = [M] + [sparse.csr_matrix((data, indices, indptr[:m * R + 1]),
+                                   shape=(m * R, m * N)) for m in (2, 3, 4)]
 
     def rhs(y):
-        f = y.reshape(k, n)
-        if f[positive].min() <= 0:
+        f = y.reshape(-1, k, n)
+        if f[:, positive].min() <= 0:
             raise SingularityDetected("h or G lost positivity inside a step")
-        d = (M @ y).reshape(k, 2, n)  # d[i] = (D1 f[i], D2 f[i])
-        out = np.concatenate(nk_rates(f[0], *d[0], f[1], *d[1], f[2], d[2, 0])
-                             if nk else cy_rates(*d[0], f[1], d[1, 0]))
+        # d[:, i]: D1 h, D2 h (NK only), D1 theta, D2 theta, D1 G
+        d = (ops[len(f) - 1] @ y.ravel()).reshape(len(f), -1, n)
+        out = np.concatenate(
+            nk_rates(f[:, 0], d[:, 0], d[:, 1], f[:, 1], d[:, 2], d[:, 3],
+                     f[:, 2], d[:, 4])
+            if nk else cy_rates(d[:, 0], d[:, 1], f[:, 1], d[:, 2]), axis=-1)
         if not mesh.periodic:
-            out[0::n] = out[n - 1::n] = 0.0  # Dirichlet: endpoint values frozen
-        return out
+            out[:, 0::n] = out[:, n - 1::n] = 0.0  # Dirichlet: endpoints frozen
+        return out.reshape(y.shape)
 
     return rhs
 
@@ -243,29 +264,30 @@ def stages(rho_dt):
         s += 1
 
 
-def _chebyshev_step(rhs, y, h, s):
-    """One first-order step of size h: the s damped Chebyshev stages
-    Y_j = 2 w0 (b_j/b_{j-1}) Y_{j-1} - (b_j/b_{j-2}) Y_{j-2}
-    + 2 w1 (b_j/b_{j-1}) h F(Y_{j-1}), from Y_0 = y, Y_1 = y + (w1/w0) h F(y)."""
-    w0, w1, b = chebyshev_coefficients(s)
-    prev, cur = y, y + (w1 / w0 * h) * rhs(y)
-    for j in range(2, s + 1):
-        mu = b[j] / b[j - 1]
-        prev, cur = cur, ((2.0 * w0 * mu) * cur - (b[j] / b[j - 2]) * prev
-                          + (2.0 * w1 * mu * h) * rhs(cur))
-    return cur
-
-
 def _extrapolated_step(rhs, y, dt, s):
-    """k Chebyshev steps of size dt/k for k = 1..4, extrapolated: the
-    4th-order result and the 3rd-order one from k = 2..4 (10 s RHS calls)."""
-    ys = []
-    for k in (1, 2, 3, 4):
-        yk = y
-        for _ in range(k):
-            yk = _chebyshev_step(rhs, yk, dt / k, s)
-        ys.append(yk)
-    y1, y2, y3, y4 = ys
+    """k first-order steps of size h = dt/k for k = 1..4, extrapolated: the
+    4th-order result and the 3rd-order one from k = 2..4. A step is s damped
+    Chebyshev stages Y_j = 2 w0 (b_j/b_{j-1}) Y_{j-1} - (b_j/b_{j-2}) Y_{j-2}
+    + 2 w1 (b_j/b_{j-1}) h F(Y_{j-1}), from Y_0 = y, Y_1 = y + (w1/w0) h F(y).
+
+    The sequences run in lockstep as the rows k = 4, 3, 2, 1 of one batch, so
+    the m still running are its first m rows: 4 s calls of rhs, the first
+    F(y) shared by the four first stages, evaluate 10 s - 3 states.
+    """
+    w0, w1, b = chebyshev_coefficients(s)
+    h = dt / np.array([[4.0], [3.0], [2.0], [1.0]])  # one row per sequence
+    done, Y = [], y  # done: the results of k = 1, 2, 3, 4
+    for m in (4, 3, 2, 1):
+        prev, cur = Y, Y + (w1 / w0 * h[:m]) * rhs(Y)
+        for j in range(2, s + 1):
+            mu = b[j] / b[j - 1]
+            new = (2.0 * w0 * mu) * cur
+            new -= (b[j] / b[j - 2]) * prev
+            new += (2.0 * w1 * mu * h[:m]) * rhs(cur)
+            prev, cur = cur, new
+        done.append(cur[-1])
+        Y = cur[:-1]
+    y1, y2, y3, y4 = done
     return (-1.0 / 6.0 * y1 + 4.0 * y2 - 13.5 * y3 + 32.0 / 3.0 * y4,
             2.0 * y2 - 9.0 * y3 + 8.0 * y4)
 
@@ -302,12 +324,6 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     positive = _POSITIVE_ROWS[structure]
     rejected = rhs_evals = 0
 
-    def counted_rhs(v):
-        nonlocal rhs_evals
-        rates = rhs(v)
-        rhs_evals += 1
-        return rates
-
     marks = sorted({float(t) for t in output_times if initial.t < t <= t_end})
     marks.append(float(t_end))
     h, theta, G = initial.h, initial.theta, initial.G
@@ -329,9 +345,10 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
             rho = 16.0 / 3.0 / (min_G ** 2 * dr2)  # spectral-radius bound
             if nk:
                 rho += 12.0 / min_h ** 2 + 10.0 / (min_h * min_G * mesh.dr)
+            s = stages(rho * step)
+            rhs_evals += 10 * s
             try:
-                new, low = _extrapolated_step(counted_rhs, y, step,
-                                              stages(rho * step))
+                new, low = _extrapolated_step(rhs, y, step, s)
             except SingularityDetected:
                 status = "SingularityDetected"
                 break

@@ -170,6 +170,10 @@ def nk_special(family, b=0.0, c=0.0, lam=None, domain=None):
     except ValueError:
         raise InvalidParams(f"unknown special family {family!r}",
                             param="family") from None
+    for name, value in (("b", b), ("c", c), ("lambda", lam)):
+        if value is not None and not np.isfinite(value):
+            raise InvalidParams(f"{name} must be finite, got {value!r}",
+                                param=name)
     if family is Family.CONE:
         lam = 0.0 if lam is None else float(lam)
         dom = domain or Interval(max(0.0, -b) + 0.1, max(0.0, -b) + 2.1)

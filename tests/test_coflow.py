@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -512,6 +513,57 @@ def test_public_rhs_is_the_rates_of_per_field_stencil_products(domain, n):
             if not mesh.periodic:
                 expected[0] = expected[-1] = 0.0  # Dirichlet: endpoints frozen
             assert np.array_equal(rate, expected)
+
+
+@pytest.mark.parametrize("n", [8, 97, 512])
+@pytest.mark.parametrize("domain", [pf.Circle(2 * np.pi), pf.Interval(0.2, 3.0)])
+@pytest.mark.parametrize("structure", [CY, NK])
+def test_each_row_of_a_batched_rhs_is_the_rhs_of_that_row_alone(structure, domain, n):
+    mesh = Mesh.from_domain(domain, n)
+    rhs = cf._rhs(mesh, structure)
+    k = len(FIELDS[structure])
+    positive = (0, 2) if structure is NK else (1,)   # h and G
+    rng = np.random.default_rng(n)
+    fields = rng.normal(size=(4, k, n))
+    fields[:, positive] = 0.5 + rng.random((4, len(positive), n))
+    Y = fields.reshape(4, k * n)
+    for m in (1, 2, 3, 4):
+        got = rhs(Y[:m])
+        assert got.shape == (m, k * n)
+        for row in range(m):
+            assert np.array_equal(got[row], rhs(Y[row]))
+        if not mesh.periodic:   # Dirichlet: every field's endpoints frozen
+            assert not np.any(got.reshape(m, k, n)[:, :, [0, -1]])
+    for row in range(4):
+        for field in positive:
+            bad = fields.copy()
+            bad[row, field, n // 2] = 0.0 if row % 2 else -0.5
+            for m in (row + 1, 4):
+                with pytest.raises(SingularityDetected):
+                    rhs(bad.reshape(4, k * n)[:m])
+
+
+@pytest.mark.parametrize("s", [1, 2, 5])
+def test_a_macro_step_runs_the_four_sequences_in_lockstep(s):
+    # one call for F(y), shared by the four first stages; then the batch
+    # loses the sequence k = 1, 2, 3 after its 1, 2, 3 base steps: 4 s calls
+    # that evaluate 10 s - 3 states, with the results of four separate
+    # sequences bit for bit
+    z = np.linspace(-3.0, 0.0, 7)
+    shapes = []
+
+    def F(y):
+        shapes.append(y.shape)
+        return z * y
+
+    y = 1.0 + np.linspace(0.0, 1.0, 7)
+    got = cf._extrapolated_step(F, y, 0.3, s)
+    assert shapes == ([(7,)] + [(4, 7)] * (s - 1) + [(3, 7)] * s
+                      + [(2, 7)] * s + [(1, 7)] * s)
+    assert len(shapes) == 4 * s
+    assert sum(math.prod(shape[:-1]) for shape in shapes) == 10 * s - 3
+    for lockstep, sequential in zip(got, extrapolated_step(lambda v: z * v, y, 0.3, s)):
+        assert np.array_equal(lockstep, sequential)
 
 
 def dop853_cases(n):

@@ -91,6 +91,22 @@ def test_special_family_parameters():
         so.nk_special("cylinder", b=1.0, lam=float("nan"))
 
 
+@pytest.mark.parametrize("family, params, param", [
+    ("cone", {"b": 1.0, "lam": float("nan")}, "lambda"),
+    ("anticone", {"b": 1.0, "lam": float("nan")}, "lambda"),
+    ("anticone", {"b": 3.0, "lam": float("inf")}, "lambda"),
+    ("cone", {"b": float("nan"), "lam": 1.0}, "b"),
+    ("anticone", {"b": float("nan")}, "b"),
+    ("cylinder", {"b": float("nan")}, "b"),
+    ("cylinder", {"b": 1.0, "c": float("inf")}, "c"),
+    ("cone", {"b": 0.5, "c": float("nan")}, "c"),
+])
+def test_special_family_rejects_non_finite_parameters(family, params, param):
+    with pytest.raises(InvalidParams) as exc:
+        so.nk_special(family, **params)
+    assert exc.value.param == param
+
+
 @pytest.mark.parametrize("family", ["foo", "cy_closed_form"])
 def test_unknown_special_family_is_invalid_params(family):
     with pytest.raises(InvalidParams) as exc:
