@@ -98,9 +98,6 @@ def parse_expression(text, domain=None):
 # configuration keys: one table read by build_parser and parse_config
 # ---------------------------------------------------------------------------
 
-STENCIL_ORDER = 4   # finite-difference order for sampled data and the flow
-_MIN_NODES = STENCIL_ORDER + pf.JET_ORDER   # the smallest mesh Sampled accepts
-
 _REQUIRED = object()
 
 
@@ -126,7 +123,8 @@ def _flag(type, default=_REQUIRED, **kw):
 
 _NK_FAMILIES = tuple(f.value for f in (so.Family.CONE, so.Family.ANTICONE,
                                        so.Family.CYLINDER, so.Family.SINECONE))
-_STENCIL = Key(int, STENCIL_ORDER, choices=(STENCIL_ORDER,))
+# one admitted value; the key stays so that earlier manifests replay
+_STENCIL = Key(int, pf.STENCIL_ORDER, choices=(pf.STENCIL_ORDER,))
 
 _KEYS = {
     "verify": {"suite": _flag(str, "identities", choices=("identities",)),
@@ -241,7 +239,7 @@ def _parse_field(entry, domain, n, key):
     if isinstance(entry, dict) and set(entry) == {"file"}:
         vals = _load_sample_file(entry["file"], n, key)
         try:
-            return pf.Sampled(domain, vals, order=STENCIL_ORDER)
+            return pf.Sampled(domain, vals)
         except InvalidGeometry as exc:   # too few rows for the stencil
             raise ConfigError(str(exc), key=key) from None
     raise ConfigError("field must be an expression string or {\"file\": path}",
@@ -282,8 +280,9 @@ def _flow_objects(c):
     if "n" not in c["domain"]:
         raise ConfigError("flow domain needs a node count n", key="domain.n")
     n = _value("domain.n", Key(int), c["domain"]["n"])
-    if n < _MIN_NODES:
-        raise ConfigError(f"need at least {_MIN_NODES} nodes", key="domain.n")
+    if not pf.MIN_NODES <= n <= MAX_NODES:
+        raise ConfigError(f"need from MIN_NODES = {pf.MIN_NODES} to {MAX_NODES} "
+                          f"nodes", key="domain.n")
     _require_keys(c["initial"], {"h", "theta", "G"}, {"h", "theta", "G"},
                   "initial.")
     fields = {name: _parse_field(c["initial"][name], domain, n,
@@ -348,19 +347,27 @@ _OBJECTS = {"flow": _flow_objects, "torsion": _torsion_objects,
             "nk": _nk_objects}
 
 
+# caps on the size keys, far above any real run, so that a mistyped size is
+# rejected before an array of that size exists
+MAX_COUNT = 10_000   # points, profiles, samples, shooting grid
+MAX_NODES = 100_000  # flow mesh nodes, domain.n
+
+
+def _count(lo):
+    return (lambda x: lo <= x <= MAX_COUNT, f"must be from {lo} to {MAX_COUNT}")
+
+
 # values a key's type admits but its subcommand cannot run with: key ->
 # (test of the resolved value, message)
-_POSITIVE = (lambda x: x > 0, "must be positive")
-_AT_LEAST_2 = (lambda x: x >= 2, "must be at least 2")
 _FINITE = (lambda x: bool(np.all(np.isfinite(x))), "must be finite")
 _POSITIVE_FINITE = (lambda x: 0 < x < np.inf, "must be positive and finite")
 _SPAN = (lambda s: -np.inf < s[0] < s[1] < np.inf, "must be finite and increasing")
 _ODE = {"h0": _FINITE, "dh0": _FINITE, "ddh0": _FINITE, "span": _SPAN,
         "u_sign0": _FINITE, "rtol": _POSITIVE_FINITE}
 _RANGES = {"verify": {"seed": (lambda x: x >= 0, "must not be negative"),
-                      "profiles": _AT_LEAST_2, "points": _POSITIVE},
-           "torsion": {"samples": _POSITIVE},
-           "residual": {"samples": _POSITIVE, "lambda": _FINITE,
+                      "profiles": _count(2), "points": _count(1)},
+           "torsion": {"samples": _count(1)},
+           "residual": {"samples": _count(1), "lambda": _FINITE,
                         "tolerance": _POSITIVE_FINITE},
            "flow": {"t_end": _POSITIVE_FINITE, "cfl": _POSITIVE_FINITE},
            "cy": {"b": _FINITE, "c": _FINITE, "r0": _FINITE, "r1": _FINITE,
@@ -370,7 +377,7 @@ _RANGES = {"verify": {"seed": (lambda x: x >= 0, "must not be negative"),
                              "must be finite")},
            "reduce": {**_ODE, "lambda": _FINITE, "tolerance": _POSITIVE_FINITE},
            "shoot": {**_ODE, "target_dh_end": _FINITE, "lam_range": _FINITE,
-                     "grid": _AT_LEAST_2, "residual_tol": _POSITIVE_FINITE}}
+                     "grid": _count(2), "residual_tol": _POSITIVE_FINITE}}
 
 
 def parse_config(subcommand, raw, outdir="out"):

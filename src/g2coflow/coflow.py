@@ -29,9 +29,10 @@ accepted when its RMS, relative to TOL (1 + |y|), is at most 1, and the next
 step grows or shrinks by the usual fourth-root rule.
 
 On an interval the boundary is Dirichlet: endpoint values are frozen (their
-time derivative is zeroed). The constraint diagnostic uses a 2nd-order
-centered stencil so its discrete residual converges at a clean second order
-under simultaneous mesh/time refinement.
+time derivative is zeroed). The constraint diagnostic uses the mesh's
+2nd-order first-derivative matrix (centered, (-3, 4, -1)/(2 dr) at interval
+ends) so its discrete residual converges at a clean second order under
+simultaneous mesh/time refinement.
 """
 
 from __future__ import annotations
@@ -55,31 +56,17 @@ _POSITIVE_ROWS = {StructureKind.CY: slice(1, None),
                   StructureKind.NK: slice(0, None, 2)}
 
 
-def d1_low_order(mesh, f):
-    """2nd-order first derivative, used only for the constraint diagnostic."""
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2 * mesh.dr)
-    if mesh.periodic:
-        out[0] = (f[1] - f[-1]) / (2 * mesh.dr)
-        out[-1] = (f[0] - f[-2]) / (2 * mesh.dr)
-    else:
-        out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * mesh.dr)
-        out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * mesh.dr)
-    return out
-
-
 def _constraint_residual(mesh, structure, h, theta, G):
     """c(r) = h' - G cos 3 theta (NK) or h' (CY), 2nd-order diagnostic."""
-    hp = d1_low_order(mesh, h)
+    hp = mesh.deriv_matrix(1, order=2) @ h
     if structure is StructureKind.CY:
         return hp
     return hp - G * np.cos(3.0 * theta)
 
 
-def _tau0(D1, structure, h, theta, G):
-    """Pointwise tau0 = 12 theta'/(7G), plus 24 sin(3 theta)/(7h) for NK;
-    D1 is the mesh's first-derivative matrix."""
-    base = 12.0 / 7.0 * (D1 @ theta) / G
+def _tau0(mesh, structure, h, theta, G):
+    """Pointwise tau0 = 12 theta'/(7G), plus 24 sin(3 theta)/(7h) for NK."""
+    base = 12.0 / 7.0 * (mesh.deriv_matrix(1) @ theta) / G
     if structure is StructureKind.CY:
         return base
     return base + 24.0 / 7.0 * np.sin(3.0 * theta) / h
@@ -110,8 +97,7 @@ class FlowState:
                                     self.theta, self.G)
 
     def tau0(self):
-        return _tau0(self.mesh.deriv_matrix(1), self.structure, self.h,
-                     self.theta, self.G)
+        return _tau0(self.mesh, self.structure, self.h, self.theta, self.G)
 
 
 @dataclass(frozen=True)
@@ -300,8 +286,9 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     cfl min(G)^2 dr^2; later ones follow the error estimate, and a step cut
     short at an output time leaves the next trial step as it was. A step
     whose result has h or G not positive is rejected like an inaccurate one.
-    Initial NK data whose constraint residual exceeds INIT_CONSTRAINT_TOL
-    raises SingularityDetected. Halts early with status "SingularityDetected"
+    Initial NK data whose constraint residual exceeds INIT_CONSTRAINT_TOL,
+    or initial h or G below the positivity floor FLOOR, raises
+    SingularityDetected. Halts early with status "SingularityDetected"
     when h or G loses positivity inside a stage (the last accepted state is
     kept) or min h or min G falls below the positivity floor, or
     "ConstraintBlowup" when the NK constraint residual exceeds 1e-2; the last
@@ -317,9 +304,11 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
                 f"(sup |c| = {c0:.3g} > {INIT_CONSTRAINT_TOL:.3g})")
     else:
         require_constant_h(initial.h)
+    if min(initial.h.min(), initial.G.min()) < FLOOR:
+        raise SingularityDetected(
+            f"initial h or G below the positivity floor {FLOOR:.3g}")
 
     rhs = _rhs(mesh, structure)
-    D1 = mesh.deriv_matrix(1)
     dr2 = mesh.dr ** 2
     positive = _POSITIVE_ROWS[structure]
     rejected = rhs_evals = 0
@@ -332,7 +321,8 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     snapshots = [initial] if (output_times and initial.t in output_times) else []
     diagnostics = []
     status = "Completed"
-    dt = cfl * float(G.min() ** 2) * dr2
+    min_G = float(G.min())
+    dt = cfl * (min_G * min_G) * dr2  # a product, not a power: no OverflowError
 
     def pack():
         return FlowState(mesh=mesh, h=h.copy(), theta=theta.copy(),
@@ -342,9 +332,9 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
         while t < mark - 1e-14:
             step = min(dt, mark - t)
             min_h, min_G = float(h.min()), float(G.min())
-            rho = 16.0 / 3.0 / (min_G ** 2 * dr2)  # spectral-radius bound
+            rho = 16.0 / 3.0 / (min_G * min_G * dr2)  # spectral-radius bound
             if nk:
-                rho += 12.0 / min_h ** 2 + 10.0 / (min_h * min_G * mesh.dr)
+                rho += 12.0 / (min_h * min_h) + 10.0 / (min_h * min_G * mesh.dr)
             s = stages(rho * step)
             rhs_evals += 10 * s
             try:
@@ -374,7 +364,7 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
             else:
                 c = 0.0  # h is constant along the CY flow
                 min_h = float(h[0])
-            tau0 = _tau0(D1, structure, h, theta, G)
+            tau0 = _tau0(mesh, structure, h, theta, G)
             min_G = float(G.min())
             diagnostics.append((t, step, c, float(np.max(np.abs(tau0))),
                                 min_h, min_G))

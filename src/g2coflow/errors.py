@@ -48,7 +48,8 @@ class SingularLocus(G2CoflowError):
 
 
 class StepFailure(G2CoflowError):
-    """The adaptive ODE integrator failed to advance."""
+    """The adaptive ODE integrator failed to advance, or the reduced ODE's
+    right-hand side overflowed."""
 
 
 class SignAmbiguity(G2CoflowError):

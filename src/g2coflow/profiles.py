@@ -5,15 +5,15 @@ arithmetic, sin/cos/exp/arctan, integer powers, antiderivatives by one
 Chebyshev series per fixed panel, the package's one quadrature) and
 uniformly sampled grids combine freely. Derivatives are
 `derivative()` trees: symbolic for closed-form nodes, one finite-difference
-stencil product for a grid (centered in the interior, one-sided at interval
-ends; the stencils are built once per mesh as cached sparse matrices,
-`stencil_operator`). A jet is the values of a profile and of its first four
-derivative trees at r; a bare grid's jet uses the direct m-th derivative
-stencils instead. `Profile.value` and `Profile.jet` evaluate along one path:
-a domain check, one memo that computes each node once, a finiteness check.
-Each data format of the line is defined here once: domains and their JSON
-(`domain_from_json`), the uniform grid of a domain (`Mesh`, shared with the
-coflow) and CSV rows (`write_csv`).
+stencil product for a grid (order `STENCIL_ORDER`, centered in the interior,
+one-sided at interval ends; the stencils are built once per mesh as cached
+sparse matrices, `Mesh.deriv_matrix`). A jet is the values of a profile and
+of its first four derivative trees at r; a bare grid's jet uses the direct
+m-th derivative stencils instead. `Profile.value` and `Profile.jet`
+evaluate along one path: a domain check, one memo that computes each node
+once, a finiteness check. Each data format of the line is defined here
+once: domains and their JSON (`domain_from_json`), the uniform grid of a
+domain (`Mesh`, shared with the coflow) and CSV rows (`write_csv`).
 
 Profiles are immutable after construction; every operation returns a new
 object, so they are safe to share between threads.
@@ -32,6 +32,8 @@ from numpy.polynomial import chebyshev
 from .errors import DomainError, InvalidGeometry, QuadratureFailure, SingularEval
 
 JET_ORDER = 4
+STENCIL_ORDER = 4   # accuracy order of every grid derivative but diagnostics
+MIN_NODES = STENCIL_ORDER + JET_ORDER   # the smallest mesh a Sampled accepts
 
 
 def _require_finite(components):
@@ -644,54 +646,51 @@ class Mesh:
             raise DomainError(f"r={float(rs[outside][0])!r} outside the mesh")
         return idx
 
-    def deriv_matrix(self, m):
-        """Sparse 4th-order differentiation matrix for derivative m."""
-        return stencil_operator(self.n, self.dr, self.periodic, m, 4)
+    def deriv_matrix(self, m, order=STENCIL_ORDER):
+        """Sparse differentiation matrix of the given order for derivative m."""
+        return stencil_operator(self.n, self.dr, self.periodic, m, order)
 
 
 class Sampled(Profile):
     """Profile backed by values on the nodes of a uniform `Mesh`.
 
     Jets are only available at mesh nodes and are computed with
-    finite-difference stencils of the configured order: centered where the
+    finite-difference stencils of order `STENCIL_ORDER`: centered where the
     window fits, shifted (one-sided) near interval ends, periodic wrap on a
-    circle. Each derivative is one product with a shared `stencil_operator`.
+    circle, on a mesh of at least `MIN_NODES` nodes. Each derivative is one
+    product with a shared `Mesh.deriv_matrix`.
     """
 
-    __slots__ = ("values", "order", "mesh")
+    __slots__ = ("values", "mesh")
 
-    def __init__(self, domain, values, order=4):
+    def __init__(self, domain, values):
         if domain is None:
             raise InvalidGeometry("a Sampled profile needs an explicit domain")
         super().__init__(domain)
         self.values = np.asarray(values)
-        if len(self.values) < order + JET_ORDER:
-            raise InvalidGeometry("mesh too small for the configured stencil order")
-        self.order = int(order)
+        if len(self.values) < MIN_NODES:
+            raise InvalidGeometry(f"mesh smaller than MIN_NODES = {MIN_NODES}")
         self.mesh = Mesh.from_domain(domain, len(self.values))
 
     @classmethod
-    def from_function(cls, f, domain, n, order=4):
+    def from_function(cls, f, domain, n):
         """Sampled at the mesh nodes of f, a function of arrays or a Profile."""
-        return cls(domain, f(Mesh.from_domain(domain, n).nodes), order)
+        return cls(domain, f(Mesh.from_domain(domain, n).nodes))
 
     n = property(lambda self: self.mesh.n)
     dr = property(lambda self: self.mesh.dr)
     nodes = property(lambda self: self.mesh.nodes)
 
-    def _operator(self, m):
-        return stencil_operator(self.n, self.dr, self.mesh.periodic, m, self.order)
-
     def _jet_terms(self):
         # direct m-th derivative stencils, not repeated first-derivative ones
-        return [self] + [Sampled(self.domain, self._operator(m) @ self.values, self.order)
+        return [self] + [Sampled(self.domain, self.mesh.deriv_matrix(m) @ self.values)
                          for m in range(1, JET_ORDER + 1)]
 
     def _eval(self, r, memo):
         return self.values[self.mesh.index(r)]
 
     def derivative(self):
-        return Sampled(self.domain, self._operator(1) @ self.values, self.order)
+        return Sampled(self.domain, self.mesh.deriv_matrix(1) @ self.values)
 
 
 def sample_points(domain, members, n, interior=True):

@@ -189,9 +189,13 @@ def nk_special(family, b=0.0, c=0.0, lam=None, domain=None):
         theta = pf.constant(np.pi / 3.0, dom)
         kprime = (lam / 4.0) * (b - r)
     elif family is Family.CYLINDER:
-        if b <= 0:
-            raise InvalidParams("cylinder needs b > 0", param="b")
-        want = -12.0 / b ** 2
+        try:
+            want = -12.0 / b ** 2
+        except (OverflowError, ZeroDivisionError):  # b^2 outside the float range
+            want = 0.0
+        if not (b > 0 and -np.inf < want < 0):
+            raise InvalidParams("cylinder needs b > 0 with -12/b^2 finite and "
+                                "nonzero", param="b")
         if lam is not None and not abs(lam - want) <= 1e-12:
             raise InvalidParams(f"cylinder forces lam = -12/b^2 = {want}",
                                 param="lambda")
@@ -298,6 +302,7 @@ def form_residual(cand, samples=200, tolerance=1e-8, constraint_tol=1e-7):
 
 LOCUS_TOL = 1e-4        # stop distance from |h'| = 0 or 1
 LEAD_FLOOR = 1e-10      # lower bound on the leading coefficient h^3 h'((h')^2-1)
+RATE_CAP = 1e100        # |h'''| beyond which the integrator's norms may overflow
 
 
 def _reduced_terms(h, hp, hpp, lam):
@@ -321,7 +326,8 @@ def reduced_rhs(h, hp, hpp, lam):
 
     Requires a finite jet and lambda (InvalidParams otherwise), 0 < |h'| < 1,
     h > 0, and the leading coefficient h^3 h'((h')^2 - 1) bounded away from
-    zero.
+    zero. Raises StepFailure when the terms overflow or |h'''| exceeds
+    RATE_CAP.
     """
     for name, x in (("h", h), ("h'", hp), ("h''", hpp), ("lambda", lam)):
         if not np.isfinite(x):
@@ -336,10 +342,17 @@ def reduced_rhs(h, hp, hpp, lam):
 def _reduced_rhs_raw(h, hp, hpp, lam):
     # locus-tolerant evaluation for integrator trial steps; the terminal
     # events stop the trajectory before the formula actually degenerates
-    lead, rest = _reduced_terms(h, hp, hpp, lam)
+    try:
+        lead, rest = _reduced_terms(h, hp, hpp, lam)
+    except OverflowError:   # a float power past the float range
+        lead = rest = np.inf
     if abs(lead) < LEAD_FLOOR:
         raise SingularLocus(f"leading coefficient {lead:.3g} below {LEAD_FLOOR}")
-    return -rest / lead
+    hppp = -rest / lead
+    if not abs(hppp) <= RATE_CAP:  # nan fails too
+        raise StepFailure(f"reduced ODE overflows past |h'''| = {RATE_CAP:.0e} "
+                          f"at h = {h:.3g}, h' = {hp:.3g}, h'' = {hpp:.3g}")
+    return hppp
 
 
 def reduced_residual(h, hp, hpp, hppp, lam):
@@ -379,7 +392,9 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,
     reduced_rhs(h0, dh0, ddh0, lam)  # validate admissibility up front
 
     def rhs(_r, y):
-        return (y[1], y[2], _reduced_rhs_raw(y[0], y[1], y[2], lam))
+        # Python floats: an overflow raises or gives inf, never a warning
+        h, hp, hpp = y.tolist()
+        return (hp, hpp, _reduced_rhs_raw(h, hp, hpp, lam))
 
     # terminal events guarding the singular locus
     def near_flat(_r, y):

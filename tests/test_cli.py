@@ -338,6 +338,7 @@ def test_stencil_order_is_checked(tmp_path, sub, path):
 @pytest.mark.parametrize("flags,key", [
     (["--family", "cylinder"], "b"),
     (["--family", "cylinder", "--b", "-1"], "b"),
+    (["--family", "cylinder", "--b", "1e-200"], "b"),   # b^2 underflows to 0
     (["--family", "cylinder", "--b", "1", "--lambda", "-5"], "lambda"),
     (["--family", "sinecone", "--lambda", "-15"], "lambda"),
 ])
@@ -582,6 +583,51 @@ def test_numerical_failure_during_a_run_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "singular locus" in err
+
+
+@pytest.mark.parametrize("ddh0", [
+    "1e300",   # (h'')^2 = 1e600 is past the float range
+    "1e150",   # h''' = 2e300 is finite, but the integrator's norms would overflow
+])
+def test_overflowing_reduced_ode_exits_1(tmp_path, capsys, ddh0):
+    code = run_cli("soliton", "reduce", "--h0", "1", "--dh0", "0.5",
+                   "--ddh0", ddh0, "--lambda", "-16", "--span", "0.5", "1.0",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err
+
+
+@pytest.mark.parametrize("G,code", [("1e-200", 1), ("1e200", 0)])
+def test_flow_from_extreme_initial_G_exits_without_raising(tmp_path, capsys, G, code):
+    # 1e-200 is below the positivity floor; 1e200 squared is past the float
+    # range, and the run must not overflow (RuntimeWarnings are errors here)
+    cfg = flow_config(tmp_path, t_end=1e-3,
+                      initial={"h": "1", "theta": "0.01*sin(r)", "G": G})
+    assert run_cli("flow", "--config", cfg, "--out", str(tmp_path / "o")) == code
+    if code:
+        assert "positivity floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,key", [
+    ("verify", "points"), ("verify", "profiles"), ("torsion", "samples"),
+    ("residual", "samples"), ("shoot", "grid"), ("flow", "domain.n"),
+])
+def test_size_keys_over_their_caps_are_rejected_at_parse_time(tmp_path, sub, key):
+    # one past the cap; a size at the cap itself is never run
+    if sub in ("verify", "residual"):
+        cfg = {"verify": {}, "residual": dict(RESIDUAL)}[sub]
+    else:
+        make = {"torsion": torsion_config, "shoot": shoot_config,
+                "flow": flow_config}[sub]
+        cfg = json.loads(open(make(tmp_path)).read())
+    if key == "domain.n":
+        cfg["domain"] = dict(cfg["domain"], n=cli.MAX_NODES + 1)
+    else:
+        cfg[key] = cli.MAX_COUNT + 1
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(sub, cfg)
+    assert exc.value.key == key
 
 
 LAZY_SCRIPT = """

@@ -65,11 +65,24 @@ def test_deriv_matrix_is_the_shared_stencil_operator(domain):
         assert np.array_equal(mat.data, op.data)
 
 
-def test_periodic_low_order_derivative_matches_the_rolled_stencil():
-    mesh = Mesh.from_domain(pf.Circle(2 * np.pi), 64)
-    f = np.exp(np.sin(mesh.nodes))
-    rolled = (np.roll(f, -1) - np.roll(f, 1)) / (2 * mesh.dr)
-    assert np.array_equal(cf.d1_low_order(mesh, f), rolled)
+@pytest.mark.parametrize("domain", [pf.Circle(2 * np.pi), pf.Interval(0.0, 2.0)])
+def test_constraint_residual_is_the_order_2_stencil_and_the_hand_written_one(domain):
+    mesh = Mesh.from_domain(domain, 64)
+    h = np.exp(np.sin(mesh.nodes))
+    state = FlowState(mesh=mesh, h=h, theta=np.zeros(64), G=np.ones(64), t=0.0,
+                      structure=CY)
+    c = state.constraint_residual()
+    op = pf.stencil_operator(mesh.n, mesh.dr, mesh.periodic, 1, 2)
+    assert np.array_equal(c, op @ h)
+    # rolled centred differences; (-3, 4, -1)/(2 dr) at interval ends
+    terms = np.stack([np.roll(h, -1), -np.roll(h, 1)])
+    if not mesh.periodic:
+        terms = np.pad(terms, ((0, 1), (0, 0)))
+        terms[:, 0] = -3 * h[0], 4 * h[1], -h[2]
+        terms[:, -1] = 3 * h[-1], -4 * h[-2], h[-3]
+    ref = terms.sum(axis=0) / (2 * mesh.dr)
+    ulps = np.abs(terms).sum(axis=0) / (2 * mesh.dr) * np.finfo(float).eps
+    assert np.all(np.abs(c - ref) <= 4 * ulps)
 
 
 # ---------------------------------------------------------------------------

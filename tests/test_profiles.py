@@ -501,12 +501,12 @@ def complex_sampled(dom, n):
 @pytest.mark.parametrize("dom", [pf.Circle(2 * np.pi, 0.3), pf.Interval(-0.5, 1.7)])
 @pytest.mark.parametrize("order", [2, 4])
 def test_stencil_operator_rows_are_the_per_node_stencils(dom, order):
-    s = pf.Sampled.from_function(np.sin, dom, 23, order)
+    mesh = pf.Mesh.from_domain(dom, 23)
     for m in range(1, 5):
-        op = pf.stencil_operator(s.n, s.dr, isinstance(dom, pf.Circle), m, order)
-        ref = np.zeros((s.n, s.n))
-        for i in range(s.n):
-            idx, w = reference_stencil(s.n, s.dr, isinstance(dom, pf.Circle), m, order, i)
+        op = pf.stencil_operator(mesh.n, mesh.dr, mesh.periodic, m, order)
+        ref = np.zeros((mesh.n, mesh.n))
+        for i in range(mesh.n):
+            idx, w = reference_stencil(mesh.n, mesh.dr, mesh.periodic, m, order, i)
             ref[i, idx] = w
         assert np.array_equal(op.toarray(), ref)
 
@@ -522,7 +522,7 @@ def test_sampled_jets_and_derivative_match_per_node_reference(dom):
     for i in range(s.n):  # includes the one-sided rows at interval ends
         scalar = s.jet(float(nodes[i])).c
         for m in range(1, 5):
-            idx, w = reference_stencil(s.n, s.dr, periodic, m, s.order, i)
+            idx, w = reference_stencil(s.n, s.dr, periodic, m, pf.STENCIL_ORDER, i)
             ref = w @ s.values[idx]
             tol = 1e-12 * np.sum(np.abs(w) * np.abs(s.values[idx]))
             assert abs(jets[m][i] - ref) <= tol
@@ -540,7 +540,8 @@ def test_sampled_derivative_reuses_the_cached_operator():
     after = pf.stencil_operator.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 1
-    assert s._operator(1) is pf.stencil_operator(s.n, s.dr, False, 1, s.order)
+    assert s.mesh.deriv_matrix(1) is pf.stencil_operator(s.n, s.dr, False, 1,
+                                                         pf.STENCIL_ORDER)
 
 
 def test_quadrature_failure_on_wild_integrand():

@@ -8,7 +8,8 @@ import pytest
 
 from g2coflow import profiles as pf
 from g2coflow import soliton as so
-from g2coflow.errors import DivergentIntegral, InvalidParams, SignAmbiguity, SingularLocus
+from g2coflow.errors import (DivergentIntegral, InvalidParams, SignAmbiguity,
+                             SingularLocus, StepFailure)
 from g2coflow.forms import G2Profile, StructureKind
 from g2coflow.soliton import Family
 
@@ -205,6 +206,17 @@ def test_reduced_rhs_singular_locus():
         so.reduced_rhs(1.0, 0.0, 0.5, -16.0)
     with pytest.raises(SingularLocus):
         so.reduced_rhs(-0.5, 0.5, 0.5, -16.0)
+
+
+@pytest.mark.parametrize("jet,lam", [
+    ((1.0, 0.5, 1e300), -16.0),   # (h'')^2: a float power raises OverflowError
+    ((1e300, 0.5, 1.0), -16.0),   # h^3 likewise
+    ((1e70, 0.5, 1.0), 1e100),    # lam h^4 terms: inf - inf, no exception
+    ((1.0, 0.5, 1e150), -16.0),   # finite h''' = 2e300, past RATE_CAP
+])
+def test_reduced_rhs_overflow_is_a_step_failure(jet, lam):
+    with pytest.raises(StepFailure, match="overflow"):
+        so.reduced_rhs(*jet, lam)
 
 
 def test_reduced_rhs_self_consistency_random():
