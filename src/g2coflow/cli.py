@@ -3,17 +3,18 @@
 Every invocation takes one path. `main` builds a raw config dict from the
 JSON file given by `--config` (optional on every subcommand), then lays the
 flags given on the command line over it: each flag is the config key of the
-same name (`--u-sign0` is `u_sign0`) and wins over the file. `parse_config`
-resolves that dict into a RunConfig with every default filled, rejecting
-unknown keys and bad values with their key path, and `run` dispatches it,
-writing artifacts and a manifest that echoes the fully resolved
-configuration plus versions, wall time, and status. Re-running with the
-manifest's config as `--config` reproduces the run; CSV output uses 17
-significant digits, so identical config and seed give byte-identical
-artifacts.
+same name (`--u-sign0` is `u_sign0`), wins over the file, and is converted
+and checked exactly like a value from the file. `parse_config` resolves that
+dict into a RunConfig with every default filled, rejecting unknown keys and
+bad values with their key path, and `run` dispatches it, writing artifacts
+and a manifest that echoes the fully resolved configuration plus versions,
+wall time, and status. Re-running with the manifest's config as `--config`
+reproduces the run; CSV output uses 17 significant digits, so identical
+config and seed give byte-identical artifacts.
 
-Exit codes: 0 success, 1 tolerance failure or search miss, 2 configuration
-error (including soliton family parameters outside their valid range).
+Exit codes: 0 success; 1 tolerance failure, search miss, numerical failure,
+or a halted flow (status SingularityDetected, ConstraintBlowup,
+StepSizeUnderflow or WorkBudgetExceeded); 2 configuration error, at its key.
 """
 
 from __future__ import annotations
@@ -95,10 +96,15 @@ def parse_expression(text, domain=None):
 
 
 # ---------------------------------------------------------------------------
-# configuration keys: one table read by build_parser and parse_config
+# configuration keys, and the one Command record per subcommand (COMMANDS)
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
+
+# caps on the size keys, far above any real run, so that a mistyped size is
+# rejected before an array of that size exists
+MAX_COUNT = 10_000   # points, profiles, samples, shooting grid, output times
+MAX_NODES = 100_000  # flow mesh nodes, domain.n
 
 
 class Key(NamedTuple):
@@ -106,8 +112,9 @@ class Key(NamedTuple):
 
     `type` converts the value, or each of `nargs` values ("*": any number);
     None marks a structured value (domain, profile expressions) that the
-    subcommand parses itself and the manifest echoes as given. `flag` keys
-    are also command-line flags, spelled --key with "_" as "-".
+    subcommand parses itself and the manifest echoes as given. `check` is
+    (test, message), failed by a converted value the subcommand cannot run
+    with. `flag` keys are also command-line flags, spelled --key with "_" as "-".
     """
 
     type: object = None
@@ -115,45 +122,38 @@ class Key(NamedTuple):
     nargs: object = None
     choices: tuple = None
     flag: bool = False
+    check: tuple = None
 
 
 def _flag(type, default=_REQUIRED, **kw):
     return Key(type, default, flag=True, **kw)
 
 
+def _count(lo):
+    return (lambda x: lo <= x <= MAX_COUNT, f"must be from {lo} to {MAX_COUNT}")
+
+
+_FINITE = (lambda x: bool(np.all(np.isfinite(x))), "must be finite")
+_POSITIVE = (lambda x: 0 < x < np.inf, "must be positive and finite")
+_SPAN = (lambda s: -np.inf < s[0] < s[1] < np.inf, "must be finite and increasing")
+_NODES = Key(int, check=(lambda n: pf.MIN_NODES <= n <= MAX_NODES,
+                         f"need from MIN_NODES = {pf.MIN_NODES} to {MAX_NODES} nodes"))
 _NK_FAMILIES = tuple(f.value for f in (so.Family.CONE, so.Family.ANTICONE,
                                        so.Family.CYLINDER, so.Family.SINECONE))
 # one admitted value; the key stays so that earlier manifests replay
 _STENCIL = Key(int, pf.STENCIL_ORDER, choices=(pf.STENCIL_ORDER,))
 
-_KEYS = {
-    "verify": {"suite": _flag(str, "identities", choices=("identities",)),
-               "seed": _flag(int, 0), "profiles": _flag(int, 20),
-               "points": _flag(int, 50)},
-    "torsion": {"structure": Key(), "domain": Key(), "h": Key(),
-                "theta": Key(), "G": Key(), "samples": Key(int, 200),
-                "stencil_order": _STENCIL, "csv": _flag(bool, False)},
-    "flow": {"structure": Key(), "domain": Key(), "initial": Key(),
-             "t_end": Key(float), "output_times": Key(float, (), nargs="*"),
-             "cfl": Key(float, 0.2), "stencil_order": _STENCIL},
-    "cy": {"b": _flag(float), "c": _flag(float), "r0": _flag(float, -2.0),
-           "r1": _flag(float, 2.0), "tolerance": _flag(float, 1e-8)},
-    "nk": {"family": _flag(str, choices=_NK_FAMILIES), "b": _flag(float, 0.0),
-           "c": _flag(float, 0.0), "lambda": _flag(float, None),
-           "tolerance": _flag(float, 1e-8)},
-    "reduce": {"h0": _flag(float), "dh0": _flag(float), "ddh0": _flag(float),
-               "lambda": _flag(float), "span": _flag(float, nargs=2),
-               "rtol": _flag(float, 1e-10), "u_sign0": _flag(float, 1.0),
-               "tolerance": _flag(float, 1e-6)},
-    "shoot": {"h0": Key(float), "dh0": Key(float), "ddh0": Key(float),
-              "span": Key(float, nargs=2), "target_dh_end": Key(float),
-              "lam_range": Key(float, nargs=2), "u_sign0": Key(float, 1.0),
-              "rtol": Key(float, 1e-10), "residual_tol": Key(float, 1e-6),
-              "grid": Key(int, 13)},
-    "residual": {"structure": Key(), "domain": Key(), "h": Key(),
-                 "theta": Key(), "kprime": Key(), "lambda": Key(float),
-                 "samples": Key(int, 200), "tolerance": Key(float, 1e-8)},
-}
+
+class Command(NamedTuple):
+    """One subcommand: its help line, its keys, the handler that runs a
+    resolved config and returns the run status, the builder of its domains,
+    profiles and candidates, and whether it sits under `soliton`."""
+
+    help: str
+    keys: dict
+    run: object
+    build: object = None
+    soliton: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,9 @@ def _convert(type, x):
 
 
 def _value(key, spec, value):
-    """A key's value converted by its spec; structured values pass as given."""
+    """A key's value converted and checked by its spec, whether it came from
+    a config file or a flag (a string, or a list of them); structured values
+    pass as given."""
     if spec.type is None or (value is None and spec.default is None):
         return value
     try:
@@ -209,6 +211,8 @@ def _value(key, spec, value):
         raise ConfigError(f"bad value {value!r}", key=key) from None
     if spec.choices is not None and out not in spec.choices:
         raise ConfigError(f"must be one of {list(spec.choices)}", key=key)
+    if spec.check is not None and not spec.check[0](out):
+        raise ConfigError(spec.check[1], key=key)
     return out
 
 
@@ -279,10 +283,7 @@ def _flow_objects(c):
     domain = _parse_domain(c["domain"])
     if "n" not in c["domain"]:
         raise ConfigError("flow domain needs a node count n", key="domain.n")
-    n = _value("domain.n", Key(int), c["domain"]["n"])
-    if not pf.MIN_NODES <= n <= MAX_NODES:
-        raise ConfigError(f"need from MIN_NODES = {pf.MIN_NODES} to {MAX_NODES} "
-                          f"nodes", key="domain.n")
+    n = _value("domain.n", _NODES, c["domain"]["n"])
     _require_keys(c["initial"], {"h", "theta", "G"}, {"h", "theta", "G"},
                   "initial.")
     fields = {name: _parse_field(c["initial"][name], domain, n,
@@ -342,44 +343,6 @@ def _nk_objects(c):
     return {"candidate": cand}
 
 
-_OBJECTS = {"flow": _flow_objects, "torsion": _torsion_objects,
-            "residual": _residual_objects, "cy": _cy_objects,
-            "nk": _nk_objects}
-
-
-# caps on the size keys, far above any real run, so that a mistyped size is
-# rejected before an array of that size exists
-MAX_COUNT = 10_000   # points, profiles, samples, shooting grid
-MAX_NODES = 100_000  # flow mesh nodes, domain.n
-
-
-def _count(lo):
-    return (lambda x: lo <= x <= MAX_COUNT, f"must be from {lo} to {MAX_COUNT}")
-
-
-# values a key's type admits but its subcommand cannot run with: key ->
-# (test of the resolved value, message)
-_FINITE = (lambda x: bool(np.all(np.isfinite(x))), "must be finite")
-_POSITIVE_FINITE = (lambda x: 0 < x < np.inf, "must be positive and finite")
-_SPAN = (lambda s: -np.inf < s[0] < s[1] < np.inf, "must be finite and increasing")
-_ODE = {"h0": _FINITE, "dh0": _FINITE, "ddh0": _FINITE, "span": _SPAN,
-        "u_sign0": _FINITE, "rtol": _POSITIVE_FINITE}
-_RANGES = {"verify": {"seed": (lambda x: x >= 0, "must not be negative"),
-                      "profiles": _count(2), "points": _count(1)},
-           "torsion": {"samples": _count(1)},
-           "residual": {"samples": _count(1), "lambda": _FINITE,
-                        "tolerance": _POSITIVE_FINITE},
-           "flow": {"t_end": _POSITIVE_FINITE, "cfl": _POSITIVE_FINITE},
-           "cy": {"b": _FINITE, "c": _FINITE, "r0": _FINITE, "r1": _FINITE,
-                  "tolerance": _POSITIVE_FINITE},
-           "nk": {"b": _FINITE, "c": _FINITE, "tolerance": _POSITIVE_FINITE,
-                  "lambda": (lambda x: x is None or np.isfinite(x),
-                             "must be finite")},
-           "reduce": {**_ODE, "lambda": _FINITE, "tolerance": _POSITIVE_FINITE},
-           "shoot": {**_ODE, "target_dh_end": _FINITE, "lam_range": _FINITE,
-                     "grid": _count(2), "residual_tol": _POSITIVE_FINITE}}
-
-
 def parse_config(subcommand, raw, outdir="out"):
     """Resolve a raw config dict for the given subcommand.
 
@@ -387,18 +350,15 @@ def parse_config(subcommand, raw, outdir="out"):
     domains, profiles and candidates, and rejects unknown keys with their
     path. Returns a RunConfig.
     """
-    keys = _KEYS.get(subcommand)
-    if keys is None:
+    command = COMMANDS.get(subcommand)
+    if command is None:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    keys = command.keys
     _require_keys(raw, keys,
                   [k for k, spec in keys.items() if spec.default is _REQUIRED], "")
     resolved = {k: _value(k, spec, raw.get(k, spec.default))
                 for k, spec in keys.items()}
-    for k, (ok, message) in _RANGES.get(subcommand, {}).items():
-        if not ok(resolved[k]):
-            raise ConfigError(message, key=k)
-    build = _OBJECTS.get(subcommand)
-    objects = build(resolved) if build else {}
+    objects = command.build(resolved) if command.build else {}
     return RunConfig(subcommand, resolved, objects, outdir)
 
 
@@ -422,13 +382,9 @@ def run(config):
     The subcommand's handler writes its artifacts and returns the run
     status; the manifest records it, and only "Completed" exits 0.
     """
-    handlers = {"verify": _run_verify, "torsion": _run_torsion,
-                "flow": _run_flow, "cy": _run_special, "nk": _run_special,
-                "reduce": _run_reduce, "shoot": _run_shoot,
-                "residual": _run_residual}
     t0 = time.monotonic()
     os.makedirs(config.outdir, exist_ok=True)
-    status = handlers[config.subcommand](config)
+    status = COMMANDS[config.subcommand].run(config)
     write_json(os.path.join(config.outdir, "manifest.json"), {
         "config": config.resolved,
         "versions": {
@@ -506,11 +462,6 @@ def _run_torsion(config):
     return "Completed"
 
 
-def _run_special(config):
-    """`soliton cy` and `soliton nk`: the candidate was built by parse_config."""
-    return _finish_soliton(config, config.objects["candidate"])
-
-
 def _run_reduce(config):
     c = config.resolved
     traj = so.integrate_reduced(c["h0"], c["dh0"], c["ddh0"], c["lambda"],
@@ -523,8 +474,10 @@ def _run_reduce(config):
     return _finish_soliton(config, cand, trajectory_status=traj.status)
 
 
-def _finish_soliton(config, cand, **extra):
-    """Write candidate.csv and residuals.json (plus `extra` payload keys)."""
+def _finish_soliton(config, cand=None, **extra):
+    """Write candidate.csv and residuals.json (plus `extra` payload keys) for
+    `cand`, by default the candidate parse_config built (`soliton cy|nk`)."""
+    cand = config.objects["candidate"] if cand is None else cand
     _write_candidate(config.outdir, cand)
     payload, ok = _residual_payload(cand, 200, config.resolved["tolerance"])
     payload.update(extra)
@@ -585,23 +538,69 @@ def _residual_payload(cand, samples, tolerance):
 
 
 # ---------------------------------------------------------------------------
+# the subcommands
+# ---------------------------------------------------------------------------
+
+COMMANDS = {
+    "verify": Command("run a randomized identity suite", {
+        "suite": _flag(str, "identities", choices=("identities",)),
+        "seed": _flag(int, 0, check=(lambda x: x >= 0, "must not be negative")),
+        "profiles": _flag(int, 20, check=_count(2)),
+        "points": _flag(int, 50, check=_count(1))}, _run_verify),
+    "torsion": Command("torsion report for configured data", {
+        "structure": Key(), "domain": Key(), "h": Key(), "theta": Key(), "G": Key(),
+        "samples": Key(int, 200, check=_count(1)), "stencil_order": _STENCIL,
+        "csv": _flag(bool, False)}, _run_torsion, _torsion_objects),
+    "flow": Command("run the Laplacian coflow", {
+        "structure": Key(), "domain": Key(), "initial": Key(),
+        "t_end": Key(float, check=_POSITIVE),
+        # each distinct time in (t0, t_end] writes one snapshot file
+        "output_times": Key(float, (), nargs="*", check=(
+            lambda x: len(x) <= MAX_COUNT, f"must hold at most {MAX_COUNT} times")),
+        "cfl": Key(float, 0.2, check=_POSITIVE), "stencil_order": _STENCIL},
+        _run_flow, _flow_objects),
+    "cy": Command("Calabi-Yau closed-form soliton", {
+        "b": _flag(float, check=_FINITE), "c": _flag(float, check=_FINITE),
+        "r0": _flag(float, -2.0, check=_FINITE), "r1": _flag(float, 2.0, check=_FINITE),
+        "tolerance": _flag(float, 1e-8, check=_POSITIVE)},
+        _finish_soliton, _cy_objects, soliton=True),
+    "nk": Command("nearly Kahler special family", {
+        "family": _flag(str, choices=_NK_FAMILIES),
+        "b": _flag(float, 0.0, check=_FINITE), "c": _flag(float, 0.0, check=_FINITE),
+        "lambda": _flag(float, None, check=_FINITE),
+        "tolerance": _flag(float, 1e-8, check=_POSITIVE)},
+        _finish_soliton, _nk_objects, soliton=True),
+    "reduce": Command("integrate the reduced third-order ODE", {
+        "h0": _flag(float, check=_FINITE), "dh0": _flag(float, check=_FINITE),
+        "ddh0": _flag(float, check=_FINITE), "lambda": _flag(float, check=_FINITE),
+        "span": _flag(float, nargs=2, check=_SPAN),
+        "rtol": _flag(float, 1e-10, check=_POSITIVE),
+        "u_sign0": _flag(float, 1.0, check=_FINITE),
+        "tolerance": _flag(float, 1e-6, check=_POSITIVE)}, _run_reduce, soliton=True),
+    "shoot": Command("shooting over the soliton constant", {
+        "h0": Key(float, check=_FINITE), "dh0": Key(float, check=_FINITE),
+        "ddh0": Key(float, check=_FINITE), "span": Key(float, nargs=2, check=_SPAN),
+        "target_dh_end": Key(float, check=_FINITE),
+        "lam_range": Key(float, nargs=2, check=_FINITE),
+        "u_sign0": Key(float, 1.0, check=_FINITE),
+        "rtol": Key(float, 1e-10, check=_POSITIVE),
+        "residual_tol": Key(float, 1e-6, check=_POSITIVE),
+        "grid": Key(int, 13, check=_count(2))}, _run_shoot, soliton=True),
+    "residual": Command("residuals of a custom candidate", {
+        "structure": Key(), "domain": Key(), "h": Key(), "theta": Key(),
+        "kprime": Key(), "lambda": Key(float, check=_FINITE),
+        "samples": Key(int, 200, check=_count(1)),
+        "tolerance": Key(float, 1e-8, check=_POSITIVE)},
+        _run_residual, _residual_objects),
+}
+
+
+# ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
 
-_HELP = {
-    "verify": "run a randomized identity suite",
-    "torsion": "torsion report for configured data",
-    "flow": "run the Laplacian coflow",
-    "cy": "Calabi-Yau closed-form soliton",
-    "nk": "nearly Kahler special family",
-    "reduce": "integrate the reduced third-order ODE",
-    "shoot": "shooting over the soliton constant",
-    "residual": "residuals of a custom candidate",
-}
-_SOLITON = ("cy", "nk", "reduce", "shoot")
-
-
 def build_parser():
+    """Flags map to raw strings (a list for a list key); `_value` checks them."""
     p = argparse.ArgumentParser(
         prog="g2coflow",
         description="Laplacian coflow of coclosed G2-structures: identities, "
@@ -611,21 +610,21 @@ def build_parser():
     soliton = sub.add_parser("soliton", help="soliton families and searches")
     # both levels share one dest, so "soliton cy" leaves the subcommand "cy"
     ssub = soliton.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in _HELP.items():
-        prefix = "soliton-" if name in _SOLITON else ""
+    for name, command in COMMANDS.items():
+        prefix = "soliton-" if command.soliton else ""
         # flags left out stay out of the namespace, so the config file or
         # the table's default supplies them
-        q = (ssub if prefix else sub).add_parser(
-            name, help=help_text, argument_default=argparse.SUPPRESS)
+        q = (ssub if command.soliton else sub).add_parser(
+            name, help=command.help, argument_default=argparse.SUPPRESS)
         q.add_argument("--config", help="JSON config; flags override its keys")
         q.add_argument("--out", default=f"out/{prefix}{name}")
-        for key, spec in _KEYS[name].items():
+        for key, spec in command.keys.items():
             flag = "--" + key.replace("_", "-")
             if spec.flag and spec.type is bool:
                 q.add_argument(flag, dest=key, action="store_true")
             elif spec.flag:
-                q.add_argument(flag, dest=key, type=spec.type,
-                               nargs=spec.nargs, choices=spec.choices)
+                q.add_argument(flag, dest=key, nargs="+" if spec.nargs else None,
+                               metavar=spec.choices and "{%s}" % ",".join(spec.choices))
     return p
 
 

@@ -51,6 +51,8 @@ FLOOR = 1e-6            # positivity floor for h and G
 CONSTRAINT_BLOWUP = 1e-2
 INIT_CONSTRAINT_TOL = 1e-4  # largest sup |c| accepted in initial NK data
 TOL = 1e-11             # local error tolerance of one macro step
+MAX_STAGES = 400        # stages per base step; a step that needs more is shortened
+MAX_RHS_EVALS = 1_000_000  # work budget of one run, in RHS state evaluations
 # the h and G rows of the flat state ([theta, G] for CY, [h, theta, G] for NK)
 _POSITIVE_ROWS = {StructureKind.CY: slice(1, None),
                   StructureKind.NK: slice(0, None, 2)}
@@ -109,6 +111,7 @@ class FlowRun:
     snapshots: tuple
     diagnostics: tuple   # records: (t, dt, sup|c|, sup tau0, min h, min G)
     status: str          # "Completed" | "SingularityDetected" | "ConstraintBlowup"
+                         # | "StepSizeUnderflow" | "WorkBudgetExceeded"
     rejected: int        # steps that failed the error test and were retried
     rhs_evals: int       # F(y), shared by 4 first stages, counts 4 times
 
@@ -291,8 +294,12 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     SingularityDetected. Halts early with status "SingularityDetected"
     when h or G loses positivity inside a stage (the last accepted state is
     kept) or min h or min G falls below the positivity floor, or
-    "ConstraintBlowup" when the NK constraint residual exceeds 1e-2; the last
-    state is appended as a terminal snapshot either way.
+    "ConstraintBlowup" when the NK constraint residual exceeds 1e-2,
+    "StepSizeUnderflow" when a trial step no longer advances t, or
+    "WorkBudgetExceeded" when the next step would pass MAX_RHS_EVALS; the
+    last state is appended as a terminal snapshot either way. A step needing
+    more than MAX_STAGES stages is shortened to what MAX_STAGES cover, as in
+    RKC (Sommeijer, Shampine & Verwer 1998).
     """
     mesh, structure = initial.mesh, initial.structure
     nk = structure is StructureKind.NK
@@ -312,6 +319,8 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     dr2 = mesh.dr ** 2
     positive = _POSITIVE_ROWS[structure]
     rejected = rhs_evals = 0
+    w0, w1, _ = chebyshev_coefficients(MAX_STAGES)
+    rho_dt_max = 0.9 * (1.0 + w0) / w1  # the interval stages() covers with MAX_STAGES
 
     marks = sorted({float(t) for t in output_times if initial.t < t <= t_end})
     marks.append(float(t_end))
@@ -335,7 +344,16 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
             rho = 16.0 / 3.0 / (min_G * min_G * dr2)  # spectral-radius bound
             if nk:
                 rho += 12.0 / (min_h * min_h) + 10.0 / (min_h * min_G * mesh.dr)
-            s = stages(rho * step)
+            rho_dt = rho * step
+            if rho_dt > rho_dt_max:
+                step, rho_dt = rho_dt_max / rho, rho_dt_max
+            if t + step == t:
+                status = "StepSizeUnderflow"
+                break
+            s = stages(rho_dt)
+            if rhs_evals + 10 * s > MAX_RHS_EVALS:
+                status = "WorkBudgetExceeded"
+                break
             rhs_evals += 10 * s
             try:
                 new, low = _extrapolated_step(rhs, y, step, s)

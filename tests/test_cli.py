@@ -630,6 +630,84 @@ def test_size_keys_over_their_caps_are_rejected_at_parse_time(tmp_path, sub, key
     assert exc.value.key == key
 
 
+def test_output_times_over_their_cap_are_rejected_at_parse_time(tmp_path):
+    # each distinct time writes one snapshot file; a list at the cap parses,
+    # and neither is run
+    cfg = json.loads(open(flow_config(tmp_path)).read())
+    times = list(np.linspace(0.0, 0.05, cli.MAX_COUNT + 1))
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config("flow", dict(cfg, output_times=times))
+    assert exc.value.key == "output_times"
+    at_cap = cli.parse_config("flow", dict(cfg, output_times=times[1:]))
+    assert len(at_cap.resolved["output_times"]) == cli.MAX_COUNT
+
+
+def bad_flag_values(spec):
+    """A value the flag's type cannot convert (one not among its choices),
+    and for a list flag the wrong counts too."""
+    if spec.choices:
+        return [["bogus"]]
+    if spec.nargs:
+        return [["abc"] * spec.nargs, ["1.0"], ["1.0"] * (spec.nargs + 1)]
+    return [["abc"]]
+
+
+BAD_FLAGS = [(sub, key, values)
+             for sub, command in cli.COMMANDS.items()
+             for key, spec in command.keys.items()
+             if spec.flag and spec.type is not bool
+             for values in bad_flag_values(spec)]
+
+
+@pytest.mark.parametrize("sub,key,values", BAD_FLAGS,
+                         ids=[f"{s}-{k}-{'_'.join(v)}" for s, k, v in BAD_FLAGS])
+def test_every_bad_flag_value_exits_2_at_its_key(tmp_path, capsys, sub, key, values):
+    # the last of a repeated flag wins, so the bad value follows a valid run
+    argv = INVOCATIONS[sub](tmp_path) + ["--" + key.replace("_", "-"), *values]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    assert f"(at {key!r})" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,listing", [
+    (["verify"], "--suite {identities}"),
+    (["soliton", "nk"], "--family {cone,anticone,cylinder,sinecone}"),
+])
+def test_help_lists_the_values_of_a_choice_flag(capsys, argv, listing):
+    with pytest.raises(SystemExit):
+        cli.main(argv + ["--help"])
+    assert listing in capsys.readouterr().out
+
+
+HALTING_FLOWS = {
+    # (D1 h)^2 and h^2 overflow, so every trial step is rejected down to dt = 0
+    "StepSizeUnderflow": {"structure": "NK", "t_end": 1e-3,
+                          "initial": {"h": "1e200", "theta": "0.5235987755982988",
+                                      "G": "1"}},
+    # the decayed state takes steps capped by MAX_STAGES, far short of t_end
+    "WorkBudgetExceeded": {"structure": "CY", "t_end": 1e300,
+                           "initial": {"h": "1", "theta": "0.01*sin(r)", "G": "1"}},
+}
+
+
+@pytest.mark.parametrize("status", list(HALTING_FLOWS))
+def test_a_flow_that_cannot_finish_halts_with_exit_1(tmp_path, status):
+    # a subprocess, so that overflow warnings stay warnings as for a user
+    cfg = flow_config(tmp_path, **HALTING_FLOWS[status])
+    out = tmp_path / "o"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "g2coflow.cli", "flow", "--config",
+                          cfg, "--out", str(out)], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 1, run.stderr
+    assert json.loads((out / "manifest.json").read_text())["status"] == status
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["status"] == status and diag["rhs_evals"] <= coflow.MAX_RHS_EVALS
+    assert f"flow {status} after" in run.stdout
+
+
 LAZY_SCRIPT = """
 import sys
 from g2coflow import cli

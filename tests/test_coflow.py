@@ -778,3 +778,23 @@ def test_flow_formulas_converge_to_the_form_algebra_on_coclosed_data():
     assert np.all(np.log2(np.divide(tau0_err[:-1], tau0_err[1:])) > 3.7)
     assert constraint[-1] < 1e-3
     assert np.all(np.log2(np.divide(constraint[:-1], constraint[1:])) > 1.9)
+
+
+def test_a_long_run_caps_its_stages_and_halts_at_its_work_budget(monkeypatch):
+    # the decayed CY state admits ever longer steps; the stage cap shortens
+    # each one to the stability interval of MAX_STAGES stages, and the budget
+    # (lowered here to keep the run short) ends the run
+    seen, stages = [], cf.stages
+
+    def counted(rho_dt):
+        seen.append(stages(rho_dt))
+        return seen[-1]
+
+    monkeypatch.setattr(cf, "stages", counted)
+    monkeypatch.setattr(cf, "MAX_RHS_EVALS", 20_000)
+    s = circle_state(n=16, theta=lambda r: 0.01 * np.sin(r))
+    run = cf.run_flow(s, t_end=1e300)
+    assert run.status == "WorkBudgetExceeded"
+    assert max(seen) == cf.MAX_STAGES and seen.count(cf.MAX_STAGES) > 1
+    assert cf.MAX_RHS_EVALS - 10 * cf.MAX_STAGES < run.rhs_evals <= cf.MAX_RHS_EVALS
+    assert run.snapshots[-1].t == run.diagnostics[-1][0] < 1e300
