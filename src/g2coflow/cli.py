@@ -64,8 +64,12 @@ def parse_expression(text, domain=None):
     except SyntaxError as exc:
         raise ConfigError(f"bad expression {text!r}: {exc.msg}") from None
 
+    def number(node, types):  # a bool is an int, but not a number here
+        return (isinstance(node, ast.Constant) and isinstance(node.value, types)
+                and not isinstance(node.value, bool))
+
     def build(node):
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if number(node, (int, float)):
             return pf.constant(float(node.value), domain)
         if isinstance(node, ast.Name):
             if node.id == "r":
@@ -82,9 +86,7 @@ def parse_expression(text, domain=None):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             name = node.func.id
             if name == "pow":
-                if (len(node.args) != 2
-                        or not isinstance(node.args[1], ast.Constant)
-                        or not isinstance(node.args[1].value, int)):
+                if len(node.args) != 2 or not number(node.args[1], int):
                     raise ConfigError(f"pow needs (expr, integer) in {text!r}")
                 return pf.pow_int(build(node.args[0]), node.args[1].value)
             if name in _FUNCS and len(node.args) == 1:

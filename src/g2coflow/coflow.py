@@ -6,11 +6,12 @@ constraint h' = G cos(3 theta) is monitored, not imposed. Flow states live
 on a `profiles.Mesh`, the grid `profiles.Sampled` uses too. Spatial
 derivatives are 4th order (periodic wrap on a circle, shifted stencils near
 interval ends), from the mesh's cached sparse matrices (`Mesh.deriv_matrix`).
-The fields travel as one flat vector ([theta, G] for CY, [h, theta, G] for
-NK). One right-hand side per structure, shared by `rhs_cy`, `rhs_nk` and
-`run_flow`, takes one state or a batch of up to four, makes one
-block-diagonal stencil product for the derivatives the rates use, then
-applies `cy_rates`/`nk_rates`.
+`FlowState` owns the flat layout: its vector `y` holds the evolved fields in
+`FIELDS` order ([theta, G] for CY, [h, theta, G] for NK), and `advanced`
+builds the next state from such a vector, as views. One right-hand side per
+structure, shared by `rhs_cy`, `rhs_nk` and `run_flow`, takes one vector or
+a batch of up to four, makes one block-diagonal stencil product for the
+derivatives the rates use, then applies `cy_rates`/`nk_rates`.
 
 Time steps are explicit and stabilized, so their size follows accuracy, not
 the diffusive limit dt ~ min(G^2) dr^2 of a classical Runge-Kutta step. A base
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,25 +54,8 @@ INIT_CONSTRAINT_TOL = 1e-4  # largest sup |c| accepted in initial NK data
 TOL = 1e-11             # local error tolerance of one macro step
 MAX_STAGES = 400        # stages per base step; a step that needs more is shortened
 MAX_RHS_EVALS = 1_000_000  # work budget of one run, in RHS state evaluations
-# the h and G rows of the flat state ([theta, G] for CY, [h, theta, G] for NK)
-_POSITIVE_ROWS = {StructureKind.CY: slice(1, None),
-                  StructureKind.NK: slice(0, None, 2)}
-
-
-def _constraint_residual(mesh, structure, h, theta, G):
-    """c(r) = h' - G cos 3 theta (NK) or h' (CY), 2nd-order diagnostic."""
-    hp = mesh.deriv_matrix(1, order=2) @ h
-    if structure is StructureKind.CY:
-        return hp
-    return hp - G * np.cos(3.0 * theta)
-
-
-def _tau0(mesh, structure, h, theta, G):
-    """Pointwise tau0 = 12 theta'/(7G), plus 24 sin(3 theta)/(7h) for NK."""
-    base = 12.0 / 7.0 * (mesh.deriv_matrix(1) @ theta) / G
-    if structure is StructureKind.CY:
-        return base
-    return base + 24.0 / 7.0 * np.sin(3.0 * theta) / h
+# the evolved fields of each structure, in the order of the flat vector
+FIELDS = {StructureKind.CY: ("theta", "G"), StructureKind.NK: ("h", "theta", "G")}
 
 
 @dataclass(frozen=True)
@@ -88,18 +72,35 @@ class FlowState:
     def __post_init__(self):
         for name in ("h", "theta", "G"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.min(self.h) <= 0 or np.min(self.G) <= 0:
+        if not (np.min(self.h) > 0 and np.min(self.G) > 0):  # NaN fails too
             raise SingularityDetected(
                 f"h or G not positive at t={self.t} "
                 f"(min h {np.min(self.h):.3g}, min G {np.min(self.G):.3g})")
 
+    @property
+    def y(self):
+        """The flat vector of the evolved fields, in FIELDS order."""
+        return np.concatenate([getattr(self, name) for name in FIELDS[self.structure]])
+
+    def advanced(self, y, t):
+        """The state at time t whose evolved fields are views of the flat
+        vector y's rows; a CY state keeps its h."""
+        return replace(self, t=t, **dict(zip(FIELDS[self.structure],
+                                             y.reshape(-1, self.mesh.n))))
+
     def constraint_residual(self):
         """c(r) = h' - G cos 3 theta (NK) or h' (CY), 2nd-order diagnostic."""
-        return _constraint_residual(self.mesh, self.structure, self.h,
-                                    self.theta, self.G)
+        hp = self.mesh.deriv_matrix(1, order=2) @ self.h
+        if self.structure is StructureKind.CY:
+            return hp
+        return hp - self.G * np.cos(3.0 * self.theta)
 
     def tau0(self):
-        return _tau0(self.mesh, self.structure, self.h, self.theta, self.G)
+        """Pointwise tau0 = 12 theta'/(7G), plus 24 sin(3 theta)/(7h) for NK."""
+        base = 12.0 / 7.0 * (self.mesh.deriv_matrix(1) @ self.theta) / self.G
+        if self.structure is StructureKind.CY:
+            return base
+        return base + 24.0 / 7.0 * np.sin(3.0 * self.theta) / self.h
 
 
 @dataclass(frozen=True)
@@ -162,16 +163,16 @@ def require_constant_h(h):
 
 def _rhs(mesh, structure):
     """The right-hand side of one structure's flow: a function from the flat
-    vector of the evolved fields ([theta, G] for CY, [h, theta, G] for NK),
-    or from a batch of up to 4 such vectors as the rows of an (m, N) array,
-    to the rates in the same shape. Each row is bitwise the rates of that
-    row alone. Each call raises SingularityDetected when h or G is not
-    positive in any row and, on an interval, zeroes the endpoint rates.
+    vector of the evolved fields (`FlowState.y`), or from a batch of up to 4
+    such vectors as the rows of an (m, N) array, to the rates in the same
+    shape. Each row is bitwise the rates of that row alone. Each call raises
+    SingularityDetected when h or G is not positive in any row and, on an
+    interval, zeroes the endpoint rates.
     """
     from scipy import sparse
     n, nk = mesh.n, structure is StructureKind.NK
-    k = 3 if nk else 2
-    positive = _POSITIVE_ROWS[structure]
+    k = len(FIELDS[structure])
+    positive = slice(k - 1, None, -2)  # the G and h rows, as a view: theta is between
     # (D1 f, D2 f) of every field but G, then D1 G; stacking keeps each row's
     # column order, so every sum runs as in D @ f
     D1 = mesh.deriv_matrix(1)
@@ -209,16 +210,14 @@ def rhs_cy(state):
     if state.structure is not StructureKind.CY:
         raise StructureMismatch("rhs_cy needs a CY state")
     require_constant_h(state.h)
-    y = np.concatenate([state.theta, state.G])
-    return tuple(_rhs(state.mesh, state.structure)(y).reshape(2, -1))
+    return tuple(_rhs(state.mesh, state.structure)(state.y).reshape(2, -1))
 
 
 def rhs_nk(state):
     """(dh/dt, dtheta/dt, dG/dt) for the NK system."""
     if state.structure is not StructureKind.NK:
         raise StructureMismatch("rhs_nk needs an NK state")
-    y = np.concatenate([state.h, state.theta, state.G])
-    return tuple(_rhs(state.mesh, state.structure)(y).reshape(3, -1))
+    return tuple(_rhs(state.mesh, state.structure)(state.y).reshape(3, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +287,10 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     under the local error tolerance TOL. The first trial step is
     cfl min(G)^2 dr^2; later ones follow the error estimate, and a step cut
     short at an output time leaves the next trial step as it was. A step
-    whose result has h or G not positive is rejected like an inaccurate one.
-    Initial NK data whose constraint residual exceeds INIT_CONSTRAINT_TOL,
-    or initial h or G below the positivity floor FLOOR, raises
-    SingularityDetected. Halts early with status "SingularityDetected"
+    whose result is not finite or has h or G not positive is rejected like
+    an inaccurate one. Initial NK data whose constraint residual exceeds
+    INIT_CONSTRAINT_TOL, or initial h or G below the positivity floor FLOOR,
+    raises SingularityDetected. Halts early with status "SingularityDetected"
     when h or G loses positivity inside a stage (the last accepted state is
     kept) or min h or min G falls below the positivity floor, or
     "ConstraintBlowup" when the NK constraint residual exceeds 1e-2,
@@ -317,85 +316,75 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
 
     rhs = _rhs(mesh, structure)
     dr2 = mesh.dr ** 2
-    positive = _POSITIVE_ROWS[structure]
     rejected = rhs_evals = 0
     w0, w1, _ = chebyshev_coefficients(MAX_STAGES)
     rho_dt_max = 0.9 * (1.0 + w0) / w1  # the interval stages() covers with MAX_STAGES
 
     marks = sorted({float(t) for t in output_times if initial.t < t <= t_end})
     marks.append(float(t_end))
-    h, theta, G = initial.h, initial.theta, initial.G
-    y = np.concatenate([h, theta, G] if nk else [theta, G])
-    t = initial.t
+    state = initial
     snapshots = [initial] if (output_times and initial.t in output_times) else []
     diagnostics = []
     status = "Completed"
-    min_G = float(G.min())
+    min_G = float(initial.G.min())
     dt = cfl * (min_G * min_G) * dr2  # a product, not a power: no OverflowError
 
-    def pack():
-        return FlowState(mesh=mesh, h=h.copy(), theta=theta.copy(),
-                         G=G.copy(), t=t, structure=structure)
-
-    for mark in marks:
-        while t < mark - 1e-14:
-            step = min(dt, mark - t)
-            min_h, min_G = float(h.min()), float(G.min())
-            rho = 16.0 / 3.0 / (min_G * min_G * dr2)  # spectral-radius bound
-            if nk:
-                rho += 12.0 / (min_h * min_h) + 10.0 / (min_h * min_G * mesh.dr)
-            rho_dt = rho * step
-            if rho_dt > rho_dt_max:
-                step, rho_dt = rho_dt_max / rho, rho_dt_max
-            if t + step == t:
-                status = "StepSizeUnderflow"
+    # an overflow makes a trial state non-finite, and such a trial is rejected
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for mark in marks:
+            while state.t < mark - 1e-14:
+                t, y = state.t, state.y
+                step = min(dt, mark - t)
+                min_h, min_G = float(state.h.min()), float(state.G.min())
+                rho = 16.0 / 3.0 / (min_G * min_G * dr2)  # spectral-radius bound
+                if nk:
+                    rho += 12.0 / (min_h * min_h) + 10.0 / (min_h * min_G * mesh.dr)
+                rho_dt = rho * step
+                if rho_dt > rho_dt_max:
+                    step, rho_dt = rho_dt_max / rho, rho_dt_max
+                if t + step == t:
+                    status = "StepSizeUnderflow"
+                    break
+                s = stages(rho_dt)
+                if rhs_evals + 10 * s > MAX_RHS_EVALS:
+                    status = "WorkBudgetExceeded"
+                    break
+                rhs_evals += 10 * s
+                try:
+                    new, low = _extrapolated_step(rhs, y, step, s)
+                except SingularityDetected:
+                    status = "SingularityDetected"
+                    break
+                try:
+                    trial = state.advanced(new, t + step)
+                    err = float(np.sqrt(np.mean(np.square(
+                        (new - low) / (TOL * (1.0 + np.abs(y)))))))
+                except SingularityDetected:  # h or G not positive: retry shorter
+                    err = np.inf
+                if np.isnan(err):  # a non-finite trial state: retry shorter
+                    err = np.inf
+                grow = min(4.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 4.0
+                if err > 1.0:
+                    rejected += 1
+                    dt = grow * step
+                    continue
+                if step == dt:  # not cut short at an output time
+                    dt = grow * step
+                state = trial
+                c = float(np.max(np.abs(state.constraint_residual()))) if nk else 0.0
+                min_h = float(state.h.min() if nk else state.h[0])  # CY: h constant
+                min_G = float(state.G.min())
+                diagnostics.append((state.t, step, c,
+                                    float(np.max(np.abs(state.tau0()))), min_h, min_G))
+                if min_h < FLOOR or min_G < FLOOR:
+                    status = "SingularityDetected"
+                    break
+                if nk and c > CONSTRAINT_BLOWUP:
+                    status = "ConstraintBlowup"
+                    break
+            snapshots.append(state)  # the last at a halt: its terminal state
+            if status != "Completed":
                 break
-            s = stages(rho_dt)
-            if rhs_evals + 10 * s > MAX_RHS_EVALS:
-                status = "WorkBudgetExceeded"
-                break
-            rhs_evals += 10 * s
-            try:
-                new, low = _extrapolated_step(rhs, y, step, s)
-            except SingularityDetected:
-                status = "SingularityDetected"
-                break
-            err = float(np.sqrt(np.mean(np.square(
-                (new - low) / (TOL * (1.0 + np.abs(y)))))))
-            if not new.reshape(-1, mesh.n)[positive].min() > 0:
-                err = np.inf  # h or G not positive: retry shorter
-            grow = min(4.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 4.0
-            if err > 1.0:
-                rejected += 1
-                dt = grow * step
-                continue
-            if step == dt:  # not cut short at an output time
-                dt = grow * step
-            y, t = new, t + step
-            fields = y.reshape(-1, mesh.n)  # views of the evolved fields
-            theta, G = fields[-2:]
-            if nk:
-                h = fields[0]
-                c = float(np.max(np.abs(
-                    _constraint_residual(mesh, structure, h, theta, G))))
-                min_h = float(h.min())
-            else:
-                c = 0.0  # h is constant along the CY flow
-                min_h = float(h[0])
-            tau0 = _tau0(mesh, structure, h, theta, G)
-            min_G = float(G.min())
-            diagnostics.append((t, step, c, float(np.max(np.abs(tau0))),
-                                min_h, min_G))
-            if min_h < FLOOR or min_G < FLOOR:
-                status = "SingularityDetected"
-                break
-            if nk and c > CONSTRAINT_BLOWUP:
-                status = "ConstraintBlowup"
-                break
-        if status != "Completed":
-            snapshots.append(pack())  # terminal state of a halted run
-            break
-        snapshots.append(pack())
 
     return FlowRun(tuple(snapshots), tuple(diagnostics), status, rejected,
                    rhs_evals)

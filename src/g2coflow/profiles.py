@@ -176,11 +176,16 @@ class Profile:
 
     def _evaluate(self, r, terms):
         """Values of the terms at r, within this profile's domain, each node
-        computed once, all finite."""
+        computed once, all finite: an overflow or a division by zero, of
+        numpy arrays or of Python numbers, raises SingularEval."""
         if self.domain is not None and not np.all(self.domain.contains(r)):
             raise DomainError(f"coordinate {r!r} outside {self.domain!r}")
         memo = {}
-        values = tuple(p._value(r, memo) for p in terms)
+        try:
+            with np.errstate(all="ignore"):  # non-finite values are caught below
+                values = tuple(p._value(r, memo) for p in terms)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise SingularEval(f"evaluation failed: {exc}") from None
         _require_finite(values)
         return values
 
@@ -315,11 +320,7 @@ class Div(_Binary):
     __slots__ = ()
 
     def _op(self, a, b):
-        try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = a / b
-        except ZeroDivisionError:
-            raise SingularEval("division by zero") from None
+        v = a / b
         _require_finite((v,))
         return v
 
@@ -368,10 +369,7 @@ class Exp(_Unary):
 
 class Arctan(_Unary):
     __slots__ = ()
-
-    def _op(self, a):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.arctan(a)
+    _op = np.arctan
 
     def derivative(self):
         one = constant(1.0)

@@ -53,12 +53,10 @@ def random_g2_profile(rng, structure, domain=None, coclosed=False):
     return G2Profile(h=h, theta=theta, G=G, structure=structure, domain=dom)
 
 
-def random_invariant_form(rng, degree=None, domain=None):
+def random_invariant_form(rng, degree, domain=None):
     """Random form with small trigonometric coefficients on every basis
-    element of the chosen degree."""
+    element of the given degree."""
     dom = domain or pf.Circle(2 * np.pi)
-    if degree is None:
-        degree = int(rng.integers(0, 8))
     coeffs = {}
     for tag in fm.BASIS_TAGS:
         if fm.DEGREE[tag] != degree:

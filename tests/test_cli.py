@@ -397,6 +397,30 @@ def test_invalid_nk_parameters_are_config_errors(tmp_path, capsys, flags, key):
     ("flow", {"structure": "CY", "t_end": 0.1,
               "domain": {"kind": "circle", "period": 6.0, "n": 64.8},
               "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": "True", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": 1.0, "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "G2", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY",
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": "1", "theta": "r +", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": "1", "theta": "r ** 2", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0, "n": 16},
+              "initial": {"h": "1", "theta": "r[0]", "G": "1"}}),
+    ("flow", {"structure": "CY", "t_end": 0.1,
+              "domain": {"kind": "circle", "period": 6.0},
+              "initial": {"h": "1", "theta": "0", "G": "1"}}),
 ])
 def test_bad_config_values_exit_2(tmp_path, sub, cfg):
     path = tmp_path / "bad.json"
@@ -543,6 +567,27 @@ def test_non_numeric_sample_value_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "(at 'theta')" in err
     assert "Traceback" not in err
+
+
+def test_sample_file_rows_must_match_the_flow_mesh(tmp_path, capsys):
+    path = tmp_path / "theta.csv"
+    path.write_text("r,value\n" + "\n".join(f"{r},0" for r in range(10)))
+    cfg = json.loads(open(flow_config(tmp_path)).read())   # domain.n = 64
+    cfg["initial"]["theta"] = {"file": str(path)}
+    bad = tmp_path / "rows.json"
+    bad.write_text(json.dumps(cfg))
+    assert run_cli("flow", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert "10 rows, mesh has 64 (at 'initial.theta')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+def test_a_config_file_that_is_not_a_json_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"   # None: no such file
+    if text is not None:
+        path.write_text(text)
+    assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_header_only_sample_file_is_a_config_error_without_a_warning(tmp_path, capsys):
@@ -706,6 +751,40 @@ def test_a_flow_that_cannot_finish_halts_with_exit_1(tmp_path, status):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["status"] == status and diag["rhs_evals"] <= coflow.MAX_RHS_EVALS
     assert f"flow {status} after" in run.stdout
+
+
+OVERFLOWS = [
+    # h^2 and (D1 h)^2 overflow in the NK rates: every trial step is rejected
+    ("flow", {"structure": "NK", "t_end": 1e-3,
+              "initial": {"h": "1e200", "theta": "0.5235987755982988", "G": "1"}},
+     "StepSizeUnderflow"),
+    # (theta')^2 overflows, and G turns negative inside the first step
+    ("flow", {"initial": {"h": "1", "theta": "1e200*sin(r)", "G": "1"}},
+     "SingularityDetected"),
+    ("torsion", {"h": "exp(exp(exp(r)))"}, None),
+    ("torsion", {"h": "pow(r, 100000000)"}, None),
+    ("residual", {"h": "1e200*sin(r)"}, None),
+    ("residual", {"theta": "exp(r*300)"}, None),
+]
+
+
+@pytest.mark.parametrize("sub,overrides,status", OVERFLOWS)
+def test_an_overflow_exits_1_without_a_warning(tmp_path, capsys, sub, overrides,
+                                                status):
+    # in process, where RuntimeWarnings are errors: a halted flow writes its
+    # artifacts, and an overflowing profile is a SingularEval
+    if sub == "residual":
+        cfg = tmp_path / "res.json"
+        cfg.write_text(json.dumps(dict(RESIDUAL, **overrides)))
+    else:
+        cfg = {"flow": flow_config, "torsion": torsion_config}[sub](tmp_path,
+                                                                   **overrides)
+    out = tmp_path / "o"
+    assert run_cli(sub, "--config", str(cfg), "--out", str(out)) == 1
+    if status:
+        assert json.loads((out / "manifest.json").read_text())["status"] == status
+    else:
+        assert capsys.readouterr().err.startswith("error: non-finite value")
 
 
 LAZY_SCRIPT = """

@@ -122,6 +122,12 @@ def test_division_by_zero_raises():
         p.value(0.0)
 
 
+def test_overflow_of_python_floats_raises():
+    # a scalar r evaluates in Python floats, whose power raises OverflowError
+    with pytest.raises(SingularEval):
+        pf.pow_int(R, 10 ** 8).value(2.0)
+
+
 def test_arctan_pole_raises():
     # complex argument hitting 1 + x^2 = 0
     p = pf.arctan(pf.constant(1j) * R)
