@@ -4,10 +4,11 @@ Two backends share one algebra. Closed-form expression trees (constants, r,
 arithmetic, sin/cos/exp/arctan, integer powers, antiderivatives by one
 Chebyshev series per fixed panel, the package's one quadrature) and
 uniformly sampled grids combine freely. Derivatives are
-`derivative()` trees: symbolic for closed-form nodes, one finite-difference
-stencil product for a grid (order `STENCIL_ORDER`, centered in the interior,
-one-sided at interval ends; the stencils are built once per mesh as cached
-sparse matrices, `Mesh.deriv_matrix`). A jet is the values of a profile and
+`derivative()` trees: symbolic for closed-form nodes, built once per node
+and kept, and one finite-difference stencil product for a grid (order
+`STENCIL_ORDER`, centered in the interior, one-sided at interval ends; the
+stencils are built once per mesh as cached sparse matrices,
+`Mesh.deriv_matrix`). A jet is the values of a profile and
 of its first four derivative trees at r; a bare grid's jet uses the direct
 m-th derivative stencils instead. `Profile.value` and `Profile.jet`
 evaluate along one path: a domain check, one memo that computes each node
@@ -16,7 +17,8 @@ once: domains and their JSON (`domain_from_json`), the uniform grid of a
 domain (`Mesh`, shared with the coflow) and CSV rows (`write_csv`).
 
 Profiles are immutable after construction; every operation returns a new
-object, so they are safe to share between threads.
+object, so they are safe to share between threads (two threads asking a
+node for its derivative at once may each build it; either tree is kept).
 """
 
 from __future__ import annotations
@@ -152,10 +154,11 @@ def _merge_domain(a, b):
 class Profile:
     """Abstract scalar function of r. Subclasses implement the backends."""
 
-    __slots__ = ("domain",)
+    __slots__ = ("domain", "_deriv")
 
     def __init__(self, domain=None):
         self.domain = domain
+        self._deriv = None   # the derivative tree, once derivative() built it
 
     # evaluation -----------------------------------------------------------
     def jet(self, r):
@@ -196,11 +199,17 @@ class Profile:
             v = memo[id(self)] = self._eval(r, memo)
         return v
 
+    def derivative(self):
+        """The derivative tree, built once per node and kept."""
+        if self._deriv is None:
+            self._deriv = self._derivative()
+        return self._deriv
+
     # tree plumbing, overridden by nodes ------------------------------------
     def _eval(self, r, memo):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def derivative(self):  # pragma: no cover - abstract
+    def _derivative(self):  # pragma: no cover - abstract
         raise NotImplementedError
 
     # operators --------------------------------------------------------------
@@ -261,7 +270,7 @@ class Constant(Profile):
         shape = np.shape(r)
         return np.full(shape, self.c) if shape else self.c
 
-    def derivative(self):
+    def _derivative(self):
         return Constant(0.0, self.domain)
 
 
@@ -273,7 +282,7 @@ class Coordinate(Profile):
     def _eval(self, r, memo):
         return np.asarray(r, dtype=float) if np.shape(r) else float(r)
 
-    def derivative(self):
+    def _derivative(self):
         return Constant(1.0, self.domain)
 
 
@@ -296,7 +305,7 @@ class Add(_Binary):
     __slots__ = ()
     _op = operator.add
 
-    def derivative(self):
+    def _derivative(self):
         return add(self.a.derivative(), self.b.derivative())
 
 
@@ -304,7 +313,7 @@ class Sub(_Binary):
     __slots__ = ()
     _op = operator.sub
 
-    def derivative(self):
+    def _derivative(self):
         return sub(self.a.derivative(), self.b.derivative())
 
 
@@ -312,7 +321,7 @@ class Mul(_Binary):
     __slots__ = ()
     _op = operator.mul
 
-    def derivative(self):
+    def _derivative(self):
         return add(mul(self.a.derivative(), self.b), mul(self.a, self.b.derivative()))
 
 
@@ -324,7 +333,7 @@ class Div(_Binary):
         _require_finite((v,))
         return v
 
-    def derivative(self):
+    def _derivative(self):
         num = sub(mul(self.a.derivative(), self.b), mul(self.a, self.b.derivative()))
         return div(num, mul(self.b, self.b))
 
@@ -347,7 +356,7 @@ class Sin(_Unary):
     __slots__ = ()
     _op = np.sin
 
-    def derivative(self):
+    def _derivative(self):
         return mul(cos(self.a), self.a.derivative())
 
 
@@ -355,7 +364,7 @@ class Cos(_Unary):
     __slots__ = ()
     _op = np.cos
 
-    def derivative(self):
+    def _derivative(self):
         return mul(constant(-1.0), mul(sin(self.a), self.a.derivative()))
 
 
@@ -363,7 +372,7 @@ class Exp(_Unary):
     __slots__ = ()
     _op = np.exp
 
-    def derivative(self):
+    def _derivative(self):
         return mul(exp(self.a), self.a.derivative())
 
 
@@ -371,7 +380,7 @@ class Arctan(_Unary):
     __slots__ = ()
     _op = np.arctan
 
-    def derivative(self):
+    def _derivative(self):
         one = constant(1.0)
         return div(self.a.derivative(), add(one, mul(self.a, self.a)))
 
@@ -382,7 +391,7 @@ class Conj(_Unary):
     __slots__ = ()
     _op = np.conjugate
 
-    def derivative(self):
+    def _derivative(self):
         return conj(self.a.derivative())
 
 
@@ -398,7 +407,7 @@ class Pow(_Unary):
     def _op(self, a):
         return a ** self.n
 
-    def derivative(self):
+    def _derivative(self):
         return mul(mul(constant(float(self.n)), pow_int(self.a, self.n - 1)),
                    self.a.derivative())
 
@@ -486,7 +495,7 @@ class Antiderivative(Profile):
                        np.concatenate((down[:0:-1], prefix, up[1:])))
         return self._cache
 
-    def derivative(self):
+    def _derivative(self):
         return self.integrand
 
 
@@ -688,6 +697,7 @@ class Sampled(Profile):
         return self.values[self.mesh.index(r)]
 
     def derivative(self):
+        # one stencil product, not kept: a grid's jet uses the direct stencils
         return Sampled(self.domain, self.mesh.deriv_matrix(1) @ self.values)
 
 

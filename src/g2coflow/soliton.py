@@ -303,6 +303,7 @@ def form_residual(cand, samples=200, tolerance=1e-8, constraint_tol=1e-7):
 LOCUS_TOL = 1e-4        # stop distance from |h'| = 0 or 1
 LEAD_FLOOR = 1e-10      # lower bound on the leading coefficient h^3 h'((h')^2-1)
 RATE_CAP = 1e100        # |h'''| beyond which the integrator's norms may overflow
+DETACH = 0.01           # locus margin at which a batch member finishes alone
 
 
 def _reduced_terms(h, hp, hpp, lam):
@@ -341,7 +342,7 @@ def reduced_rhs(h, hp, hpp, lam):
 
 def _reduced_rhs_raw(h, hp, hpp, lam):
     # locus-tolerant evaluation for integrator trial steps; the terminal
-    # events stop the trajectory before the formula actually degenerates
+    # event stops the trajectory before the formula actually degenerates
     try:
         lead, rest = _reduced_terms(h, hp, hpp, lam)
     except OverflowError:   # a float power past the float range
@@ -353,6 +354,20 @@ def _reduced_rhs_raw(h, hp, hpp, lam):
         raise StepFailure(f"reduced ODE overflows past |h'''| = {RATE_CAP:.0e} "
                           f"at h = {h:.3g}, h' = {hp:.3g}, h'' = {hpp:.3g}")
     return hppp
+
+
+def _factored_terms(h, hp, hpp, lam):
+    """(lead / h, rest / h) of `_reduced_terms`, factored in p = (h')^2 for
+    arrays of batch members, with half the array operations:
+    lead / h = h^2 h' (p - 1) and
+    rest / h = (h h'')^2 (1 - 2p) + h h'' (p - 1)(3p + 3 + lam h^2 / 4) - 6p (p - 1)^2.
+    Scalar calls keep the expanded form, and with it their exact results."""
+    p = hp * hp
+    pm = p - 1.0
+    hh = h * hpp
+    rest = (hh * hh * (1.0 - 2.0 * p) + hh * pm * (3.0 * p + 3.0 + 0.25 * lam * h * h)
+            - 6.0 * p * pm * pm)
+    return h * h * hp * pm, rest
 
 
 def reduced_residual(h, hp, hpp, hppp, lam):
@@ -374,46 +389,82 @@ class ReducedTrajectory:
     nfev: int = 0           # right-hand-side evaluations spent by the integrator
 
 
-def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,
-                      max_step=None):
-    """Integrate the reduced ODE with DOP853, the Dormand-Prince 8(5,3) pair.
+def _locus_margin(h, hp, dh0):
+    """Distance of (h, h') from the singular locus (|h'| within LOCUS_TOL of
+    0 or 1, or h at 1e-6), signed by the sides of it that h' = dh0 starts
+    on: negative past the locus, so a step that jumps across it still
+    changes the sign."""
+    return np.minimum(
+        np.minimum(np.copysign(1.0, dh0) * hp - LOCUS_TOL,
+                   np.copysign(1.0, 1.0 - abs(dh0)) * (1.0 - abs(hp)) - LOCUS_TOL),
+        h - 1e-6)
 
-    Stops cleanly at the span end or on approach to the singular locus
-    (|h'| within 1e-4 of 0 or 1, or h below 1e-6), reporting the status.
-    The default step cap, 32 intervals of the returned n_dense-point grid,
-    keeps the 7th-order dense output accurate enough for finite-difference
-    residual checks on that grid; with n_dense=2 the cap exceeds the span,
-    so a caller that needs only the end point gets free steps.
-    """
-    from scipy import integrate
-    r0, r1 = float(span[0]), float(span[1])
-    if max_step is None:
-        max_step = 32.0 * (r1 - r0) / max(n_dense - 1, 1)
-    reduced_rhs(h0, dh0, ddh0, lam)  # validate admissibility up front
 
+def _locus(dh0, offset=0.0):
+    """Terminal event where the member nearest the locus comes within
+    `offset` of it; y holds the h of every member, then every h', then
+    every h''."""
+    def event(_r, y):
+        h, hp, _hpp = y.reshape(3, -1)
+        return _locus_margin(h, hp, dh0).min() - offset
+
+    event.terminal = True
+    return event
+
+
+def _alone_rhs(lam):
     def rhs(_r, y):
         # Python floats: an overflow raises or gives inf, never a warning
         h, hp, hpp = y.tolist()
         return (hp, hpp, _reduced_rhs_raw(h, hp, hpp, lam))
 
-    # terminal events guarding the singular locus
-    def near_flat(_r, y):
-        return abs(y[1]) - LOCUS_TOL
+    return rhs
 
-    def near_unit(_r, y):
-        return abs(abs(y[1]) - 1.0) - LOCUS_TOL
 
-    def near_zero_h(_r, y):
-        return y[0] - 1e-6
+def _dop853(rhs, r, r1, y, rtol, max_step, event):
+    from scipy import integrate
+    return integrate.solve_ivp(rhs, (r, r1), y, method="DOP853", rtol=rtol,
+                               atol=1e-12, dense_output=True, max_step=max_step,
+                               events=event)
 
-    for ev in (near_flat, near_unit, near_zero_h):
-        ev.terminal = True
 
-    sol = integrate.solve_ivp(
-        rhs, (r0, r1), (float(h0), float(dh0), float(ddh0)),
-        method="DOP853", rtol=rtol, atol=1e-12, dense_output=True,
-        max_step=max_step, events=(near_flat, near_unit, near_zero_h),
-    )
+def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,
+                      max_step=None):
+    """Integrate the reduced ODE with DOP853, the Dormand-Prince 8(5,3) pair.
+
+    Stops cleanly at the span end or on approach to the singular locus
+    (|h'| within 1e-4 of 0 or 1, or h below 1e-6), reporting the status;
+    the guard is signed, so a step that jumps across the locus stops there
+    too. The default step cap, 32 intervals of the returned n_dense-point grid,
+    keeps the 7th-order dense output accurate enough for finite-difference
+    residual checks on that grid; with n_dense=2 the cap exceeds the span,
+    so a caller that needs only the end point gets free steps.
+
+    A 1-D array of lambdas returns a tuple with one entry per lambda, in
+    order, each what a scalar call gives that lambda up to the integrator's
+    tolerance. The members are integrated as one 3m-dimensional DOP853
+    system (one step size and error norm for all). The batch stops where
+    its member nearest the locus comes within DETACH of it: that member
+    finishes alone from there, stopping at the locus with status
+    "singular_locus" or at the span end, and the others continue from that
+    point. A member that fails the up-front check, or whose right-hand side
+    passes LEAD_FLOOR or RATE_CAP or overflows, is dropped and integrated
+    alone through this function from the start, so its entry is what a
+    scalar call gives: a trajectory, or the SingularLocus or StepFailure
+    that call raised. A failed step of the batch integrates its members
+    alone the same way; a non-finite jet or lambda raises InvalidParams.
+    A member's nfev counts the batched evaluations it took part in and its
+    own.
+    """
+    r0, r1 = float(span[0]), float(span[1])
+    if max_step is None:
+        max_step = 32.0 * (r1 - r0) / max(n_dense - 1, 1)
+    if np.ndim(lam) == 1:
+        return _integrate_members(h0, dh0, ddh0, np.asarray(lam, dtype=float),
+                                  (r0, r1), rtol, n_dense, max_step)
+    reduced_rhs(h0, dh0, ddh0, lam)  # validate admissibility up front
+    sol = _dop853(_alone_rhs(lam), r0, r1, np.array([h0, dh0, ddh0], dtype=float),
+                  rtol, max_step, _locus(dh0))
     if not sol.success and sol.status != 1:
         raise StepFailure(f"integrator failed: {sol.message}")
 
@@ -423,6 +474,106 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,
     y = sol.sol(rs)
     return ReducedTrajectory(rs=rs, h=y[0], hp=y[1], hpp=y[2], lam=lam,
                              status=status, nfev=int(sol.nfev))
+
+
+class _MembersFailed(Exception):
+    """Raised by a batched right-hand side at the members `bad` it cannot
+    evaluate."""
+
+    def __init__(self, bad):
+        super().__init__()
+        self.bad = bad
+
+
+def _members_rhs(lams):
+    """Right-hand side of the batch of `lams`, its state laid out as in
+    `_locus`."""
+    def rhs(_r, y):
+        h, hp, hpp = y.reshape(3, -1)
+        with np.errstate(all="ignore"):  # a failing member is dropped instead
+            lead, rest = _factored_terms(h, hp, hpp, lams)
+            hppp = -rest / lead
+            lead *= h
+            if np.abs(lead).min() >= LEAD_FLOOR and np.abs(hppp).max() <= RATE_CAP:
+                return np.concatenate((hp, hpp, hppp))
+            raise _MembersFailed((np.abs(lead) < LEAD_FLOOR)
+                                 | ~(np.abs(hppp) <= RATE_CAP))
+
+    return rhs
+
+
+def _integrate_members(h0, dh0, ddh0, lams, span, rtol, n_dense, max_step):
+    """integrate_reduced over an array of lambdas (see there)."""
+    r0, r1 = span
+    m = len(lams)
+    alone, live = [], []
+    for i, lam in enumerate(lams):
+        try:
+            reduced_rhs(h0, dh0, ddh0, lam)
+            live.append(i)
+        except (SingularLocus, StepFailure):
+            alone.append(i)
+    live = np.array(live, dtype=int)
+    y = np.repeat([[h0], [dh0], [ddh0]], m, axis=1).astype(float)
+    stop, nfev = np.full(m, r1), np.zeros(m, dtype=int)
+    at_locus = np.zeros(m, dtype=bool)
+    pieces = []   # (members, dense solution) of each integrated stretch
+    r = r0
+    while live.size:
+        near = _locus_margin(y[0, live], y[1, live], dh0) <= DETACH + 1e-12
+        for i in live[near]:   # finish alone from here
+            try:
+                sol = _dop853(_alone_rhs(lams[i]), r, r1, y[:, i], rtol, max_step,
+                              _locus(dh0))
+            except (SingularLocus, StepFailure):
+                sol = None
+            if sol is None or sol.status == -1:
+                alone.append(i)
+                continue
+            pieces.append((np.array([i]), sol.sol))
+            nfev[i] += sol.nfev
+            stop[i], at_locus[i] = sol.t[-1], sol.status == 1
+        live = live[~near]
+        if not live.size:
+            break
+        try:
+            sol = _dop853(_members_rhs(lams[live]), r, r1, y[:, live].ravel(), rtol,
+                          max_step, _locus(dh0, DETACH))
+        except _MembersFailed as exc:
+            alone += live[exc.bad].tolist()
+            live = live[~exc.bad]
+            continue
+        if sol.status == -1:   # which member made the step fail is unknown
+            alone += live.tolist()
+            break
+        pieces.append((live, sol.sol))
+        nfev[live] += sol.nfev
+        if sol.status == 0:
+            break
+        r = float(sol.t[-1])
+        y[:, live] = sol.y[:, -1].reshape(3, -1)
+
+    out = []
+    for i, lam in enumerate(lams.tolist()):
+        if i in alone:
+            try:
+                out.append(integrate_reduced(h0, dh0, ddh0, lam, span, rtol=rtol,
+                                             n_dense=n_dense, max_step=max_step))
+            except (SingularLocus, StepFailure) as exc:
+                out.append(exc)
+            continue
+        rs = np.linspace(r0, stop[i], n_dense)
+        vals = np.empty((3, n_dense))
+        for members, dense in pieces:
+            k = np.searchsorted(members, i)
+            inside = (rs >= dense.t_min) & (rs <= dense.t_max)
+            if k < len(members) and members[k] == i and inside.any():
+                vals[:, inside] = dense(rs[inside])[k + len(members) * np.arange(3)]
+        out.append(ReducedTrajectory(
+            rs=rs, h=vals[0], hp=vals[1], hpp=vals[2], lam=lam,
+            status="singular_locus" if at_locus[i] else "completed",
+            nfev=int(nfev[i])))
+    return tuple(out)
 
 
 def recover_theta_k(traj, lam, u_sign0=1.0):
@@ -541,7 +692,11 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
     The closing functional is h'(r_end; lambda) - target (evaluated at the
     early-stop point if the trajectory hits the singular locus). It needs
     only the trajectory's end, so closing integrations take free steps and
-    keep two samples; only the final candidate is integrated densely.
+    keep two samples. The scan is one batched integrate_reduced call over
+    the grid of lambdas, each member's value what a scalar call gives it
+    (NaN where that call raises SingularLocus or StepFailure); brentq
+    starts from the scan's values and integrates each further lambda alone,
+    and only the final candidate is integrated densely.
     Returns a ShootReport; found=False carries the scanned bracket report.
     """
     from scipy import optimize
@@ -556,12 +711,12 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
 
     lo, hi = float(min(lam_range)), float(max(lam_range))
     lams = np.linspace(lo, hi, grid)
+    scan = integrate_reduced(h0, dh0, ddh0, lams, span, rtol=rtol, n_dense=2)
     values = []
-    for lam in lams:
-        try:
-            values.append((float(lam), closing(float(lam))))
-        except (SingularLocus, StepFailure):
-            values.append((float(lam), np.nan))
+    for lam, traj in zip(lams.tolist(), scan):
+        if isinstance(traj, ReducedTrajectory):
+            memo[lam] = float(traj.hp[-1]) - target_dh_end
+        values.append((lam, memo.get(lam, np.nan)))
 
     bracket = None
     for (l1, f1), (l2, f2) in zip(values, values[1:]):

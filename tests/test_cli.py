@@ -736,21 +736,20 @@ HALTING_FLOWS = {
 
 
 @pytest.mark.parametrize("status", list(HALTING_FLOWS))
-def test_a_flow_that_cannot_finish_halts_with_exit_1(tmp_path, status):
-    # a subprocess, so that overflow warnings stay warnings as for a user
+def test_a_flow_that_cannot_finish_halts_with_exit_1(tmp_path, capsys, monkeypatch,
+                                                     status):
+    # in process; the budget case under a budget of 50,000 RHS evaluations,
+    # which it spends in a second where the shipped budget takes 15 s
+    assert coflow.MAX_RHS_EVALS == 1_000_000
+    if status == "WorkBudgetExceeded":
+        monkeypatch.setattr(coflow, "MAX_RHS_EVALS", 50_000)
     cfg = flow_config(tmp_path, **HALTING_FLOWS[status])
     out = tmp_path / "o"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-m", "g2coflow.cli", "flow", "--config",
-                          cfg, "--out", str(out)], env=env, capture_output=True,
-                         text=True, timeout=60)
-    assert run.returncode == 1, run.stderr
+    assert run_cli("flow", "--config", cfg, "--out", str(out)) == 1
     assert json.loads((out / "manifest.json").read_text())["status"] == status
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["status"] == status and diag["rhs_evals"] <= coflow.MAX_RHS_EVALS
-    assert f"flow {status} after" in run.stdout
+    assert f"flow {status} after" in capsys.readouterr().out
 
 
 OVERFLOWS = [

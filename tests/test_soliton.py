@@ -516,10 +516,109 @@ def test_shoot_no_bracket_returns_the_scan():
     assert rep.lam is None and rep.candidate is None
     lams = [lam for lam, _ in rep.closing_values]
     assert lams == list(np.linspace(-18.0, -14.0, 5))
-    for lam, value in rep.closing_values:
-        traj = so.integrate_reduced(h0, dh0, ddh0, lam, (r0, r1), rtol=1e-10,
-                                    n_dense=2, max_step=np.inf)
+    scan = so.integrate_reduced(h0, dh0, ddh0, np.linspace(-18.0, -14.0, 5),
+                                (r0, r1), rtol=1e-10, n_dense=2)
+    for (lam, value), traj in zip(rep.closing_values, scan, strict=True):
+        assert traj.lam == lam
         assert value == float(traj.hp[-1]) - 5.0
+
+
+def scalar_calls(jet, lams, span):
+    """integrate_reduced one lambda at a time; the exception where one raises."""
+    out = []
+    for lam in lams:
+        try:
+            out.append(so.integrate_reduced(*jet, float(lam), span, n_dense=2))
+        except (SingularLocus, StepFailure) as exc:
+            out.append(exc)
+    return out
+
+
+def sine_cone_jet(r0):
+    return np.sin(r0), np.cos(r0), -np.sin(r0)
+
+
+@pytest.mark.parametrize("r0,length", [
+    (np.pi / 8, np.pi / 4),   # criterion 8
+    (0.3, 0.7), (0.4, 0.75), (0.5, 0.8),
+])
+def test_batched_members_agree_with_scalar_calls(r0, length):
+    span, target = (r0, r0 + length), np.cos(r0 + length)
+    lams = np.linspace(-25.0, -8.0, 13)
+    batch = so.integrate_reduced(*sine_cone_jet(r0), lams, span, n_dense=2)
+    alone = scalar_calls(sine_cone_jet(r0), lams, span)
+    for lam, one, single in zip(lams, batch, alone, strict=True):
+        assert one.lam == lam and one.status == single.status
+        assert abs(one.rs[-1] - single.rs[-1]) <= 1e-9
+        assert abs(one.hp[-1] - single.hp[-1]) <= 1e-9
+        assert np.sign(one.hp[-1] - target) == np.sign(single.hp[-1] - target)
+
+
+def test_a_scan_through_the_locus_matches_scalar_calls():
+    # criterion 8's data over a wide range: six members reach h' = 0 inside
+    # the span, each finishing alone once it comes within DETACH of it
+    from scipy import optimize
+
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    jet, target = sine_cone_jet(r0), np.cos(r1)
+    lams = np.linspace(-60.0, 10.0, 13)
+    alone = scalar_calls(jet, lams, (r0, r1))
+    batch = so.integrate_reduced(*jet, lams, (r0, r1), n_dense=2)
+    assert [t.status for t in batch] == [t.status for t in alone]
+    assert [t.status for t in batch].count("singular_locus") == 6
+    for one, single in zip(batch, alone):
+        assert abs(one.rs[-1] - single.rs[-1]) <= 1e-9
+        assert abs(one.hp[-1] - single.hp[-1]) <= 1e-9
+
+    rep = so.shoot(*jet, (r0, r1), target, (-60.0, 10.0))
+    values = np.array([float(t.hp[-1]) - target for t in alone])
+    scanned = np.array([v for _, v in rep.closing_values[:13]])
+    assert np.array_equal(np.isnan(scanned), np.isnan(values))
+    i = int(np.flatnonzero(values[:-1] * values[1:] <= 0)[0])
+    assert np.flatnonzero(scanned[:-1] * scanned[1:] <= 0)[0] == i
+    lam = optimize.brentq(
+        lambda x: so.integrate_reduced(*jet, x, (r0, r1), n_dense=2).hp[-1] - target,
+        lams[i], lams[i + 1], xtol=1e-9, rtol=1e-12)
+    assert rep.found and abs(rep.lam - lam) <= 1e-9
+
+
+def test_a_failing_member_is_integrated_alone(monkeypatch):
+    # under a cap of 2 on |h'''|, lambda = -25 passes the up-front check
+    # (h''' = -1.28 at r0) but passes the cap inside the span; 1e300 fails
+    # the up-front check
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    jet = sine_cone_jet(r0)
+    monkeypatch.setattr(so, "RATE_CAP", 2.0)
+    lams = np.array([-25.0, -16.5, -8.0, 1e300])
+    integrate, scalars = so.integrate_reduced, []
+
+    def spied(h0, dh0, ddh0, lam, *args, **kwargs):
+        if np.ndim(lam) == 0:
+            scalars.append(lam)
+        return integrate(h0, dh0, ddh0, lam, *args, **kwargs)
+
+    monkeypatch.setattr(so, "integrate_reduced", spied)
+    batch = so.integrate_reduced(*jet, lams, (r0, r1), n_dense=2)
+    assert scalars == [-25.0, 1e300]
+    assert isinstance(batch[0], StepFailure) and isinstance(batch[3], StepFailure)
+    for one, single in zip(batch[1:3], scalar_calls(jet, lams[1:3], (r0, r1))):
+        assert abs(one.hp[-1] - single.hp[-1]) <= 1e-9
+
+    rep = so.shoot(*jet, (r0, r1), np.cos(r1), (-25.0, -8.0), grid=5)
+    assert np.isnan(rep.closing_values[0][1])
+    assert rep.found and abs(rep.lam + 16.0) < 1e-6
+
+
+def test_identical_shoots_give_bitwise_identical_reports():
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    first, second = (so.shoot(*sine_cone_jet(r0), (r0, r1), np.cos(r1), (-60.0, 10.0))
+                     for _ in range(2))
+    assert (first.found, first.lam, first.reason) == (second.found, second.lam,
+                                                      second.reason)
+    assert np.array_equal(first.closing_values, second.closing_values, equal_nan=True)
+    for name in ("h", "theta", "kprime"):
+        assert np.array_equal(getattr(first.candidate, name).values,
+                              getattr(second.candidate, name).values)
 
 
 def test_shoot_perturbed_target():
