@@ -356,20 +356,6 @@ def _reduced_rhs_raw(h, hp, hpp, lam):
     return hppp
 
 
-def _factored_terms(h, hp, hpp, lam):
-    """(lead / h, rest / h) of `_reduced_terms`, factored in p = (h')^2 for
-    arrays of batch members, with half the array operations:
-    lead / h = h^2 h' (p - 1) and
-    rest / h = (h h'')^2 (1 - 2p) + h h'' (p - 1)(3p + 3 + lam h^2 / 4) - 6p (p - 1)^2.
-    Scalar calls keep the expanded form, and with it their exact results."""
-    p = hp * hp
-    pm = p - 1.0
-    hh = h * hpp
-    rest = (hh * hh * (1.0 - 2.0 * p) + hh * pm * (3.0 * p + 3.0 + 0.25 * lam * h * h)
-            - 6.0 * p * pm * pm)
-    return h * h * hp * pm, rest
-
-
 def reduced_residual(h, hp, hpp, hppp, lam):
     """Value of the polynomial ODE at the given jet (zero on solutions)."""
     lead, rest = _reduced_terms(h, hp, hpp, lam)
@@ -421,10 +407,10 @@ def _alone_rhs(lam):
     return rhs
 
 
-def _dop853(rhs, r, r1, y, rtol, max_step, event):
+def _dop853(rhs, r, r1, y, rtol, max_step, event, dense=False):
     from scipy import integrate
     return integrate.solve_ivp(rhs, (r, r1), y, method="DOP853", rtol=rtol,
-                               atol=1e-12, dense_output=True, max_step=max_step,
+                               atol=1e-12, dense_output=dense, max_step=max_step,
                                events=event)
 
 
@@ -441,9 +427,11 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,
     so a caller that needs only the end point gets free steps.
 
     A 1-D array of lambdas returns a tuple with one entry per lambda, in
-    order, each what a scalar call gives that lambda up to the integrator's
-    tolerance. The members are integrated as one 3m-dimensional DOP853
-    system (one step size and error norm for all). The batch stops where
+    order, each what a scalar call with n_dense=2 gives that lambda up to
+    the integrator's tolerance: a two-point trajectory holding the start
+    and the stop point (n_dense then sets only the default step cap). The
+    members are integrated as one 3m-dimensional DOP853 system (one step
+    size and error norm for all), without dense output. The batch stops where
     its member nearest the locus comes within DETACH of it: that member
     finishes alone from there, stopping at the locus with status
     "singular_locus" or at the span end, and the others continue from that
@@ -461,10 +449,10 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,
         max_step = 32.0 * (r1 - r0) / max(n_dense - 1, 1)
     if np.ndim(lam) == 1:
         return _integrate_members(h0, dh0, ddh0, np.asarray(lam, dtype=float),
-                                  (r0, r1), rtol, n_dense, max_step)
+                                  (r0, r1), rtol, max_step)
     reduced_rhs(h0, dh0, ddh0, lam)  # validate admissibility up front
     sol = _dop853(_alone_rhs(lam), r0, r1, np.array([h0, dh0, ddh0], dtype=float),
-                  rtol, max_step, _locus(dh0))
+                  rtol, max_step, _locus(dh0), dense=True)
     if not sol.success and sol.status != 1:
         raise StepFailure(f"integrator failed: {sol.message}")
 
@@ -491,9 +479,8 @@ def _members_rhs(lams):
     def rhs(_r, y):
         h, hp, hpp = y.reshape(3, -1)
         with np.errstate(all="ignore"):  # a failing member is dropped instead
-            lead, rest = _factored_terms(h, hp, hpp, lams)
+            lead, rest = _reduced_terms(h, hp, hpp, lams)
             hppp = -rest / lead
-            lead *= h
             if np.abs(lead).min() >= LEAD_FLOOR and np.abs(hppp).max() <= RATE_CAP:
                 return np.concatenate((hp, hpp, hppp))
             raise _MembersFailed((np.abs(lead) < LEAD_FLOOR)
@@ -502,7 +489,7 @@ def _members_rhs(lams):
     return rhs
 
 
-def _integrate_members(h0, dh0, ddh0, lams, span, rtol, n_dense, max_step):
+def _integrate_members(h0, dh0, ddh0, lams, span, rtol, max_step):
     """integrate_reduced over an array of lambdas (see there)."""
     r0, r1 = span
     m = len(lams)
@@ -514,10 +501,10 @@ def _integrate_members(h0, dh0, ddh0, lams, span, rtol, n_dense, max_step):
         except (SingularLocus, StepFailure):
             alone.append(i)
     live = np.array(live, dtype=int)
-    y = np.repeat([[h0], [dh0], [ddh0]], m, axis=1).astype(float)
+    y0 = np.array([h0, dh0, ddh0], dtype=float)
+    y = np.repeat(y0[:, None], m, axis=1)
     stop, nfev = np.full(m, r1), np.zeros(m, dtype=int)
     at_locus = np.zeros(m, dtype=bool)
-    pieces = []   # (members, dense solution) of each integrated stretch
     r = r0
     while live.size:
         near = _locus_margin(y[0, live], y[1, live], dh0) <= DETACH + 1e-12
@@ -530,9 +517,8 @@ def _integrate_members(h0, dh0, ddh0, lams, span, rtol, n_dense, max_step):
             if sol is None or sol.status == -1:
                 alone.append(i)
                 continue
-            pieces.append((np.array([i]), sol.sol))
             nfev[i] += sol.nfev
-            stop[i], at_locus[i] = sol.t[-1], sol.status == 1
+            stop[i], at_locus[i], y[:, i] = sol.t[-1], sol.status == 1, sol.y[:, -1]
         live = live[~near]
         if not live.size:
             break
@@ -546,31 +532,24 @@ def _integrate_members(h0, dh0, ddh0, lams, span, rtol, n_dense, max_step):
         if sol.status == -1:   # which member made the step fail is unknown
             alone += live.tolist()
             break
-        pieces.append((live, sol.sol))
         nfev[live] += sol.nfev
+        y[:, live] = sol.y[:, -1].reshape(3, -1)
         if sol.status == 0:
             break
         r = float(sol.t[-1])
-        y[:, live] = sol.y[:, -1].reshape(3, -1)
 
     out = []
     for i, lam in enumerate(lams.tolist()):
         if i in alone:
             try:
                 out.append(integrate_reduced(h0, dh0, ddh0, lam, span, rtol=rtol,
-                                             n_dense=n_dense, max_step=max_step))
+                                             n_dense=2, max_step=max_step))
             except (SingularLocus, StepFailure) as exc:
                 out.append(exc)
             continue
-        rs = np.linspace(r0, stop[i], n_dense)
-        vals = np.empty((3, n_dense))
-        for members, dense in pieces:
-            k = np.searchsorted(members, i)
-            inside = (rs >= dense.t_min) & (rs <= dense.t_max)
-            if k < len(members) and members[k] == i and inside.any():
-                vals[:, inside] = dense(rs[inside])[k + len(members) * np.arange(3)]
+        ends = np.stack((y0, y[:, i]), axis=1)
         out.append(ReducedTrajectory(
-            rs=rs, h=vals[0], hp=vals[1], hpp=vals[2], lam=lam,
+            rs=np.array([r0, stop[i]]), h=ends[0], hp=ends[1], hpp=ends[2], lam=lam,
             status="singular_locus" if at_locus[i] else "completed",
             nfev=int(nfev[i])))
     return tuple(out)

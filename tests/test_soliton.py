@@ -279,6 +279,22 @@ def test_integrate_reduced_stops_at_locus():
     assert abs(traj.rs[-1] - np.pi / 2) < 5e-3
 
 
+@pytest.mark.parametrize("lam", [-145.0 / 3.0, -42.5, -35.0, -30.8])
+def test_a_step_across_the_locus_stops_there(lam):
+    # criterion 8's data: h' falls through 0 inside the span, where
+    # h''' ~ 1/h' is singular; a long step may jump from h' > LOCUS_TOL to
+    # h' < -LOCUS_TOL, and the guard must still stop the trajectory there
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    jet = np.sin(r0), np.cos(r0), -np.sin(r0)
+    free = so.integrate_reduced(*jet, lam, (r0, r1), n_dense=2)
+    capped = so.integrate_reduced(*jet, lam, (r0, r1))
+    for traj in (free, capped):
+        assert traj.status == "singular_locus"
+        assert abs(traj.hp[-1] - so.LOCUS_TOL) <= 1e-12
+    assert r0 < free.rs[-1] < r1
+    assert abs(free.rs[-1] - capped.rs[-1]) <= 1e-9
+
+
 def test_trajectory_satisfies_ode_at_checkpoints():
     traj = so.integrate_reduced(0.8, 0.5, -0.3, -10.0, (0.0, 0.4))
     for i in range(0, len(traj.rs), 97):
