@@ -137,7 +137,13 @@ def _count(lo):
 
 _FINITE = (lambda x: bool(np.all(np.isfinite(x))), "must be finite")
 _POSITIVE = (lambda x: 0 < x < np.inf, "must be positive and finite")
-_SPAN = (lambda s: -np.inf < s[0] < s[1] < np.inf, "must be finite and increasing")
+# ends within 1e300 of 0, so that a grid over the interval has finite nodes
+_SPAN = (lambda s: -1e300 <= s[0] < s[1] <= 1e300, "must increase, within +-1e300")
+_RANGE = (lambda x: -1e300 <= min(x) <= max(x) <= 1e300, "must be within +-1e300")
+# DOP853 raises a relative tolerance below 100 eps with a warning, and one of
+# 1 or more controls no error and lets the error scale atol + |y| rtol overflow
+_RTOL = (lambda x: 100 * np.finfo(float).eps <= x < 1,
+         "must be from 100 eps = 2.2e-14 up to 1, 1 excluded")
 _NODES = Key(int, check=(lambda n: pf.MIN_NODES <= n <= MAX_NODES,
                          f"need from MIN_NODES = {pf.MIN_NODES} to {MAX_NODES} nodes"))
 _NK_FAMILIES = tuple(f.value for f in (so.Family.CONE, so.Family.ANTICONE,
@@ -576,16 +582,16 @@ COMMANDS = {
         "h0": _flag(float, check=_FINITE), "dh0": _flag(float, check=_FINITE),
         "ddh0": _flag(float, check=_FINITE), "lambda": _flag(float, check=_FINITE),
         "span": _flag(float, nargs=2, check=_SPAN),
-        "rtol": _flag(float, 1e-10, check=_POSITIVE),
+        "rtol": _flag(float, 1e-10, check=_RTOL),
         "u_sign0": _flag(float, 1.0, check=_FINITE),
         "tolerance": _flag(float, 1e-6, check=_POSITIVE)}, _run_reduce, soliton=True),
     "shoot": Command("shooting over the soliton constant", {
         "h0": Key(float, check=_FINITE), "dh0": Key(float, check=_FINITE),
         "ddh0": Key(float, check=_FINITE), "span": Key(float, nargs=2, check=_SPAN),
         "target_dh_end": Key(float, check=_FINITE),
-        "lam_range": Key(float, nargs=2, check=_FINITE),
+        "lam_range": Key(float, nargs=2, check=_RANGE),
         "u_sign0": Key(float, 1.0, check=_FINITE),
-        "rtol": Key(float, 1e-10, check=_POSITIVE),
+        "rtol": Key(float, 1e-10, check=_RTOL),
         "residual_tol": Key(float, 1e-6, check=_POSITIVE),
         "grid": Key(int, 13, check=_count(2))}, _run_shoot, soliton=True),
     "residual": Command("residuals of a custom candidate", {

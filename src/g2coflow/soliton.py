@@ -14,6 +14,7 @@ Residuals are always reported two independent ways: coordinate equations
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,6 +305,7 @@ LOCUS_TOL = 1e-4        # stop distance from |h'| = 0 or 1
 LEAD_FLOOR = 1e-10      # lower bound on the leading coefficient h^3 h'((h')^2-1)
 RATE_CAP = 1e100        # |h'''| beyond which the integrator's norms may overflow
 DETACH = 0.01           # locus margin at which a batch member finishes alone
+MAX_RHS_EVALS = 200_000  # work budget of one DOP853 solve, in RHS evaluations
 
 
 def _reduced_terms(h, hp, hpp, lam):
@@ -399,7 +401,11 @@ def _locus(dh0, offset=0.0):
 
 
 def _alone_rhs(lam):
+    calls = itertools.count(1)
+
     def rhs(_r, y):
+        if next(calls) > MAX_RHS_EVALS:
+            raise StepFailure(f"reduced ODE past {MAX_RHS_EVALS} RHS evaluations")
         # Python floats: an overflow raises or gives inf, never a warning
         h, hp, hpp = y.tolist()
         return (hp, hpp, _reduced_rhs_raw(h, hp, hpp, lam))
@@ -407,114 +413,118 @@ def _alone_rhs(lam):
     return rhs
 
 
-def _dop853(rhs, r, r1, y, rtol, max_step, event, dense=False):
+def _dop853(rhs, r, r1, y, rtol, event, max_step=np.inf, dense=False):
     from scipy import integrate
-    return integrate.solve_ivp(rhs, (r, r1), y, method="DOP853", rtol=rtol,
-                               atol=1e-12, dense_output=dense, max_step=max_step,
-                               events=event)
+    # a step of a huge span may overflow the stage sums: the error norm of that
+    # trial state is not finite, so the step is rejected, and the right-hand
+    # side fails (StepFailure) at a state it cannot evaluate
+    with np.errstate(all="ignore"):
+        return integrate.solve_ivp(rhs, (r, r1), y, method="DOP853", rtol=rtol,
+                                   atol=1e-12, dense_output=dense,
+                                   max_step=max_step, events=event)
 
 
-def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801,
-                      max_step=None):
+def _alone(r, r1, y, lam, dh0, rtol, max_step=np.inf, dense=False):
+    """DOP853 solution of one member from (r, y) toward r1, under the locus
+    guard of a start at h' = dh0. Raises what reduced_rhs raises at (r, y),
+    and StepFailure where the integrator fails."""
+    reduced_rhs(*y.tolist(), lam)
+    sol = _dop853(_alone_rhs(lam), r, r1, y, rtol, _locus(dh0), max_step, dense)
+    if sol.status == -1:
+        raise StepFailure(f"integrator failed: {sol.message}")
+    return sol
+
+
+def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801):
     """Integrate the reduced ODE with DOP853, the Dormand-Prince 8(5,3) pair.
 
-    Stops cleanly at the span end or on approach to the singular locus
-    (|h'| within 1e-4 of 0 or 1, or h below 1e-6), reporting the status;
+    The span must increase and have a finite length (InvalidParams at
+    "span"). Stops cleanly at the span end or on approach to the singular
+    locus (|h'| within 1e-4 of 0 or 1, or h below 1e-6), reporting the status;
     the guard is signed, so a step that jumps across the locus stops there
-    too. The default step cap, 32 intervals of the returned n_dense-point grid,
-    keeps the 7th-order dense output accurate enough for finite-difference
-    residual checks on that grid; with n_dense=2 the cap exceeds the span,
-    so a caller that needs only the end point gets free steps.
+    too. Steps are capped at 32 intervals of the returned n_dense-point grid,
+    which keeps the 7th-order dense output accurate enough for
+    finite-difference residual checks on that grid; with n_dense=2 the cap
+    exceeds the span, so a caller that needs only the end point gets free
+    steps. An integration that would pass MAX_RHS_EVALS right-hand-side
+    evaluations raises StepFailure.
 
     A 1-D array of lambdas returns a tuple with one entry per lambda, in
     order, each what a scalar call with n_dense=2 gives that lambda up to
     the integrator's tolerance: a two-point trajectory holding the start
-    and the stop point (n_dense then sets only the default step cap). The
-    members are integrated as one 3m-dimensional DOP853 system (one step
-    size and error norm for all), without dense output. The batch stops where
-    its member nearest the locus comes within DETACH of it: that member
-    finishes alone from there, stopping at the locus with status
+    and the stop point (n_dense is not used). The members are integrated as
+    one 3m-dimensional DOP853 system with free steps (one step size and
+    error norm for all), without dense output. The batch stops where its
+    member nearest the locus comes within DETACH of it, at the start too:
+    that member finishes alone from there, stopping at the locus with status
     "singular_locus" or at the span end, and the others continue from that
-    point. A member that fails the up-front check, or whose right-hand side
-    passes LEAD_FLOOR or RATE_CAP or overflows, is dropped and integrated
-    alone through this function from the start, so its entry is what a
-    scalar call gives: a trajectory, or the SingularLocus or StepFailure
-    that call raised. A failed step of the batch integrates its members
-    alone the same way; a non-finite jet or lambda raises InvalidParams.
-    A member's nfev counts the batched evaluations it took part in and its
-    own.
+    point. A member whose right-hand side passes LEAD_FLOOR or RATE_CAP or
+    overflows, which fails its start or its finish alone, or whose batch
+    passes MAX_RHS_EVALS or fails a step, is integrated alone through this
+    function from the start, so its entry is what a scalar call gives: a
+    trajectory, or the SingularLocus or StepFailure that call raised; a
+    non-finite jet or lambda raises InvalidParams. A member's nfev counts the
+    batched evaluations it took part in and its own.
     """
     r0, r1 = float(span[0]), float(span[1])
-    if max_step is None:
-        max_step = 32.0 * (r1 - r0) / max(n_dense - 1, 1)
+    if not 0 < r1 - r0 < np.inf:   # NaN fails too
+        raise InvalidParams(f"span {r0, r1} needs 0 < r1 - r0 < inf", param="span")
     if np.ndim(lam) == 1:
         return _integrate_members(h0, dh0, ddh0, np.asarray(lam, dtype=float),
-                                  (r0, r1), rtol, max_step)
-    reduced_rhs(h0, dh0, ddh0, lam)  # validate admissibility up front
-    sol = _dop853(_alone_rhs(lam), r0, r1, np.array([h0, dh0, ddh0], dtype=float),
-                  rtol, max_step, _locus(dh0), dense=True)
-    if not sol.success and sol.status != 1:
-        raise StepFailure(f"integrator failed: {sol.message}")
-
-    r_stop = float(sol.t[-1])
-    status = "completed" if sol.status == 0 else "singular_locus"
-    rs = np.linspace(r0, r_stop, n_dense)
-    y = sol.sol(rs)
-    return ReducedTrajectory(rs=rs, h=y[0], hp=y[1], hpp=y[2], lam=lam,
-                             status=status, nfev=int(sol.nfev))
+                                  r0, r1, rtol)
+    sol = _alone(r0, r1, np.array([h0, dh0, ddh0], dtype=float), lam, dh0, rtol,
+                 32.0 * (r1 - r0) / max(n_dense - 1, 1), dense=True)
+    rs = np.linspace(r0, float(sol.t[-1]), n_dense)
+    h, hp, hpp = sol.sol(rs)
+    return ReducedTrajectory(rs=rs, h=h, hp=hp, hpp=hpp, lam=lam, nfev=int(sol.nfev),
+                             status="singular_locus" if sol.status else "completed")
 
 
 class _MembersFailed(Exception):
-    """Raised by a batched right-hand side at the members `bad` it cannot
-    evaluate."""
+    """Raised by a batched right-hand side with the mask `bad` of the members
+    it cannot evaluate."""
 
-    def __init__(self, bad):
-        super().__init__()
-        self.bad = bad
+    bad = property(lambda self: self.args[0])
 
 
 def _members_rhs(lams):
     """Right-hand side of the batch of `lams`, its state laid out as in
-    `_locus`."""
+    `_locus`; past MAX_RHS_EVALS it fails every member."""
+    calls = itertools.count(1)
+
     def rhs(_r, y):
+        if next(calls) > MAX_RHS_EVALS:
+            raise _MembersFailed(np.ones(len(lams), dtype=bool))
         h, hp, hpp = y.reshape(3, -1)
-        with np.errstate(all="ignore"):  # a failing member is dropped instead
-            lead, rest = _reduced_terms(h, hp, hpp, lams)
-            hppp = -rest / lead
-            if np.abs(lead).min() >= LEAD_FLOOR and np.abs(hppp).max() <= RATE_CAP:
-                return np.concatenate((hp, hpp, hppp))
-            raise _MembersFailed((np.abs(lead) < LEAD_FLOOR)
-                                 | ~(np.abs(hppp) <= RATE_CAP))
+        # under _dop853's errstate: a member that fails is dropped instead
+        lead, rest = _reduced_terms(h, hp, hpp, lams)
+        hppp = -rest / lead
+        if np.abs(lead).min() >= LEAD_FLOOR and np.abs(hppp).max() <= RATE_CAP:
+            return np.concatenate((hp, hpp, hppp))
+        raise _MembersFailed((np.abs(lead) < LEAD_FLOOR) | ~(np.abs(hppp) <= RATE_CAP))
 
     return rhs
 
 
-def _integrate_members(h0, dh0, ddh0, lams, span, rtol, max_step):
+def _integrate_members(h0, dh0, ddh0, lams, r0, r1, rtol):
     """integrate_reduced over an array of lambdas (see there)."""
-    r0, r1 = span
     m = len(lams)
-    alone, live = [], []
-    for i, lam in enumerate(lams):
-        try:
-            reduced_rhs(h0, dh0, ddh0, lam)
-            live.append(i)
-        except (SingularLocus, StepFailure):
-            alone.append(i)
-    live = np.array(live, dtype=int)
+    alone, live, r, stopped = [], np.arange(m), r0, False
     y0 = np.array([h0, dh0, ddh0], dtype=float)
+    if not np.isfinite(y0).all():   # solve_ivp would reject it untyped
+        reduced_rhs(*y0.tolist(), 0.0)   # InvalidParams at the first such entry
     y = np.repeat(y0[:, None], m, axis=1)
-    stop, nfev = np.full(m, r1), np.zeros(m, dtype=int)
-    at_locus = np.zeros(m, dtype=bool)
-    r = r0
+    stop, nfev, at_locus = np.full(m, r1), np.zeros(m, dtype=int), np.zeros(m, bool)
     while live.size:
-        near = _locus_margin(y[0, live], y[1, live], dh0) <= DETACH + 1e-12
+        margin = _locus_margin(y[0, live], y[1, live], dh0)
+        near = margin <= DETACH + 1e-12
+        # the member that stopped the batch finishes alone even where its margin
+        # stays above DETACH: when the event's r rounds to the start of the step
+        near[margin.argmin()] |= stopped
         for i in live[near]:   # finish alone from here
             try:
-                sol = _dop853(_alone_rhs(lams[i]), r, r1, y[:, i], rtol, max_step,
-                              _locus(dh0))
+                sol = _alone(r, r1, y[:, i], float(lams[i]), dh0, rtol)
             except (SingularLocus, StepFailure):
-                sol = None
-            if sol is None or sol.status == -1:
                 alone.append(i)
                 continue
             nfev[i] += sol.nfev
@@ -523,11 +533,11 @@ def _integrate_members(h0, dh0, ddh0, lams, span, rtol, max_step):
         if not live.size:
             break
         try:
-            sol = _dop853(_members_rhs(lams[live]), r, r1, y[:, live].ravel(), rtol,
-                          max_step, _locus(dh0, DETACH))
+            sol = _dop853(_members_rhs(lams[live]), r, r1, y[:, live].ravel(),
+                          rtol, _locus(dh0, DETACH))
         except _MembersFailed as exc:
             alone += live[exc.bad].tolist()
-            live = live[~exc.bad]
+            live, stopped = live[~exc.bad], False
             continue
         if sol.status == -1:   # which member made the step fail is unknown
             alone += live.tolist()
@@ -536,22 +546,21 @@ def _integrate_members(h0, dh0, ddh0, lams, span, rtol, max_step):
         y[:, live] = sol.y[:, -1].reshape(3, -1)
         if sol.status == 0:
             break
-        r = float(sol.t[-1])
+        r, stopped = float(sol.t[-1]), True
 
     out = []
     for i, lam in enumerate(lams.tolist()):
         if i in alone:
             try:
-                out.append(integrate_reduced(h0, dh0, ddh0, lam, span, rtol=rtol,
-                                             n_dense=2, max_step=max_step))
+                out.append(integrate_reduced(h0, dh0, ddh0, lam, (r0, r1), rtol=rtol,
+                                             n_dense=2))
             except (SingularLocus, StepFailure) as exc:
                 out.append(exc)
             continue
-        ends = np.stack((y0, y[:, i]), axis=1)
-        out.append(ReducedTrajectory(
-            rs=np.array([r0, stop[i]]), h=ends[0], hp=ends[1], hpp=ends[2], lam=lam,
-            status="singular_locus" if at_locus[i] else "completed",
-            nfev=int(nfev[i])))
+        h, hp, hpp = np.stack((y0, y[:, i]), axis=1)
+        status = "singular_locus" if at_locus[i] else "completed"
+        out.append(ReducedTrajectory(rs=np.array([r0, stop[i]]), h=h, hp=hp, hpp=hpp,
+                                     lam=lam, status=status, nfev=int(nfev[i])))
     return tuple(out)
 
 
@@ -573,7 +582,11 @@ def recover_theta_k(traj, lam, u_sign0=1.0):
 
     # cross-check u u' = -h' h'' on interior nodes (np.gradient is 2nd order
     # there but only 1st order at the ends)
-    du = np.gradient(u, traj.rs)
+    with np.errstate(all="ignore"):   # repeated grid nodes, or steps so short
+        du = np.gradient(u, traj.rs)  # that their products underflow to 0
+    if not np.isfinite(du).all():
+        raise SingularLocus(f"the trajectory on [{traj.rs[0]:.6g}, {traj.rs[-1]:.6g}] "
+                            f"is too short for its {len(traj.rs)}-node grid")
     mismatch = np.max(np.abs((u * du + traj.hp * traj.hpp)[1:-1]))
     dr = traj.rs[1] - traj.rs[0]
     scale = max(1.0, float(np.max(np.abs(traj.hp * traj.hpp))))
@@ -672,8 +685,9 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
     early-stop point if the trajectory hits the singular locus). It needs
     only the trajectory's end, so closing integrations take free steps and
     keep two samples. The scan is one batched integrate_reduced call over
-    the grid of lambdas, each member's value what a scalar call gives it
-    (NaN where that call raises SingularLocus or StepFailure); brentq
+    the grid of lambdas, also with free steps, each member's value what a
+    scalar call gives it (NaN where that call raises SingularLocus, or
+    StepFailure, a solve past MAX_RHS_EVALS included); brentq
     starts from the scan's values and integrates each further lambda alone,
     and only the final candidate is integrated densely.
     Returns a ShootReport; found=False carries the scanned bracket report.

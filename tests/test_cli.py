@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from g2coflow import cli, coflow
+from g2coflow import soliton as so
 from g2coflow.errors import ConfigError
 
 
@@ -784,6 +788,121 @@ def test_an_overflow_exits_1_without_a_warning(tmp_path, capsys, sub, overrides,
         assert json.loads((out / "manifest.json").read_text())["status"] == status
     else:
         assert capsys.readouterr().err.startswith("error: non-finite value")
+
+
+STOPS_AT_START = [
+    # the trajectory stops within ~1e-14 of r0, so the 801 dense nodes repeat
+    # and np.gradient divided by zero
+    "--h0 1 --dh0 1.0000000001e-4 --ddh0 -1 --lambda -16 --span 0.4 1.0",
+    "--h0 1 --dh0 1.000000000000001e-4 --ddh0 -1 --lambda -16 --span 0.4 1.0",
+    "--h0 11.54545421247174 --dh0 -0.8316868328542356 --ddh0 -435.8501551722701 "
+    "--lambda 484.46831204964633 --span -0.1613001868919004 0.8869680490535845 "
+    "--rtol 0.9",
+    # a span so short that np.gradient's products of steps underflow to 0
+    "--h0 1 --dh0 0.5 --ddh0 0 --lambda 0 --span 0 4.550996573810824e-294 --rtol 0.5",
+]
+
+
+@pytest.mark.parametrize("flags", STOPS_AT_START)
+def test_a_trajectory_that_stops_at_its_start_exits_1_without_a_warning(
+        tmp_path, capsys, flags):
+    argv = ["soliton", "reduce", *flags.split(), "--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    assert "is too short for its 801-node grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,cfg", [
+    # the integrator's error scale atol + |y| rtol overflowed
+    ("reduce", {"h0": 1.0, "dh0": 3.0, "ddh0": 0.0, "lambda": 0.0,
+                "span": [0.0, 1.0], "rtol": 1e300}),
+    # no error control: the run completed on an arbitrary trajectory
+    ("reduce", dict(REDUCE, rtol=1e300)),
+    ("reduce", dict(REDUCE, rtol=1.0)),
+    ("shoot", dict(SHOOT, rtol=1.0)),
+    # DOP853 raised it to 100 eps with a UserWarning
+    ("reduce", dict(REDUCE, rtol=1e-300)),
+    ("shoot", dict(SHOOT, rtol=2e-14)),
+])
+def test_an_rtol_outside_the_integrators_range_exits_2_at_the_key(tmp_path, capsys,
+                                                                  sub, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("soliton", sub, "--config", str(path),
+                   "--out", str(tmp_path / "o")) == 2
+    assert "(at 'rtol')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,cfg,key", [
+    ("shoot", dict(SHOOT, lam_range=[-1.7976931348623157e308,
+                                     1.7976931348623157e308]), "lam_range"),
+    ("shoot", dict(SHOOT, lam_range=[0.0, 1.7976931348623157e308]), "lam_range"),
+    ("shoot", dict(SHOOT, lam_range=[-10.0, float("inf")]), "lam_range"),
+    ("reduce", dict(REDUCE, span=[-1.7976931348623157e308,
+                                  1.7976931348623157e308]), "span"),
+    ("shoot", dict(SHOOT, span=[0.4, 1e301]), "span"),
+])
+def test_a_range_past_1e300_exits_2_at_its_key(tmp_path, capsys, sub, cfg, key):
+    # np.linspace over a range as wide as the float range overflowed with a
+    # RuntimeWarning
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("soliton", sub, "--config", str(path),
+                   "--out", str(tmp_path / "o")) == 2
+    assert f"(at '{key}')" in capsys.readouterr().err
+
+
+EXTREME_FLOATS = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324,
+                  1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+def key_values(spec):
+    """Values of a config key's type and count: integers up to a shooting
+    grid of 13, or floats that are moderate, extreme, subnormal or not finite
+    (those in (0, 1) hit the narrow `rtol` range)."""
+    if spec.type is int:
+        one = st.integers(-1, 13)
+    else:
+        one = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats(0.0, 1.0),
+                        st.floats(-20.0, 20.0), st.floats())
+    if spec.nargs is None:
+        return one
+    return st.lists(one, min_size=spec.nargs, max_size=spec.nargs)
+
+
+@st.composite
+def soliton_configs(draw, sub):
+    """A config of `soliton sub` whose keys pass their checks, except at most
+    one key drawn unchecked."""
+    keys = cli.COMMANDS[sub].keys
+    wild = draw(st.sampled_from([None, *keys]))
+    cfg = {}
+    for key, spec in keys.items():
+        values = key_values(spec)
+        if key != wild and spec.check is not None:
+            values = values.filter(spec.check[0])
+        cfg[key] = draw(values)
+    return cfg
+
+
+@pytest.mark.parametrize("sub", ["reduce", "shoot"])
+def test_soliton_runs_exit_0_1_or_2_on_any_config(tmp_path_factory, monkeypatch,
+                                                  sub):
+    # in process, where RuntimeWarnings are errors; under a budget of 5,000
+    # evaluations per solve, 6 times the most a tier-1 solve takes, so that a
+    # stiff shoot (up to grid + 1 solves past the budget) stays short
+    monkeypatch.setattr(so, "MAX_RHS_EVALS", 5_000)
+    out = tmp_path_factory.mktemp(sub)
+
+    @settings(max_examples=75, derandomize=True, deadline=5_000, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(soliton_configs(sub))
+    def exits_cleanly(cfg):
+        path = out / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["soliton", sub, "--config", str(path),
+                         "--out", str(out / "o")]) in (0, 1, 2)
+
+    exits_cleanly()
 
 
 LAZY_SCRIPT = """

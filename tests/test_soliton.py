@@ -663,3 +663,104 @@ def test_residuals_reject_the_other_structure():
         so.residuals_cy(so.nk_special("cylinder", b=1.2, c=0.3))
     with pytest.raises(StructureMismatch):
         so.residuals_nk(so.cy_closed_form(0.5, 2.0))
+
+
+@pytest.mark.parametrize("span", [(np.pi / 8, np.pi / 8), (1.0, 0.5),
+                                  (0.4, np.inf), (np.nan, 1.0)])
+def test_a_span_that_is_not_finite_and_increasing_is_invalid_params(span):
+    # checked before any integration, for scalar and batched calls alike
+    for lam in (-16.0, np.linspace(-25.0, -8.0, 5)):
+        with pytest.raises(InvalidParams) as exc:
+            so.integrate_reduced(*sine_cone_jet(0.4), lam, span)
+        assert exc.value.param == "span"
+
+
+# h0 ~ 3e4: the explicit steps stay tiny, and without a budget this config
+# spends ~1e6 right-hand-side evaluations in 15 s on 14% of its span
+STIFF_JET = 26684.03687684115, -0.006849755789891665, -15.158092048440706
+STIFF_LAMBDA, STIFF_SPAN = -34.87360003382471, (-0.1585786845307009,
+                                                -0.05145649468078081)
+
+
+def test_reduced_ode_work_is_bounded(monkeypatch):
+    assert so.MAX_RHS_EVALS == 200_000
+    monkeypatch.setattr(so, "MAX_RHS_EVALS", 5_000)
+    with pytest.raises(StepFailure, match="5000 RHS evaluations"):
+        so.integrate_reduced(*STIFF_JET, STIFF_LAMBDA, STIFF_SPAN)
+    # the batch passes the budget too: a member gets what its scalar call
+    # gives, and lambda = 0 reaches the locus in 926 evaluations alone
+    lams = np.array([STIFF_LAMBDA, -16.0, 0.0])
+    scan = so.integrate_reduced(*STIFF_JET, lams, STIFF_SPAN, n_dense=2)
+    assert isinstance(scan[0], StepFailure) and isinstance(scan[1], StepFailure)
+    single = so.integrate_reduced(*STIFF_JET, 0.0, STIFF_SPAN, n_dense=2)
+    assert scan[2].status == single.status == "singular_locus"
+    assert abs(scan[2].rs[-1] - single.rs[-1]) <= 1e-9
+
+
+def test_a_scan_past_the_budget_gives_each_member_its_scalar_result(monkeypatch):
+    # criterion 8's batch takes 194 evaluations and its members alone 206 to
+    # 272: under a budget of 150 the batch fails, and each member integrated
+    # alone fails too, as its scalar call does
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    monkeypatch.setattr(so, "MAX_RHS_EVALS", 150)
+    lams = np.linspace(-25.0, -8.0, 13)
+    scan = so.integrate_reduced(*sine_cone_jet(r0), lams, (r0, r1), n_dense=2)
+    for one, single in zip(scan, scalar_calls(sine_cone_jet(r0), lams, (r0, r1)),
+                           strict=True):
+        assert isinstance(one, StepFailure) and str(one) == str(single)
+    rep = so.shoot(*sine_cone_jet(r0), (r0, r1), np.cos(r1), (-25.0, -8.0))
+    assert rep.reason == "NoBracket"
+    assert all(np.isnan(value) for _, value in rep.closing_values)
+
+
+def test_a_grid_that_does_not_increase_is_a_singular_locus():
+    # a trajectory that stops within rounding of its start has repeated nodes,
+    # where np.gradient would divide by zero
+    r0 = 0.4
+    rs = np.full(5, r0)
+    traj = so.ReducedTrajectory(rs=rs, h=np.sin(rs), hp=np.cos(rs), hpp=-np.sin(rs),
+                                lam=-16.0, status="singular_locus")
+    with pytest.raises(SingularLocus, match="too short for its 5-node grid"):
+        so.recover_theta_k(traj, -16.0)
+
+
+def test_a_step_that_overflows_on_a_huge_span_is_a_step_failure():
+    # a first step of ~1e300 overflows DOP853's stage sums; the trial state
+    # is not finite, and the right-hand side fails there
+    jet, span = (1.0, 2.0, 1403566300643.0), (-1e300, 0.0)
+    with pytest.raises(StepFailure):
+        so.integrate_reduced(*jet, 0.0, span, n_dense=2)
+    scan = so.integrate_reduced(*jet, np.array([0.0, 1.0]), span, n_dense=2)
+    assert all(isinstance(one, StepFailure) for one in scan)
+
+
+@pytest.mark.parametrize("jet,param", [((float("nan"), 0.9, -0.4), "h"),
+                                       ((0.4, 0.9, float("inf")), "h''")])
+def test_a_scan_from_a_nonfinite_jet_raises_invalid_params(jet, param):
+    # solve_ivp rejects a non-finite start before any evaluation
+    with pytest.raises(InvalidParams) as exc:
+        so.integrate_reduced(*jet, np.linspace(-25.0, -8.0, 5), (0.4, 1.0))
+    assert exc.value.param == param
+
+
+def test_a_batch_whose_event_rounds_to_its_start_still_advances(monkeypatch):
+    # h'' = 5.7e16: each member comes within DETACH of the locus ~1e-18 past
+    # r0, an event r that rounds to r0 with the state still the start's; the
+    # batch was restarted there without end, detaching no member
+    jet = 0.6667500596422306, 0.6240301118852803, 5.7330420464942696e16
+    span = (0.30036063576653144, 4.569706659582447)
+    lams = np.linspace(5e-324, 2.9554689996700933e-117, 7)
+    solves, dop853 = [], so._dop853
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        if len(solves) > 50:
+            raise RuntimeError("the batch makes no progress")
+        return dop853(*args, **kwargs)
+
+    monkeypatch.setattr(so, "_dop853", counted)
+    scan = so.integrate_reduced(*jet, lams, span, rtol=0.6, n_dense=2)
+    for lam, one in zip(lams.tolist(), scan, strict=True):
+        single = so.integrate_reduced(*jet, lam, span, rtol=0.6, n_dense=2)
+        assert one.status == single.status == "singular_locus"
+        assert one.rs[-1] == single.rs[-1] == span[0]
