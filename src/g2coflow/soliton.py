@@ -572,7 +572,9 @@ def recover_theta_k(traj, lam, u_sign0=1.0):
     |h'| = 1, which the integrator avoids). theta comes from the branch of
     3theta = atan2(u, h') unwrapped along r; k' from the eliminated algebraic
     relation. The differential relation u u' = -h' h'' is cross-checked on
-    the grid.
+    the grid; a grid on which that derivative is not finite (a trajectory
+    that stops within rounding of its start, or one too short for its grid)
+    raises SingularLocus.
     """
     hp2 = traj.hp ** 2
     if np.min(1.0 - hp2) <= LOCUS_TOL ** 2:
