@@ -23,6 +23,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import sys
 import time
 import warnings
@@ -225,16 +226,21 @@ def _value(key, spec, value):
 
 
 def _parse_domain(obj, path="domain."):
-    """`profiles.domain_from_json`, a bad bound a ConfigError at the domain."""
+    """`profiles.domain_from_json`, a bad bound a ConfigError at the domain,
+    a bound beyond +-1e300 (as for `_SPAN`) one at the bound."""
     _require_keys(obj, {"kind", "r0", "r1", "period", "n"}, {"kind"}, path)
     try:
-        return pf.domain_from_json(obj)
+        domain = pf.domain_from_json(obj)
     except KeyError as exc:
         raise ConfigError(f"{obj['kind']} domain needs {exc.args[0]}",
                           key=path + exc.args[0]) from None
     except InvalidGeometry as exc:
         known = obj["kind"] in ("circle", "interval")
         raise ConfigError(str(exc), key=path[:-1] if known else path + "kind") from None
+    for name in ("period", "r0", "r1"):
+        if not -1e300 <= getattr(domain, name, 0.0) <= 1e300:
+            raise ConfigError("must be within +-1e300", key=path + name)
+    return domain
 
 
 def _parse_structure(name, path="structure"):
@@ -340,15 +346,18 @@ def _cy_objects(c):
                                       "r1": c["r1"]})
     except InvalidGeometry as exc:
         raise ConfigError(str(exc), key="r1") from None
-    return {"candidate": so.cy_closed_form(c["b"], c["c"], domain)}
+    try:
+        return {"candidate": so.cy_closed_form(c["b"], c["c"], domain)}
+    except InvalidParams as exc:
+        raise ConfigError(str(exc), key=exc.param) from None
 
 
 def _nk_objects(c):
     try:
-        cand = so.nk_special(c["family"], b=c["b"], c=c["c"], lam=c["lambda"])
+        return {"candidate": so.nk_special(c["family"], b=c["b"], c=c["c"],
+                                           lam=c["lambda"])}
     except InvalidParams as exc:
         raise ConfigError(str(exc), key=exc.param) from None
-    return {"candidate": cand}
 
 
 def parse_config(subcommand, raw, outdir="out"):
@@ -450,9 +459,8 @@ def _run_torsion(config):
     g = config.objects["g"]
     samples = config.resolved["samples"]
     rep = ts.torsion_report(g, samples=samples)
-    rs = g.sample_points(samples, interior=True)
-    tau0 = np.asarray(rep.tau0.value(rs))
-    tau1 = np.asarray(rep.tau1_coeff.value(rs))
+    rs = g.sample_points(samples)
+    tau0, tau1 = pf.evaluate(rs, rep.tau0, rep.tau1_coeff)
     payload = {
         "tau0_sup": float(np.max(np.abs(tau0))),
         "tau1_sup": float(np.max(np.abs(tau1))),
@@ -525,12 +533,9 @@ def _run_residual(config):
 
 def _write_candidate(outdir, cand, samples=200):
     rs = cand.sample_points(samples)
+    values = pf.evaluate(rs, cand.h, cand.theta, cand.kprime)
     write_csv(os.path.join(outdir, "candidate.csv"),
-              ["r", "h", "theta", "kprime"],
-              [rs,
-               np.real(np.asarray(cand.h.value(rs))),
-               np.real(np.asarray(cand.theta.value(rs))),
-               np.real(np.asarray(cand.kprime.value(rs)))])
+              ["r", "h", "theta", "kprime"], [rs, *map(np.real, values)])
 
 
 def _residual_payload(cand, samples, tolerance):
@@ -607,9 +612,20 @@ COMMANDS = {
 # command line
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes a negative number in exponent notation, such
+    as -1e-3, for a value. argparse's own pattern admits only forms like -1
+    and -0.5, and reads any other word starting with "-" as an option.
+    Subparsers are of this class too."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
+
+
 def build_parser():
     """Flags map to raw strings (a list for a list key); `_value` checks them."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="g2coflow",
         description="Laplacian coflow of coclosed G2-structures: identities, "
                     "torsion, evolution, and solitons.",

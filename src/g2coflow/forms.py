@@ -172,15 +172,15 @@ class InvariantForm:
         )
 
     def coefficient_values(self, rs):
-        """dict tag -> ndarray of coefficient values at the points rs."""
-        return {t: np.asarray(p.value(rs)) for t, p in self.coeffs.items()}
+        """dict tag -> ndarray of coefficient values at the points rs, all
+        coefficients evaluated in one call."""
+        values = pf.evaluate(rs, *self.coeffs.values())
+        return {t: np.asarray(v) for t, v in zip(self.coeffs, values)}
 
     def sup_norm(self, rs):
         """Largest coefficient magnitude over the sample points."""
-        worst = 0.0
-        for vals in self.coefficient_values(rs).values():
-            worst = max(worst, float(np.max(np.abs(vals))))
-        return worst
+        return max((float(np.max(np.abs(v)))
+                    for v in self.coefficient_values(rs).values()), default=0.0)
 
     def __repr__(self):
         tags = ", ".join(sorted(self.coeffs)) or "0"
@@ -275,9 +275,8 @@ class G2Profile:
             dom = self.h.domain or self.theta.domain or self.G.domain
             object.__setattr__(self, "domain", dom)
         if dom is not None:
-            rs = self.sample_points(64, interior=True)
-            for name, p in (("h", self.h), ("G", self.G)):
-                vals = np.real(np.asarray(p.value(rs)))
+            values = pf.evaluate(self.sample_points(64), self.h, self.G)
+            for name, vals in zip("hG", map(np.real, values)):
                 if np.min(vals) <= 0:
                     raise InvalidGeometry(f"{name} must be positive on the "
                                           f"domain (min {np.min(vals):.3g})")
@@ -288,12 +287,12 @@ class G2Profile:
         phase = pf.add(pf.cos(t3), pf.mul(pf.constant(1j), pf.sin(t3)))
         return pf.mul(pf.pow_int(self.h, 3), phase)
 
-    def sample_points(self, n, interior=True):
-        """n evaluation points; grid-backed data keeps them on mesh nodes."""
+    def sample_points(self, n):
+        """n interior evaluation points; grid-backed data keeps them on mesh
+        nodes."""
         if self.domain is None:
             raise InvalidGeometry("G2Profile has no domain to sample")
-        return pf.sample_points(self.domain, (self.h, self.theta, self.G), n,
-                                interior)
+        return pf.sample_points(self.domain, (self.h, self.theta, self.G), n)
 
 
 def build_phi(g):
@@ -394,12 +393,10 @@ def l2_inner(a, b, g):
 def coclosed_residual(g):
     """sup |h' - G cos 3 theta| (NK) or sup |h'| (CY) over 64 sample points."""
     rs = g.sample_points(64)
-    hp = np.real(np.asarray(g.h.derivative().value(rs)))
     if g.structure is StructureKind.CY:
-        return float(np.max(np.abs(hp)))
-    gc = np.real(np.asarray(g.G.value(rs))) * np.cos(
-        3.0 * np.real(np.asarray(g.theta.value(rs))))
-    return float(np.max(np.abs(hp - gc)))
+        return float(np.max(np.abs(np.real(g.h.derivative().value(rs)))))
+    hp, G, theta = map(np.real, pf.evaluate(rs, g.h.derivative(), g.G, g.theta))
+    return float(np.max(np.abs(hp - G * np.cos(3.0 * theta))))
 
 
 def hodge_laplacian_psi(g, tol=1e-7):

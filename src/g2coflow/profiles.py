@@ -10,9 +10,10 @@ and kept, and one finite-difference stencil product for a grid (order
 stencils are built once per mesh as cached sparse matrices,
 `Mesh.deriv_matrix`). A jet is the values of a profile and
 of its first four derivative trees at r; a bare grid's jet uses the direct
-m-th derivative stencils instead. `Profile.value` and `Profile.jet`
-evaluate along one path: a domain check, one memo that computes each node
-once, a finiteness check. Each data format of the line is defined here
+m-th derivative stencils instead. Every evaluation takes one path,
+`evaluate(r, *terms)`: a check of each distinct domain, one memo shared by
+all terms that computes each node once, a finiteness check; `Profile.value`
+and `Profile.jet` call it too. Each data format of the line is defined here
 once: domains and their JSON (`domain_from_json`), the uniform grid of a
 domain (`Mesh`, shared with the coflow) and CSV rows (`write_csv`).
 
@@ -42,6 +43,27 @@ def _require_finite(components):
     for c in components:
         if not np.all(np.isfinite(c)):
             raise SingularEval("non-finite value in evaluation")
+
+
+def evaluate(r, *terms):
+    """Values of the terms at r, as a tuple in term order.
+
+    Each distinct domain of the terms is checked in term order (DomainError),
+    one memo shared by all terms computes each node once, and every value
+    must be finite: an overflow or a division by zero, of numpy arrays or of
+    Python numbers, raises SingularEval.
+    """
+    for domain in {p.domain: None for p in terms}:   # distinct, in term order
+        if domain is not None and not np.all(domain.contains(r)):
+            raise DomainError(f"coordinate {r!r} outside {domain!r}")
+    memo = {}
+    try:
+        with np.errstate(all="ignore"):  # non-finite values are caught below
+            values = tuple(p._value(r, memo) for p in terms)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise SingularEval(f"evaluation failed: {exc}") from None
+    _require_finite(values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +185,7 @@ class Profile:
     # evaluation -----------------------------------------------------------
     def jet(self, r):
         """Jet (value and derivatives 1..4) at r; r may be an array."""
-        return Jet(self._evaluate(r, self._jet_terms()))
+        return Jet(evaluate(r, *self._jet_terms()))
 
     def _jet_terms(self):
         """The profile and its derivative trees of orders 1..JET_ORDER."""
@@ -173,24 +195,9 @@ class Profile:
         return terms
 
     def value(self, r):
-        return self._evaluate(r, (self,))[0]
+        return evaluate(r, self)[0]
 
     __call__ = value
-
-    def _evaluate(self, r, terms):
-        """Values of the terms at r, within this profile's domain, each node
-        computed once, all finite: an overflow or a division by zero, of
-        numpy arrays or of Python numbers, raises SingularEval."""
-        if self.domain is not None and not np.all(self.domain.contains(r)):
-            raise DomainError(f"coordinate {r!r} outside {self.domain!r}")
-        memo = {}
-        try:
-            with np.errstate(all="ignore"):  # non-finite values are caught below
-                values = tuple(p._value(r, memo) for p in terms)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise SingularEval(f"evaluation failed: {exc}") from None
-        _require_finite(values)
-        return values
 
     def _value(self, r, memo):
         """Value at r; memo maps id(node) to the node's value at this r."""
@@ -701,13 +708,13 @@ class Sampled(Profile):
         return Sampled(self.domain, self.mesh.deriv_matrix(1) @ self.values)
 
 
-def sample_points(domain, members, n, interior=True):
-    """n evaluation points for profiles on `domain`; when one of `members`
-    is grid-backed, every (nodes // n)-th node of the first such one."""
+def sample_points(domain, members, n):
+    """n interior evaluation points for profiles on `domain`; when one of
+    `members` is grid-backed, every (nodes // n)-th node of the first such one."""
     for p in members:
         if isinstance(p, Sampled):
             return p.nodes[:: max(1, len(p.nodes) // n)]
-    return domain.sample_points(n, interior=interior)
+    return domain.sample_points(n, interior=True)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,10 @@ class ResidualReport:
         }
 
 
-def _sup(p, rs):
-    return float(np.max(np.abs(np.asarray(p.value(rs)))))
+def _sup_norms(rs, **terms):
+    """Sup norm over rs of each named profile, all evaluated in one call."""
+    values = pf.evaluate(rs, *terms.values())
+    return {name: float(np.max(np.abs(v))) for name, v in zip(terms, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +110,16 @@ def _sup(p, rs):
 def cy_closed_form(b, c, domain=None):
     """The general CY soliton: theta = (2/3) arctan(c e^{br}),
     k' = b (1 - c^2 e^{2br}) / (1 + c^2 e^{2br}), h = G = 1, lambda = 0."""
+    try:
+        c2 = c ** 2
+    except OverflowError:   # c^2 outside the float range
+        raise InvalidParams(f"c^2 overflows for c = {c!r}", param="c") from None
     dom = domain or Interval(-2.0, 2.0)
     r = pf.coordinate(dom)
     ebr = pf.exp(b * r)
     theta = (2.0 / 3.0) * pf.arctan(c * ebr)
     e2 = pf.exp((2.0 * b) * r)
-    kprime = b * (1.0 - c ** 2 * e2) / (1.0 + c ** 2 * e2)
+    kprime = b * (1.0 - c2 * e2) / (1.0 + c2 * e2)
     return SolitonCandidate(
         h=pf.constant(1.0, dom), theta=theta, kprime=kprime, lam=0.0,
         structure=StructureKind.CY, family=Family.CY_CLOSED_FORM, domain=dom,
@@ -134,20 +140,19 @@ def residuals_cy(cand, samples=200, tolerance=1e-8):
     t3 = pf.mul(pf.constant(3.0), cand.theta)
     e3 = pf.add(pf.cos(t3), pf.mul(pf.constant(1j), pf.sin(t3)))
     w = pf.sub(e3.derivative(), pf.mul(e3, cand.kprime))
-    wv = np.asarray(w.value(rs))
+    wv, th1, th, kp, dw = pf.evaluate(rs, w, cand.theta.derivative(), cand.theta,
+                                      cand.kprime, w.derivative())
     bconst = -np.mean(wv)
     b1, b2 = float(np.real(bconst)), float(np.imag(bconst))
 
-    th1 = np.real(np.asarray(cand.theta.derivative().value(rs)))
-    s3 = np.sin(3.0 * np.real(np.asarray(cand.theta.value(rs))))
-    c3 = np.cos(3.0 * np.real(np.asarray(cand.theta.value(rs))))
-    kp = np.real(np.asarray(cand.kprime.value(rs)))
+    th1, th, kp = map(np.real, (th1, th, kp))
+    s3, c3 = np.sin(3.0 * th), np.cos(3.0 * th)
 
     return ResidualReport(
         residuals={
             "theta_equation": float(np.max(np.abs(3.0 * th1 - b1 * s3 + b2 * c3))),
             "kprime_equation": float(np.max(np.abs(kp - b1 * c3 - b2 * s3))),
-            "integration_constant_drift": _sup(w.derivative(), rs),
+            "integration_constant_drift": float(np.max(np.abs(dw))),
         },
         samples=samples,
         tolerance=tolerance,
@@ -260,12 +265,8 @@ def residuals_nk(cand, samples=200, tolerance=1e-8):
                  - lam * hc - pf.mul(kp, hc).derivative())
 
     return ResidualReport(
-        residuals={
-            "coclosed": _sup(eq1, rs),
-            "imaginary_part": _sup(eq2, rs),
-            "real_part_integrated": _sup(eq3, rs),
-            "redundant": _sup(redundant, rs),
-        },
+        residuals=_sup_norms(rs, coclosed=eq1, imaginary_part=eq2,
+                             real_part_integrated=eq3, redundant=redundant),
         samples=samples,
         tolerance=tolerance,
     )
@@ -289,11 +290,7 @@ def form_residual(cand, samples=200, tolerance=1e-8, constraint_tol=1e-7):
     lap = fm.hodge_laplacian_psi(g, tol=constraint_tol)  # checks coclosedness
     lie = fm.d(fm.interior_r(psi, cand.kprime), g.structure)
     resid = lap - lie - psi.scale(cand.lam)
-    rs = cand.sample_points(samples)
-    worst = {tag: float(np.max(np.abs(np.asarray(p.value(rs)))))
-             for tag, p in resid.coeffs.items()}
-    if not worst:
-        worst = {"zero": 0.0}
+    worst = _sup_norms(cand.sample_points(samples), **resid.coeffs) or {"zero": 0.0}
     return ResidualReport(residuals=worst, samples=samples, tolerance=tolerance)
 
 
@@ -592,7 +589,10 @@ def recover_theta_k(traj, lam, u_sign0=1.0):
     mismatch = np.max(np.abs((u * du + traj.hp * traj.hpp)[1:-1]))
     dr = traj.rs[1] - traj.rs[0]
     scale = max(1.0, float(np.max(np.abs(traj.hp * traj.hpp))))
-    if mismatch > max(1e-6, 50.0 * dr ** 2 * scale):
+    # truncation error of the stencil, plus its round-off: a difference of
+    # values rounded to eps |u|, divided by dr
+    roundoff = np.finfo(float).eps * float(np.max(np.abs(u))) / dr
+    if mismatch > max(1e-6, 50.0 * dr ** 2 * scale) + roundoff:
         raise StepFailure(f"u u' = -h' h'' violated by {mismatch:.3g}")
 
     angle3 = np.unwrap(np.arctan2(u, traj.hp))
@@ -629,20 +629,18 @@ def eigenform_check(g):
     """
     lap = fm.hodge_laplacian_psi(g)  # -Delta psi
     psi = fm.build_psi(g)
-    rs = g.sample_points(200, interior=True)
-    num = 0.0
-    den = 0.0
-    cols = {}
-    for tag in sorted(set(psi.coeffs) | set(lap.coeffs)):  # set order follows str hashing
-        pv = np.asarray(psi.coeff(tag).value(rs))
-        lv = -np.asarray(lap.coeff(tag).value(rs))  # Delta psi coefficient
-        cols[tag] = (pv, lv)
+    tags = sorted(set(psi.coeffs) | set(lap.coeffs))  # set order follows str hashing
+    values = pf.evaluate(g.sample_points(200),
+                         *(form.coeff(tag) for tag in tags for form in (psi, lap)))
+    num = den = 0.0
+    cols = []
+    for pv, minus_lv in zip(values[::2], values[1::2]):
+        lv = -minus_lv  # Delta psi coefficient
+        cols.append((pv, lv))
         num += float(np.sum(np.real(np.conjugate(pv) * lv)))
         den += float(np.sum(np.abs(pv) ** 2))
     mu2 = num / den
-    resid = max(
-        float(np.max(np.abs(lv - mu2 * pv))) for pv, lv in cols.values()
-    )
+    resid = max(float(np.max(np.abs(lv - mu2 * pv))) for pv, lv in cols)
     return mu2, resid
 
 

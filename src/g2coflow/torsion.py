@@ -90,16 +90,16 @@ def tau2_tau3(g):
 
 def torsion_report(g, samples=200):
     """TorsionReport over `samples` interior points of the domain."""
-    rs = g.sample_points(samples, interior=True)
+    rs = g.sample_points(samples)
     tau0, tau1c = tau01_first_principles(g)
     tau2, tau3 = tau2_tau3(g)
     # |tau1| = |coefficient| * |dr| = |coefficient| / G pointwise
-    tau1_norm = np.abs(np.asarray(tau1c.value(rs))) / np.abs(np.asarray(g.G.value(rs)))
+    tau1v, Gv = pf.evaluate(rs, tau1c, g.G)
     return TorsionReport(
         tau0=tau0,
         tau1_coeff=tau1c,
         tau2_norm=tau2.sup_norm(rs),
         tau3=tau3,
-        coclosed_residual=float(np.max(tau1_norm)),
+        coclosed_residual=float(np.max(np.abs(tau1v) / np.abs(Gv))),
         samples=samples,
     )

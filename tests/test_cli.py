@@ -851,6 +851,54 @@ def test_a_range_past_1e300_exits_2_at_its_key(tmp_path, capsys, sub, cfg, key):
     assert f"(at '{key}')" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", ["1e300", "1.7976931348623157e308", "-1e300"])
+def test_a_cy_soliton_whose_c_squared_overflows_exits_2_at_c(tmp_path, capsys, c):
+    # c ** 2 on Python floats raised a bare OverflowError
+    out = tmp_path / "o"
+    assert run_cli("soliton", "cy", "--b", "2.38", "--c", c, "--r0", "-2.7",
+                   "--r1", "16", "--out", str(out)) == 2
+    assert "(at 'c')" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("domain,key", [
+    ({"kind": "circle", "period": 1.7976931348623157e308}, "domain.period"),
+    ({"kind": "circle", "period": 1.0, "r0": -1e301}, "domain.r0"),
+    ({"kind": "interval", "r0": 0.0, "r1": 1e301}, "domain.r1"),
+])
+def test_a_domain_bound_past_1e300_exits_2_at_its_key(tmp_path, capsys, domain, key):
+    # the circle's sample points overflowed with a RuntimeWarning
+    path = tmp_path / "res.json"
+    path.write_text(json.dumps({
+        "structure": "NK", "domain": domain, "h": "1", "theta": "r",
+        "kprime": "0", "lambda": 1.7, "samples": 50}))
+    assert run_cli("residual", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    assert f"(at '{key}')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key,want", [
+    ("soliton reduce --h0 1 --dh0 0.9 --ddh0 -3.826834323650898e-1 --lambda -16 "
+     "--span 0.4 1.0", "ddh0", -0.3826834323650898),
+    ("soliton reduce --h0 1 --dh0 0.9 --ddh0 -0.38 --lambda -16 --span -1e-3 1",
+     "span", [-0.001, 1.0]),
+    ("soliton reduce --h0 1 --dh0 0.9 --ddh0 -0.38 --lambda -16 --span -1E-3 -.5e-3",
+     "span", [-0.001, -0.0005]),
+])
+def test_negative_flag_values_in_exponent_notation_are_values(tmp_path, argv, key,
+                                                              want):
+    # argparse read -3.8e-1 as an option and stopped: "expected one argument"
+    out = tmp_path / "o"
+    assert run_cli(*argv.split(), "--out", str(out)) in (0, 1)
+    assert json.loads((out / "manifest.json").read_text())["config"][key] == want
+
+
+def test_a_negative_b_in_exponent_notation_reaches_the_cylinder_check(tmp_path,
+                                                                      capsys):
+    assert run_cli("soliton", "nk", "--family", "cylinder", "--b", "-1e+300",
+                   "--out", str(tmp_path / "o")) == 2
+    assert "cylinder needs b > 0" in capsys.readouterr().err
+
+
 EXTREME_FLOATS = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324,
                   1.7976931348623157e308, math.nan, math.inf, -math.inf]
 

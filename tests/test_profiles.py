@@ -578,3 +578,83 @@ def test_domains_and_jets_are_value_types():
     j = pf.sin(R).jet(0.0)
     assert isinstance(j, tuple) and len(j) == 5
     assert j.value == j[0] and j.derivs == tuple(j[1:]) and j.c == tuple(j)
+
+
+# ---------------------------------------------------------------------------
+# evaluation of many terms at one point set
+# ---------------------------------------------------------------------------
+
+def assert_evaluate_equals_separate_values(rs, terms):
+    values = pf.evaluate(rs, *terms)
+    assert len(values) == len(terms)
+    for got, p in zip(values, terms):
+        want = p.value(rs)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("coclosed", [False, True])
+def test_evaluate_equals_separate_values_on_identity_suite_forms(coclosed):
+    from g2coflow import forms as fm
+    from g2coflow import torsion as ts
+    from g2coflow import verify as vf
+
+    dom = pf.Circle(2 * np.pi)
+    rs = dom.sample_points(50, interior=True)
+    rng = np.random.default_rng(5)
+    for structure in (fm.StructureKind.CY, fm.StructureKind.NK):
+        g = vf.random_g2_profile(rng, structure, dom, coclosed=coclosed)
+        phi, psi = fm.build_phi(g), fm.build_psi(g)
+        forms = [phi, psi, fm.d(phi, structure), fm.star7(fm.d(phi, structure), g),
+                 vf.random_invariant_form(rng, 3, dom), *ts.tau2_tau3(g)]
+        terms = [p for form in forms for p in form.coeffs.values()]
+        terms += [*ts.tau01_first_principles(g), *ts.tau01_closed(g)]
+        assert_evaluate_equals_separate_values(rs, terms)
+
+
+def test_evaluate_equals_separate_values_on_a_reduced_ode_candidate():
+    from g2coflow import soliton as so
+
+    traj = so.integrate_reduced(0.4, 0.9, -0.4, -16.0, (0.4, 1.0))
+    cand = so.candidate_from_trajectory(traj)
+    assert cand.h.n == 801
+    h, theta, kp = cand.h, cand.theta, cand.kprime
+    hs = pf.pow_int(h, 3) * pf.sin(3.0 * theta)
+    terms = [h, theta, kp, h.derivative(), theta.derivative().derivative(),
+             hs, hs.derivative().derivative(), (kp * hs).derivative(),
+             h.derivative() - pf.cos(3.0 * theta)]
+    assert_evaluate_equals_separate_values(cand.sample_points(200), terms)
+
+
+def test_evaluate_computes_a_shared_subtree_once(monkeypatch):
+    shared = pf.sin(R * R)
+    a, b = shared * 2.0, pf.exp(shared) + R
+    calls = []
+    sin_eval = pf.Sin._eval
+
+    def spy(self, r, memo):
+        calls.append(self)
+        return sin_eval(self, r, memo)
+
+    monkeypatch.setattr(pf.Sin, "_eval", spy)
+    rs = np.linspace(0.0, 1.0, 7)
+    va, vb = pf.evaluate(rs, a, b)
+    assert calls == [shared]
+    assert np.array_equal(va, 2.0 * np.sin(rs * rs))
+    a.value(rs), b.value(rs)   # one memo per call: computed once more each
+    assert calls == [shared] * 3
+
+
+def test_evaluate_checks_the_domain_of_every_term():
+    left = pf.coordinate(pf.Interval(0.0, 1.0))
+    right = pf.sin(pf.coordinate(pf.Interval(2.0, 3.0)))
+    rs = np.array([0.25, 0.5])
+    assert np.array_equal(pf.evaluate(rs, left, R)[0], rs)
+    with pytest.raises(DomainError):
+        pf.evaluate(rs, left, right)
+    with pytest.raises(DomainError):
+        pf.evaluate(0.5, R, left, right)
+
+
+@pytest.mark.parametrize("r", [0.3, np.linspace(0.0, 1.0, 5)])
+def test_evaluate_of_no_terms_is_empty(r):
+    assert pf.evaluate(r) == ()

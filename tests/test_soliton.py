@@ -339,6 +339,16 @@ def test_recover_flipped_sign_gives_reflected_branch():
     assert rep.worst < 1e-6  # reflected soliton is exact too
 
 
+def test_recover_theta_k_allows_for_round_off_on_a_short_span():
+    # on 801 nodes over 1e-9 the gradient's round-off, eps |u| / dr, is ~1e-4:
+    # far above the truncation bound, three times the measured mismatch
+    traj = so.integrate_reduced(1.0, 0.5, 0.0, 0.0, (0.0, 1e-9))
+    assert len(traj.rs) == 801
+    theta, _ = so.recover_theta_k(traj, 0.0)
+    # h' = 1/2 on the whole span, so 3 theta = atan2(sqrt(3)/2, 1/2) = pi/3
+    assert np.max(np.abs(theta.values - np.pi / 9)) < 1e-12
+
+
 def test_recover_near_locus_raises_sign_ambiguity():
     r0 = np.pi / 8
     traj = so.integrate_reduced(np.sin(r0), np.cos(r0), -np.sin(r0), -16.0,
