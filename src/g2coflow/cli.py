@@ -225,30 +225,30 @@ def _value(key, spec, value):
     return out
 
 
-def _parse_domain(obj, path="domain."):
+def _parse_domain(obj):
     """`profiles.domain_from_json`, a bad bound a ConfigError at the domain,
     a bound beyond +-1e300 (as for `_SPAN`) one at the bound."""
-    _require_keys(obj, {"kind", "r0", "r1", "period", "n"}, {"kind"}, path)
+    _require_keys(obj, {"kind", "r0", "r1", "period", "n"}, {"kind"}, "domain.")
     try:
         domain = pf.domain_from_json(obj)
     except KeyError as exc:
         raise ConfigError(f"{obj['kind']} domain needs {exc.args[0]}",
-                          key=path + exc.args[0]) from None
+                          key="domain." + exc.args[0]) from None
     except InvalidGeometry as exc:
         known = obj["kind"] in ("circle", "interval")
-        raise ConfigError(str(exc), key=path[:-1] if known else path + "kind") from None
+        raise ConfigError(str(exc), key="domain" if known else "domain.kind") from None
     for name in ("period", "r0", "r1"):
         if not -1e300 <= getattr(domain, name, 0.0) <= 1e300:
-            raise ConfigError("must be within +-1e300", key=path + name)
+            raise ConfigError("must be within +-1e300", key="domain." + name)
     return domain
 
 
-def _parse_structure(name, path="structure"):
+def _parse_structure(name):
     try:
         return StructureKind(name)
     except ValueError:
         raise ConfigError(f"structure must be CY or NK, got {name!r}",
-                          key=path) from None
+                          key="structure") from None
 
 
 def _parse_field(entry, domain, n, key):
@@ -305,8 +305,8 @@ def _flow_objects(c):
               for name in ("h", "theta", "G")}
     structure = _parse_structure(c["structure"])
     mesh = pf.Mesh.from_domain(domain, n)
-    initial = {name: np.real(np.asarray(p.value(mesh.nodes)))
-               for name, p in fields.items()}
+    values = pf.evaluate(mesh.nodes, *fields.values())
+    initial = dict(zip(fields, map(np.real, values)))
     if structure is StructureKind.CY:
         try:
             cfl.require_constant_h(initial["h"])
@@ -346,18 +346,12 @@ def _cy_objects(c):
                                       "r1": c["r1"]})
     except InvalidGeometry as exc:
         raise ConfigError(str(exc), key="r1") from None
-    try:
-        return {"candidate": so.cy_closed_form(c["b"], c["c"], domain)}
-    except InvalidParams as exc:
-        raise ConfigError(str(exc), key=exc.param) from None
+    return {"candidate": so.cy_closed_form(c["b"], c["c"], domain)}
 
 
 def _nk_objects(c):
-    try:
-        return {"candidate": so.nk_special(c["family"], b=c["b"], c=c["c"],
-                                           lam=c["lambda"])}
-    except InvalidParams as exc:
-        raise ConfigError(str(exc), key=exc.param) from None
+    return {"candidate": so.nk_special(c["family"], b=c["b"], c=c["c"],
+                                       lam=c["lambda"])}
 
 
 def parse_config(subcommand, raw, outdir="out"):
@@ -365,7 +359,8 @@ def parse_config(subcommand, raw, outdir="out"):
 
     Fills documented defaults, converts and checks values, constructs
     domains, profiles and candidates, and rejects unknown keys with their
-    path. Returns a RunConfig.
+    path; a builder's InvalidParams is a ConfigError at its parameter.
+    Returns a RunConfig.
     """
     command = COMMANDS.get(subcommand)
     if command is None:
@@ -375,7 +370,10 @@ def parse_config(subcommand, raw, outdir="out"):
                   [k for k, spec in keys.items() if spec.default is _REQUIRED], "")
     resolved = {k: _value(k, spec, raw.get(k, spec.default))
                 for k, spec in keys.items()}
-    objects = command.build(resolved) if command.build else {}
+    try:
+        objects = command.build(resolved) if command.build else {}
+    except InvalidParams as exc:
+        raise ConfigError(str(exc), key=exc.param) from None
     return RunConfig(subcommand, resolved, objects, outdir)
 
 
@@ -456,16 +454,12 @@ def _run_flow(config):
 
 
 def _run_torsion(config):
-    g = config.objects["g"]
-    samples = config.resolved["samples"]
-    rep = ts.torsion_report(g, samples=samples)
-    rs = g.sample_points(samples)
-    tau0, tau1 = pf.evaluate(rs, rep.tau0, rep.tau1_coeff)
+    rep = ts.torsion_report(config.objects["g"], samples=config.resolved["samples"])
     payload = {
-        "tau0_sup": float(np.max(np.abs(tau0))),
-        "tau1_sup": float(np.max(np.abs(tau1))),
+        "tau0_sup": float(np.max(np.abs(rep.tau0))),
+        "tau1_sup": float(np.max(np.abs(rep.tau1_coeff))),
         "tau2_norm": rep.tau2_norm,
-        "tau3_sup": rep.tau3.sup_norm(rs),
+        "tau3_sup": rep.tau3_sup,
         "coclosed_residual": rep.coclosed_residual,
         "samples": rep.samples,
     }
@@ -474,7 +468,7 @@ def _run_torsion(config):
     if config.resolved["csv"]:
         write_csv(os.path.join(config.outdir, "torsion.csv"),
                   ["r", "tau0", "tau1_coeff"],
-                  [rs, np.real(tau0), np.real(tau1)])
+                  [rep.rs, np.real(rep.tau0), np.real(rep.tau1_coeff)])
     return "Completed"
 
 
@@ -531,8 +525,8 @@ def _run_residual(config):
     return "Completed" if ok else "ToleranceFailure"
 
 
-def _write_candidate(outdir, cand, samples=200):
-    rs = cand.sample_points(samples)
+def _write_candidate(outdir, cand):
+    rs = cand.sample_points(200)
     values = pf.evaluate(rs, cand.h, cand.theta, cand.kprime)
     write_csv(os.path.join(outdir, "candidate.csv"),
               ["r", "h", "theta", "kprime"], [rs, *map(np.real, values)])

@@ -320,8 +320,8 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     w0, w1, _ = chebyshev_coefficients(MAX_STAGES)
     rho_dt_max = 0.9 * (1.0 + w0) / w1  # the interval stages() covers with MAX_STAGES
 
-    marks = sorted({float(t) for t in output_times if initial.t < t <= t_end})
-    marks.append(float(t_end))
+    marks = sorted({float(t) for t in output_times if initial.t < t <= t_end}
+                   | {float(t_end)})
     state = initial
     snapshots = [initial] if (output_times and initial.t in output_times) else []
     diagnostics = []

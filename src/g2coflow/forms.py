@@ -95,6 +95,11 @@ _N_D = {
 }
 
 
+def _accumulate(out, tag, p):
+    """Add the coefficient p to out[tag], which may be missing."""
+    out[tag] = pf.add(out[tag], p) if tag in out else p
+
+
 def _wedge_nparts(x, y):
     if x == "one":
         return (1.0, y)
@@ -155,7 +160,7 @@ class InvariantForm:
             raise DegreeMismatch("cannot add forms of different degree")
         out = dict(self.coeffs)
         for tag, p in other.coeffs.items():
-            out[tag] = pf.add(out[tag], p) if tag in out else p
+            _accumulate(out, tag, p)
         return InvariantForm(self.degree, out)
 
     def __sub__(self, other):
@@ -207,9 +212,8 @@ def wedge(a, b):
             if drb and not dra:
                 # move dr to the front past the degree of the left base part
                 sign = -1.0 if _N_DEG[na] % 2 else 1.0
-            coeff = pf.mul(pf.mul(fa, fb), pf.constant(sign * scalar))
-            tag = _tag(dra or drb, npart)
-            out[tag] = pf.add(out[tag], coeff) if tag in out else coeff
+            _accumulate(out, _tag(dra or drb, npart),
+                        pf.mul(pf.mul(fa, fb), pf.constant(sign * scalar)))
     return InvariantForm(deg, out)
 
 
@@ -221,22 +225,15 @@ def d(a, structure):
     """
     table = _N_D[structure]
     out = {}
-
-    def accumulate(tag, p):
-        if tag in out:
-            out[tag] = pf.add(out[tag], p)
-        else:
-            out[tag] = p
-
     for t, f in a.coeffs.items():
         has_dr, npart = _SPLIT[t]
         if not has_dr:
-            accumulate(_tag(True, npart), f.derivative())
+            _accumulate(out, _tag(True, npart), f.derivative())
             for scalar, m in table.get(npart, ()):
-                accumulate(_tag(False, m), pf.mul(f, pf.constant(scalar)))
+                _accumulate(out, _tag(False, m), pf.mul(f, pf.constant(scalar)))
         else:
             for scalar, m in table.get(npart, ()):
-                accumulate(_tag(True, m), pf.mul(f, pf.constant(-scalar)))
+                _accumulate(out, _tag(True, m), pf.mul(f, pf.constant(-scalar)))
     return InvariantForm(a.degree + 1, out)
 
 
@@ -331,12 +328,11 @@ def star7(a, g):
         power = pf.pow_int(g.h, 6 - 2 * k)
         if not has_dr:
             sign = -1.0 if k % 2 else 1.0
-            coeff = pf.mul(pf.mul(f, pf.constant(sign * scalar)), pf.mul(power, g.G))
-            tag = _tag(True, starred)
+            _accumulate(out, _tag(True, starred), pf.mul(
+                pf.mul(f, pf.constant(sign * scalar)), pf.mul(power, g.G)))
         else:
-            coeff = pf.mul(pf.mul(f, pf.constant(scalar)), pf.div(power, g.G))
-            tag = _tag(False, starred)
-        out[tag] = pf.add(out[tag], coeff) if tag in out else coeff
+            _accumulate(out, _tag(False, starred), pf.mul(
+                pf.mul(f, pf.constant(scalar)), pf.div(power, g.G)))
     return InvariantForm(7 - a.degree, out)
 
 
@@ -353,8 +349,7 @@ def pointwise_inner(a, b, g):
         raise DegreeMismatch(f"inner product needs equal degrees, got "
                              f"{a.degree} and {b.degree}")
     top = wedge(a, star7(b, g))
-    vol_coeff = pf.mul(g.G, pf.pow_int(g.h, 6))
-    return pf.div(top.coeff("dr_vol6"), vol_coeff)
+    return pf.div(top.coeff("dr_vol6"), volume_weight(g))
 
 
 def volume_weight(g):

@@ -254,11 +254,11 @@ class Profile:
         return conj(self)
 
 
-def as_profile(x, domain=None):
+def as_profile(x):
     if isinstance(x, Profile):
         return x
     if isinstance(x, numbers.Number):
-        return Constant(complex(x) if isinstance(x, complex) else float(x), domain)
+        return Constant(complex(x) if isinstance(x, complex) else float(x))
     raise TypeError(f"cannot interpret {type(x).__name__} as a Profile")
 
 
@@ -721,12 +721,7 @@ def sample_points(domain, members, n):
 # smart constructors and the public operation set
 # ---------------------------------------------------------------------------
 
-def constant(c, domain=None):
-    return Constant(c, domain)
-
-
-def coordinate(domain=None):
-    return Coordinate(domain)
+constant, coordinate = Constant, Coordinate
 
 
 def add(a, b):
@@ -806,11 +801,7 @@ def conj(a):
     return Conj(a)
 
 
-def antiderivative(p, r0, c0, tol=1e-12):
-    """Profile q with q(r0) = c0 and q' = p, values from one Chebyshev series
-    per fixed panel anchored at r0, fitted to tol absolute per unit length;
-    see `Antiderivative`."""
-    return Antiderivative(p, r0, c0, tol)
+antiderivative = Antiderivative
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,19 @@ from .forms import InvariantForm, StructureKind
 
 @dataclass(frozen=True)
 class TorsionReport:
-    """Numeric torsion summary over a fixed sample set."""
+    """Numeric torsion summary over a fixed sample set.
 
-    tau0: pf.Profile
-    tau1_coeff: pf.Profile
+    `tau0` and `tau1_coeff` are the first-principles tau0 and dr-coefficient
+    of tau1 at the sample points `rs`; `tau2_norm` and `tau3_sup` are the
+    largest coefficient magnitudes of tau2 and tau3 there, and
+    `coclosed_residual` is sup |tau1| = sup |tau1_coeff| / G.
+    """
+
+    rs: np.ndarray
+    tau0: np.ndarray
+    tau1_coeff: np.ndarray
     tau2_norm: float
-    tau3: InvariantForm
+    tau3_sup: float
     coclosed_residual: float
     samples: int
 
@@ -91,15 +98,15 @@ def tau2_tau3(g):
 def torsion_report(g, samples=200):
     """TorsionReport over `samples` interior points of the domain."""
     rs = g.sample_points(samples)
-    tau0, tau1c = tau01_first_principles(g)
     tau2, tau3 = tau2_tau3(g)
-    # |tau1| = |coefficient| * |dr| = |coefficient| / G pointwise
-    tau1v, Gv = pf.evaluate(rs, tau1c, g.G)
+    tau0, tau1, G = pf.evaluate(rs, *tau01_first_principles(g), g.G)
     return TorsionReport(
+        rs=rs,
         tau0=tau0,
-        tau1_coeff=tau1c,
+        tau1_coeff=tau1,
         tau2_norm=tau2.sup_norm(rs),
-        tau3=tau3,
-        coclosed_residual=float(np.max(np.abs(tau1v) / np.abs(Gv))),
+        tau3_sup=tau3.sup_norm(rs),
+        # |tau1| = |coefficient| * |dr| = |coefficient| / G pointwise
+        coclosed_residual=float(np.max(np.abs(tau1) / np.abs(G))),
         samples=samples,
     )

@@ -15,16 +15,16 @@ from . import torsion as ts
 from .forms import G2Profile, StructureKind
 
 
-def _trig_profile(rng, dom, floor=None, amplitude=0.6, terms=2):
-    """Random low-frequency trigonometric polynomial, optionally positive."""
+def _trig_profile(rng, dom, floor=None, amplitude=0.6):
+    """Random trigonometric polynomial of degree 2, optionally positive."""
     r = pf.coordinate(dom)
     p = pf.constant(rng.uniform(-0.5, 0.5))
-    for k in range(1, terms + 1):
+    for k in (1, 2):
         a = amplitude * rng.uniform(-1, 1) / k
         b = amplitude * rng.uniform(-1, 1) / k
         p = p + a * pf.sin(k * r) + b * pf.cos(k * r)
     if floor is not None:
-        span = sum(2 * amplitude / k for k in range(1, terms + 1)) + 0.5
+        span = sum(2 * amplitude / k for k in (1, 2)) + 0.5
         p = p + pf.constant(floor + span)
     return p
 

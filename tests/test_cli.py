@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from g2coflow import cli, coflow
 from g2coflow import soliton as so
+from g2coflow import torsion as ts
 from g2coflow.errors import ConfigError
 
 
@@ -979,3 +980,44 @@ def test_scipy_subpackages_load_only_when_a_computation_needs_them(tmp_path,
     run = subprocess.run([sys.executable, "-c", LAZY_SCRIPT, *argv], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_flow_with_t_end_among_the_output_times_writes_it_once(tmp_path):
+    cfg = flow_config(tmp_path, domain={"kind": "circle", "period": 2 * np.pi,
+                                        "n": 32},
+                      t_end=0.1, output_times=[0.05, 0.1])
+    out = tmp_path / "out"
+    assert run_cli("flow", "--config", cfg, "--out", str(out)) == 0
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [
+        "snapshot_000.csv", "snapshot_001.csv"]
+    times = json.loads((out / "diagnostics.json").read_text())["snapshot_times"]
+    assert len(times) == 2 and np.allclose(times, [0.05, 0.1])
+
+
+def test_torsion_outputs_are_the_reports_numbers(tmp_path):
+    obj = {"structure": "NK", "domain": {"kind": "circle", "period": 2 * np.pi},
+           "h": "1.5 + 0.2*sin(r)", "theta": "0.1*cos(r)",
+           "G": "1 + 0.1*sin(2*r)", "samples": 48}
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "t"
+    assert run_cli("torsion", "--config", str(cfg), "--csv", "--out", str(out)) == 0
+    rep = ts.torsion_report(cli.parse_config("torsion", obj).objects["g"], 48)
+    assert json.loads((out / "torsion.json").read_text()) == {
+        "tau0_sup": np.max(np.abs(rep.tau0)),
+        "tau1_sup": np.max(np.abs(rep.tau1_coeff)),
+        "tau2_norm": rep.tau2_norm,
+        "tau3_sup": rep.tau3_sup,
+        "coclosed_residual": rep.coclosed_residual,
+        "samples": 48,
+    }
+    table = np.loadtxt(out / "torsion.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table.T, [rep.rs, np.real(rep.tau0),
+                                    np.real(rep.tau1_coeff)])
+
+
+def test_a_cy_coefficient_whose_square_overflows_is_a_config_error(tmp_path, capsys):
+    assert run_cli("soliton", "cy", "--b", "1", "--c", "1e200",
+                   "--out", str(tmp_path / "o")) == 2
+    assert "'c'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

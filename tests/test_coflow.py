@@ -798,3 +798,10 @@ def test_a_long_run_caps_its_stages_and_halts_at_its_work_budget(monkeypatch):
     assert max(seen) == cf.MAX_STAGES and seen.count(cf.MAX_STAGES) > 1
     assert cf.MAX_RHS_EVALS - 10 * cf.MAX_STAGES < run.rhs_evals <= cf.MAX_RHS_EVALS
     assert run.snapshots[-1].t == run.diagnostics[-1][0] < 1e300
+
+
+def test_t_end_among_the_output_times_is_snapshotted_once():
+    s = circle_state(n=32, theta=lambda r: 0.01 * np.sin(r))
+    run = cf.run_flow(s, t_end=0.1, output_times=(0.05, 0.1))
+    times = [snap.t for snap in run.snapshots]
+    assert len(times) == 2 and np.allclose(times, [0.05, 0.1])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 from g2coflow import forms as fm
@@ -132,3 +134,28 @@ def test_torsion_report():
     assert rep.tau2_norm < 1e-10
     assert rep.coclosed_residual < 1e-9
     assert rep.samples == 100
+
+
+def test_torsion_report_holds_the_first_principles_numbers():
+    rng = np.random.default_rng(28)
+    for structure in (CY, NK):
+        g = random_g2_profile(rng, structure)
+        rep = ts.torsion_report(g, samples=40)
+        assert np.array_equal(rep.rs, g.sample_points(40))
+        tau0, tau1 = ts.tau01_first_principles(g)
+        assert np.array_equal(rep.tau0, tau0.value(rep.rs))
+        assert np.array_equal(rep.tau1_coeff, tau1.value(rep.rs))
+        tau2, tau3 = ts.tau2_tau3(g)
+        assert rep.tau2_norm == tau2.sup_norm(rep.rs)
+        assert rep.tau3_sup == tau3.sup_norm(rep.rs)
+        G = g.G.value(rep.rs)
+        assert rep.coclosed_residual == np.max(np.abs(rep.tau1_coeff) / np.abs(G))
+
+
+def test_torsion_report_fields_are_numbers_or_arrays():
+    rep = ts.torsion_report(sine_cone(), samples=30)
+    for field in dataclasses.fields(rep):
+        value = getattr(rep, field.name)
+        assert isinstance(value, (int, float, np.ndarray)), field.name
+    assert len(rep.rs) == len(rep.tau0) == len(rep.tau1_coeff) == 30
+    assert rep.tau3_sup < 1e-11   # the sine cone is nearly parallel
