@@ -283,6 +283,9 @@ def _extrapolated_step(rhs, y, dt, s):
 def run_flow(initial, t_end, output_times=(), cfl=0.2):
     """Integrate to t_end, snapshotting at the requested output times.
 
+    An output time within 1e-14 below a later one, t_end included, is
+    dropped: the later one is snapshotted in its place.
+
     Steps are extrapolated damped-Chebyshev macro steps (module docstring)
     under the local error tolerance TOL. The first trial step is
     cfl min(G)^2 dr^2; later ones follow the error estimate, and a step cut
@@ -322,6 +325,8 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
 
     marks = sorted({float(t) for t in output_times if initial.t < t <= t_end}
                    | {float(t_end)})
+    # a mark within 1e-14 below the next is reached by the next one's steps
+    marks = [m for m, after in zip(marks, marks[1:] + [np.inf]) if m < after - 1e-14]
     state = initial
     snapshots = [initial] if (output_times and initial.t in output_times) else []
     diagnostics = []

@@ -52,6 +52,11 @@ def test_parse_expression_rejects_unknown_names():
         cli.parse_expression("pow(r, 0.5)")
 
 
+def test_an_unknown_subcommand_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown subcommand"):
+        cli.parse_config("bogus", {})
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -992,6 +997,17 @@ def test_flow_with_t_end_among_the_output_times_writes_it_once(tmp_path):
         "snapshot_000.csv", "snapshot_001.csv"]
     times = json.loads((out / "diagnostics.json").read_text())["snapshot_times"]
     assert len(times) == 2 and np.allclose(times, [0.05, 0.1])
+
+
+def test_flow_with_an_output_time_just_below_t_end_ends_at_t_end(tmp_path):
+    cfg = flow_config(tmp_path, domain={"kind": "circle", "period": 2 * np.pi,
+                                        "n": 32},
+                      t_end=0.1, output_times=[0.1 - 1e-15])
+    out = tmp_path / "out"
+    assert run_cli("flow", "--config", cfg, "--out", str(out)) == 0
+    assert [p.name for p in out.glob("snapshot_*.csv")] == ["snapshot_000.csv"]
+    times = json.loads((out / "diagnostics.json").read_text())["snapshot_times"]
+    assert times == [0.1]
 
 
 def test_torsion_outputs_are_the_reports_numbers(tmp_path):

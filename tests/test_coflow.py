@@ -116,6 +116,11 @@ def test_rhs_cy_rejects_wrong_structure_and_varying_h():
         cf.rhs_cy(bad)
 
 
+def test_rhs_nk_rejects_a_cy_state():
+    with pytest.raises(StructureMismatch, match="NK state"):
+        cf.rhs_nk(circle_state(structure=CY))
+
+
 def test_rhs_nk_cone_is_fixed_point():
     mesh = Mesh.from_domain(pf.Interval(0.5, 3.0), 201)
     r = mesh.nodes
@@ -805,3 +810,14 @@ def test_t_end_among_the_output_times_is_snapshotted_once():
     run = cf.run_flow(s, t_end=0.1, output_times=(0.05, 0.1))
     times = [snap.t for snap in run.snapshots]
     assert len(times) == 2 and np.allclose(times, [0.05, 0.1])
+
+
+@pytest.mark.parametrize("output_times, want", [
+    ((0.1 - 1e-15,), [0.1]),
+    ((0.05, 0.05 + 1e-15), [0.05 + 1e-15, 0.1]),
+])
+def test_an_output_time_within_1e_14_below_the_next_is_not_snapshotted(
+        output_times, want):
+    s = circle_state(n=32, theta=lambda r: 0.01 * np.sin(r))
+    run = cf.run_flow(s, t_end=0.1, output_times=output_times)
+    assert [snap.t for snap in run.snapshots] == want

@@ -232,6 +232,11 @@ def test_invariant_form_rejects_basis_element_of_wrong_degree():
         InvariantForm(3, {"omega": pf.constant(1.0)})
 
 
+def test_adding_forms_of_different_degree_is_degree_mismatch():
+    with pytest.raises(DegreeMismatch, match="different degree"):
+        InvariantForm.basis("dr") + InvariantForm.basis("omega")
+
+
 def test_sample_points_without_domain_is_invalid_geometry():
     g = G2Profile(h=pf.constant(1.0), theta=pf.constant(0.0),
                   G=pf.constant(1.0), structure=CY)

@@ -115,6 +115,16 @@ def test_unknown_special_family_is_invalid_params(family):
     assert exc.value.param == "family"
 
 
+def test_a_cone_whose_h_changes_sign_on_the_domain_is_invalid_params():
+    with pytest.raises(InvalidParams, match="h must stay positive"):
+        so.nk_special("cone", b=0.5, lam=0.0, domain=pf.Interval(-1.0, 1.0))
+
+
+def test_a_sine_cone_domain_outside_0_pi_is_invalid_params():
+    with pytest.raises(InvalidParams, match="sine-cone lives on"):
+        so.nk_special("sinecone", domain=pf.Interval(-0.1, 1.0))
+
+
 def test_all_special_families_pass_residuals():
     for cand in (
         so.nk_special("cone", b=0.5, lam=2.0),
@@ -501,6 +511,17 @@ def test_shoot_recovers_sine_cone_lambda():
     assert rep.found
     assert abs(rep.lam + 16.0) < 1e-6
     assert so.residuals_nk(rep.candidate).worst < 1e-6
+
+
+def test_shoot_whose_candidate_misses_the_residual_tolerance_is_not_found():
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    rep = so.shoot(np.sin(r0), np.cos(r0), -np.sin(r0), (r0, r1),
+                   target_dh_end=np.cos(r1), lam_range=(-25.0, -8.0),
+                   residual_tol=1e-30)
+    assert not rep.found
+    assert abs(rep.lam + 16.0) < 1e-6
+    assert rep.candidate is not None
+    assert rep.reason.startswith("residuals")
 
 
 def test_shoot_no_bracket():

@@ -1,0 +1,78 @@
+"""The identity suite: one evaluation per drawn structure, numbers equal to
+one sup-norm per residual form."""
+
+import numpy as np
+import pytest
+
+from g2coflow import forms as fm
+from g2coflow import profiles as pf
+from g2coflow import torsion as ts
+from g2coflow import verify
+from g2coflow.forms import StructureKind
+from g2coflow.verify import random_g2_profile, random_invariant_form, run_identity_suite
+
+TOLERANCES = {
+    "d_squared_zero": 1e-12,
+    "star_involution": 1e-12,
+    "dphi_dpsi_structure_equations": 1e-12,
+    "tau2_vanishes": 1e-11,
+    "tau01_closed_vs_first_principles": 1e-10,
+}
+
+
+def per_form_suite(seed, n_profiles, n_points):
+    """The suite's records from one sup_norm call per residual form, each on
+    a fresh memo, and tau0/tau1 as differences of their evaluated values."""
+    rng = np.random.default_rng(seed)
+    dom = pf.Circle(2 * np.pi)
+    rs = dom.sample_points(n_points, interior=True)
+    worst = dict.fromkeys(TOLERANCES, 0.0)
+
+    def bump(name, value):
+        worst[name] = max(worst[name], float(value))
+
+    for structure in (StructureKind.CY, StructureKind.NK):
+        for _ in range(n_profiles // 2):
+            g = random_g2_profile(rng, structure, dom)
+            for tag in fm.BASIS_TAGS:
+                ddb = fm.d(fm.d(fm.InvariantForm.basis(tag), structure), structure)
+                bump("d_squared_zero", ddb.sup_norm(rs))
+            a = random_invariant_form(rng, degree=int(rng.integers(0, 7)), domain=dom)
+            bump("d_squared_zero", fm.d(fm.d(a, structure), structure).sup_norm(rs))
+            for tag in fm.BASIS_TAGS:
+                b = fm.InvariantForm.basis(tag)
+                bump("star_involution", (fm.star7(fm.star7(b, g), g) - b).sup_norm(rs))
+            phi, psi = fm.build_phi(g), fm.build_psi(g)
+            for got, want in ((fm.d(phi, structure), verify._dphi_expected(g)),
+                              (fm.d(psi, structure), verify._dpsi_expected(g))):
+                bump("dphi_dpsi_structure_equations", (got - want).sup_norm(rs))
+            bump("tau2_vanishes", ts.tau2_tau3(g)[0].sup_norm(rs))
+            t0a, t1a = ts.tau01_first_principles(g)
+            t0b, t1b = ts.tau01_closed(g)
+            t0a, t0b, t1a, t1b = pf.evaluate(rs, t0a, t0b, t1a, t1b)
+            bump("tau01_closed_vs_first_principles", np.max(np.abs(t0a - t0b)))
+            bump("tau01_closed_vs_first_principles", np.max(np.abs(t1a - t1b)))
+
+    return [{"name": name, "max_residual": worst[name], "tolerance": tol,
+             "passed": worst[name] < tol} for name, tol in TOLERANCES.items()]
+
+
+@pytest.mark.parametrize("seed, n_profiles, n_points",
+                         [(0, 20, 50), (7, 6, 13), (104729, 2, 1)])
+def test_suite_records_equal_one_sup_norm_per_residual_form(seed, n_profiles, n_points):
+    assert (run_identity_suite(seed, n_profiles, n_points)
+            == per_form_suite(seed, n_profiles, n_points))
+
+
+def test_suite_makes_one_evaluate_call_per_drawn_structure(monkeypatch):
+    rs = pf.Circle(2 * np.pi).sample_points(7, interior=True)
+    on_rs = []
+    evaluate = pf.evaluate
+
+    def spy(r, *terms):
+        on_rs.append(np.array_equal(r, rs))
+        return evaluate(r, *terms)
+
+    monkeypatch.setattr(pf, "evaluate", spy)
+    run_identity_suite(seed=3, n_profiles=4, n_points=7)
+    assert sum(on_rs) == 4
