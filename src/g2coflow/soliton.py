@@ -4,7 +4,9 @@ Solitons satisfy -Delta_d psi = d(grad(k) _| psi) + lambda psi with the
 radial gauge G = 1. The Calabi-Yau case closes exactly (steady solitons
 only); the nearly Kahler case has four special families (cone, anti-cone,
 cylinder, sine-cone) and a general reduction to a third-order polynomial
-ODE for h, from which theta and k' are recovered algebraically.
+ODE for h, from which theta and k' are recovered algebraically. One DOP853
+stepper on Python floats integrates that ODE for every caller: the
+shooting scan, its closings and the dense trajectories.
 
 Residuals are always reported two independent ways: coordinate equations
 (residuals_cy / residuals_nk) and the full form-level equation
@@ -14,7 +16,7 @@ Residuals are always reported two independent ways: coordinate equations
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,7 +303,6 @@ def form_residual(cand, samples=200, tolerance=1e-8, constraint_tol=1e-7):
 LOCUS_TOL = 1e-4        # stop distance from |h'| = 0 or 1
 LEAD_FLOOR = 1e-10      # lower bound on the leading coefficient h^3 h'((h')^2-1)
 RATE_CAP = 1e100        # |h'''| beyond which the integrator's norms may overflow
-DETACH = 0.01           # locus margin at which a batch member finishes alone
 MAX_RHS_EVALS = 200_000  # work budget of one DOP853 solve, in RHS evaluations
 
 
@@ -340,8 +341,8 @@ def reduced_rhs(h, hp, hpp, lam):
 
 
 def _reduced_rhs_raw(h, hp, hpp, lam):
-    # locus-tolerant evaluation for integrator trial steps; the terminal
-    # event stops the trajectory before the formula actually degenerates
+    # locus-tolerant evaluation for integrator trial steps; the locus guard
+    # stops the trajectory before the formula actually degenerates
     try:
         lead, rest = _reduced_terms(h, hp, hpp, lam)
     except OverflowError:   # a float power past the float range
@@ -371,7 +372,9 @@ class ReducedTrajectory:
     hpp: np.ndarray
     lam: float
     status: str             # "completed" | "singular_locus"
-    nfev: int = 0           # right-hand-side evaluations spent by the integrator
+    # right-hand-side evaluations of the solve: the checked one at the start,
+    # the initial-step probe, 12 per step tried and 3 per interpolated step
+    nfev: int = 0
 
 
 def _locus_margin(h, hp, dh0):
@@ -379,57 +382,214 @@ def _locus_margin(h, hp, dh0):
     0 or 1, or h at 1e-6), signed by the sides of it that h' = dh0 starts
     on: negative past the locus, so a step that jumps across it still
     changes the sign."""
-    return np.minimum(
-        np.minimum(np.copysign(1.0, dh0) * hp - LOCUS_TOL,
-                   np.copysign(1.0, 1.0 - abs(dh0)) * (1.0 - abs(hp)) - LOCUS_TOL),
-        h - 1e-6)
+    return min(math.copysign(1.0, dh0) * hp - LOCUS_TOL,
+               math.copysign(1.0, 1.0 - abs(dh0)) * (1.0 - abs(hp)) - LOCUS_TOL,
+               h - 1e-6)
 
 
-def _locus(dh0, offset=0.0):
-    """Terminal event where the member nearest the locus comes within
-    `offset` of it; y holds the h of every member, then every h', then
-    every h''."""
-    def event(_r, y):
-        h, hp, _hpp = y.reshape(3, -1)
-        return _locus_margin(h, hp, dh0).min() - offset
+# The Dormand-Prince 8(5,3) pair and its 7th-order dense output (Hairer,
+# Norsett & Wanner, Solving Ordinary Differential Equations I, 2nd ed.,
+# Sec. II.5-II.6, and their code DOP853) as the doubles of scipy's
+# integrate/_ivp/dop853_coefficients.py: the nonzero entries of each row as
+# (stage, coefficient) pairs. The reduced ODE is autonomous, so the nodes
+# c_i are not needed.
+_A = (   # stages 1-12; row 12 weighs the 8th-order solution, where stage 12 is f
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+    ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+     (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+     (10, 0.20136540080403034), (11, 0.04471061572777259)),
+)
+# the 5th-order error weights
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+       (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+_A_DENSE = (   # stages 13-15 of the dense output
+    ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+     (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+     (11, 0.007567897660545699), (12, -0.008298)),
+    ((0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+     (7, -0.05492374857139099), (10, -0.00010834732869724932),
+     (11, 0.0003825710908356584), (12, -0.00034046500868740456),
+     (13, 0.1413124436746325)),
+    ((0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
+     (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
+     (13, 2.9475147891527724), (14, -9.15095847217987)),
+)
+_D = (   # the interpolant's coefficients 4-7
+    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
+)
+# the 3rd-order error weights: B less the 3rd-order solution's weights
+_E3 = tuple((j, b - {0: 0.2440944881889764, 8: 0.7338466882816118,
+                     11: 0.022058823529411766}.get(j, 0.0)) for j, b in _A[-1])
 
-    event.terminal = True
-    return event
+
+def _combine(row, ks):
+    """Sum of coefficient times stage over the nonzero entries of a tableau
+    row, one float per component."""
+    s0 = s1 = s2 = 0.0
+    for j, a in row:
+        k0, k1, k2 = ks[j]
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+    return s0, s1, s2
 
 
-def _alone_rhs(lam):
-    calls = itertools.count(1)
+def _stages(rows, ks, y, step, rhs):
+    """Append to ks the stage of each tableau row: f at y plus step times the
+    row's sum over the earlier stages. Returns the last row's state."""
+    for row in rows:
+        s0, s1, s2 = _combine(row, ks)
+        state = (y[0] + s0 * step, y[1] + s1 * step, y[2] + s2 * step)
+        ks.append(rhs(state))
+    return state
 
-    def rhs(_r, y):
-        if next(calls) > MAX_RHS_EVALS:
+
+def _sum_sq(v, scale):
+    a, b, c = (x / s for x, s in zip(v, scale))
+    return a * a + b * b + c * c   # products overflow to inf, powers would raise
+
+
+def _horner(coeffs, x):
+    """The interpolant's offset from the step's start at x = (r - start) /
+    step: Horner's rule in x and 1 - x in turn, from the last coefficient,
+    as scipy's Dop853DenseOutput sums it. Floats or broadcasting arrays."""
+    v = 0.0
+    for i, c in enumerate(coeffs[::-1]):
+        v = (v + c) * (x if i % 2 == 0 else 1.0 - x)
+    return v
+
+
+def _dense_value(piece, r):
+    start, length, y, coeffs = piece
+    x = (r - start) / length
+    return tuple(v + _horner(c, x) for v, c in zip(y, coeffs))
+
+
+def _dop853(y, lam, r, r1, rtol, max_step, dense):
+    """DOP853 solution of the reduced ODE from (r, y) toward r1, stepped as
+    scipy's DOP853 (integrate/_ivp/rk.py) steps it at this rtol, atol 1e-12
+    and max_step: its error norm (the err5/err3 blend), step-size rule
+    (safety 0.9, factors 0.2 to 10, no growth after a rejected step) and
+    initial step. Stops where the locus margin of the start changes sign
+    over a step, at the margin's root on that step's interpolant (brentq
+    with xtol = rtol = 4 eps, as scipy locates a terminal event).
+
+    Returns (stop point, state there, whether the locus stopped it, RHS
+    evaluations, pieces), where pieces holds (start, length, state at start,
+    interpolant coefficients per component) of every accepted step when
+    `dense`. Raises what reduced_rhs raises at (r, y), what the right-hand
+    side raises at a trial state, and StepFailure past MAX_RHS_EVALS
+    evaluations or where a step would fall below 10 float spacings at r.
+    """
+    nfev, dh0 = 1, y[1]
+    f = (y[1], y[2], reduced_rhs(*y, lam))   # also checks the start
+    rtol = max(rtol, 100 * np.finfo(float).eps)   # scipy's floor
+
+    def rhs(state):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_RHS_EVALS:
             raise StepFailure(f"reduced ODE past {MAX_RHS_EVALS} RHS evaluations")
-        # Python floats: an overflow raises or gives inf, never a warning
-        h, hp, hpp = y.tolist()
-        return (hp, hpp, _reduced_rhs_raw(h, hp, hpp, lam))
+        return state[1], state[2], _reduced_rhs_raw(*state, lam)
 
-    return rhs
+    scale = [1e-12 + abs(v) * rtol for v in y]
+    d0, d1 = (math.sqrt(_sum_sq(v, scale) / 3) for v in (y, f))
+    h_abs = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, r1 - r)
+    f1 = rhs(tuple(v + h_abs * k for v, k in zip(y, f)))
+    d2 = math.sqrt(_sum_sq([a - b for a, b in zip(f1, f)], scale) / 3) / h_abs
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h_abs * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h_abs, h1, r1 - r, max_step)
+
+    pieces, margin = [], _locus_margin(y[0], y[1], dh0)
+    while True:
+        min_step = 10 * (math.nextafter(r, math.inf) - r)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepFailure("integrator failed: Required step size is less "
+                                  "than spacing between numbers.")
+            r_new = min(r + h_abs, r1)
+            step = r_new - r
+            ks = [f]
+            y_new = _stages(_A, ks, y, step, rhs)
+            scale = [1e-12 + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)]
+            e5 = _sum_sq(_combine(_E5, ks), scale)
+            e3 = _sum_sq(_combine(_E3, ks), scale)
+            error = step * e5 / math.sqrt((e5 + 0.01 * e3) * 3) if e5 else 0.0
+            if error < 1:
+                factor = 10.0 if error == 0 else min(10.0, 0.9 * error ** -0.125)
+                h_abs = step * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs, rejected = step * max(0.2, 0.9 * error ** -0.125), True
+
+        new_margin = _locus_margin(y_new[0], y_new[1], dh0)
+        crossed = margin <= 0 <= new_margin or margin >= 0 >= new_margin
+        if dense or crossed:
+            _stages(_A_DENSE, ks, y, step, rhs)
+            dy = [b - a for a, b in zip(y, y_new)]
+            rows = [dy, [step * k - d for k, d in zip(ks[0], dy)],
+                    [2 * d - step * (k1 + k0) for d, k0, k1 in zip(dy, ks[0], ks[12])],
+                    *([step * s for s in _combine(row, ks)] for row in _D)]
+            pieces.append((r, step, y, tuple(zip(*rows))))
+        if crossed:
+            from scipy.optimize import brentq
+            piece, tol = pieces[-1], 4 * np.finfo(float).eps
+            stop = brentq(lambda x: _locus_margin(*_dense_value(piece, x)[:2], dh0),
+                          r, r_new, xtol=tol, rtol=tol)
+            return stop, _dense_value(piece, stop), True, nfev, pieces
+        if r_new >= r1:
+            return r_new, y_new, False, nfev, pieces
+        r, y, f, margin = r_new, y_new, ks[12], new_margin
 
 
-def _dop853(rhs, r, r1, y, rtol, event, max_step=np.inf, dense=False):
-    from scipy import integrate
-    # a step of a huge span may overflow the stage sums: the error norm of that
-    # trial state is not finite, so the step is rejected, and the right-hand
-    # side fails (StepFailure) at a state it cannot evaluate
-    with np.errstate(all="ignore"):
-        return integrate.solve_ivp(rhs, (r, r1), y, method="DOP853", rtol=rtol,
-                                   atol=1e-12, dense_output=dense,
-                                   max_step=max_step, events=event)
-
-
-def _alone(r, r1, y, lam, dh0, rtol, max_step=np.inf, dense=False):
-    """DOP853 solution of one member from (r, y) toward r1, under the locus
-    guard of a start at h' = dh0. Raises what reduced_rhs raises at (r, y),
-    and StepFailure where the integrator fails."""
-    reduced_rhs(*y.tolist(), lam)
-    sol = _dop853(_alone_rhs(lam), r, r1, y, rtol, _locus(dh0), max_step, dense)
-    if sol.status == -1:
-        raise StepFailure(f"integrator failed: {sol.message}")
-    return sol
+def _sample(pieces, rs):
+    """(h, h', h'') at the increasing points rs, each from the interpolant of
+    the step it falls in (the earlier step at a step boundary, as scipy's
+    OdeSolution picks)."""
+    starts = np.array([p[0] for p in pieces])
+    i = np.clip(np.searchsorted(starts, rs) - 1, 0, len(pieces) - 1)
+    x = (rs - starts[i]) / np.array([p[1] for p in pieces])[i]
+    coeffs = np.moveaxis(np.array([p[3] for p in pieces])[i], 2, 0)
+    return (np.array([p[2] for p in pieces])[i] + _horner(coeffs, x[:, None])).T
 
 
 def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801):
@@ -441,124 +601,48 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801):
     the guard is signed, so a step that jumps across the locus stops there
     too. Steps are capped at 32 intervals of the returned n_dense-point grid,
     which keeps the 7th-order dense output accurate enough for
-    finite-difference residual checks on that grid; with n_dense=2 the cap
+    finite-difference residual checks on that grid. With n_dense=2 the cap
     exceeds the span, so a caller that needs only the end point gets free
-    steps. An integration that would pass MAX_RHS_EVALS right-hand-side
-    evaluations raises StepFailure.
+    steps, and the trajectory holds the start and the stop point: dense
+    output is computed only on a step the locus stops. An integration that
+    would pass MAX_RHS_EVALS right-hand-side evaluations raises StepFailure.
+
+    The stepper runs on Python floats and steps as scipy's DOP853 would (see
+    _dop853); the last bits differ, because its sums run in another order.
 
     A 1-D array of lambdas returns a tuple with one entry per lambda, in
-    order, each what a scalar call with n_dense=2 gives that lambda up to
-    the integrator's tolerance: a two-point trajectory holding the start
-    and the stop point (n_dense is not used). The members are integrated as
-    one 3m-dimensional DOP853 system with free steps (one step size and
-    error norm for all), without dense output. The batch stops where its
-    member nearest the locus comes within DETACH of it, at the start too:
-    that member finishes alone from there, stopping at the locus with status
-    "singular_locus" or at the span end, and the others continue from that
-    point. A member whose right-hand side passes LEAD_FLOOR or RATE_CAP or
-    overflows, which fails its start or its finish alone, or whose batch
-    passes MAX_RHS_EVALS or fails a step, is integrated alone through this
-    function from the start, so its entry is what a scalar call gives: a
-    trajectory, or the SingularLocus or StepFailure that call raised; a
-    non-finite jet or lambda raises InvalidParams. A member's nfev counts the
-    batched evaluations it took part in and its own.
+    order: what a scalar call with n_dense=2 gives that lambda, a trajectory
+    or the SingularLocus or StepFailure that call raised. A non-finite jet
+    or lambda raises InvalidParams.
     """
     r0, r1 = float(span[0]), float(span[1])
     if not 0 < r1 - r0 < np.inf:   # NaN fails too
         raise InvalidParams(f"span {r0, r1} needs 0 < r1 - r0 < inf", param="span")
-    if np.ndim(lam) == 1:
-        return _integrate_members(h0, dh0, ddh0, np.asarray(lam, dtype=float),
-                                  r0, r1, rtol)
-    sol = _alone(r0, r1, np.array([h0, dh0, ddh0], dtype=float), lam, dh0, rtol,
-                 32.0 * (r1 - r0) / max(n_dense - 1, 1), dense=True)
-    rs = np.linspace(r0, float(sol.t[-1]), n_dense)
-    h, hp, hpp = sol.sol(rs)
-    return ReducedTrajectory(rs=rs, h=h, hp=hp, hpp=hpp, lam=lam, nfev=int(sol.nfev),
-                             status="singular_locus" if sol.status else "completed")
-
-
-class _MembersFailed(Exception):
-    """Raised by a batched right-hand side with the mask `bad` of the members
-    it cannot evaluate."""
-
-    bad = property(lambda self: self.args[0])
-
-
-def _members_rhs(lams):
-    """Right-hand side of the batch of `lams`, its state laid out as in
-    `_locus`; past MAX_RHS_EVALS it fails every member."""
-    calls = itertools.count(1)
-
-    def rhs(_r, y):
-        if next(calls) > MAX_RHS_EVALS:
-            raise _MembersFailed(np.ones(len(lams), dtype=bool))
-        h, hp, hpp = y.reshape(3, -1)
-        # under _dop853's errstate: a member that fails is dropped instead
-        lead, rest = _reduced_terms(h, hp, hpp, lams)
-        hppp = -rest / lead
-        if np.abs(lead).min() >= LEAD_FLOOR and np.abs(hppp).max() <= RATE_CAP:
-            return np.concatenate((hp, hpp, hppp))
-        raise _MembersFailed((np.abs(lead) < LEAD_FLOOR) | ~(np.abs(hppp) <= RATE_CAP))
-
-    return rhs
-
-
-def _integrate_members(h0, dh0, ddh0, lams, r0, r1, rtol):
-    """integrate_reduced over an array of lambdas (see there)."""
-    m = len(lams)
-    alone, live, r, stopped = [], np.arange(m), r0, False
-    y0 = np.array([h0, dh0, ddh0], dtype=float)
-    if not np.isfinite(y0).all():   # solve_ivp would reject it untyped
-        reduced_rhs(*y0.tolist(), 0.0)   # InvalidParams at the first such entry
-    y = np.repeat(y0[:, None], m, axis=1)
-    stop, nfev, at_locus = np.full(m, r1), np.zeros(m, dtype=int), np.zeros(m, bool)
-    while live.size:
-        margin = _locus_margin(y[0, live], y[1, live], dh0)
-        near = margin <= DETACH + 1e-12
-        # the member that stopped the batch finishes alone even where its margin
-        # stays above DETACH: when the event's r rounds to the start of the step
-        near[margin.argmin()] |= stopped
-        for i in live[near]:   # finish alone from here
-            try:
-                sol = _alone(r, r1, y[:, i], float(lams[i]), dh0, rtol)
-            except (SingularLocus, StepFailure):
-                alone.append(i)
-                continue
-            nfev[i] += sol.nfev
-            stop[i], at_locus[i], y[:, i] = sol.t[-1], sol.status == 1, sol.y[:, -1]
-        live = live[~near]
-        if not live.size:
-            break
-        try:
-            sol = _dop853(_members_rhs(lams[live]), r, r1, y[:, live].ravel(),
-                          rtol, _locus(dh0, DETACH))
-        except _MembersFailed as exc:
-            alone += live[exc.bad].tolist()
-            live, stopped = live[~exc.bad], False
-            continue
-        if sol.status == -1:   # which member made the step fail is unknown
-            alone += live.tolist()
-            break
-        nfev[live] += sol.nfev
-        y[:, live] = sol.y[:, -1].reshape(3, -1)
-        if sol.status == 0:
-            break
-        r, stopped = float(sol.t[-1]), True
-
+    y0 = float(h0), float(dh0), float(ddh0)
+    if np.ndim(lam) == 0:
+        return _integrate(y0, float(lam), r0, r1, rtol, n_dense)
     out = []
-    for i, lam in enumerate(lams.tolist()):
-        if i in alone:
-            try:
-                out.append(integrate_reduced(h0, dh0, ddh0, lam, (r0, r1), rtol=rtol,
-                                             n_dense=2))
-            except (SingularLocus, StepFailure) as exc:
-                out.append(exc)
-            continue
-        h, hp, hpp = np.stack((y0, y[:, i]), axis=1)
-        status = "singular_locus" if at_locus[i] else "completed"
-        out.append(ReducedTrajectory(rs=np.array([r0, stop[i]]), h=h, hp=hp, hpp=hpp,
-                                     lam=lam, status=status, nfev=int(nfev[i])))
+    for one in np.asarray(lam, dtype=float).tolist():
+        try:
+            out.append(_integrate(y0, one, r0, r1, rtol, 2))
+        except (SingularLocus, StepFailure) as exc:
+            out.append(exc)
     return tuple(out)
+
+
+def _integrate(y0, lam, r0, r1, rtol, n_dense):
+    dense = n_dense > 2
+    r, y, at_locus, nfev, pieces = _dop853(y0, lam, r0, r1, rtol,
+                                           32.0 * (r1 - r0) / max(n_dense - 1, 1),
+                                           dense)
+    if dense:
+        rs = np.linspace(r0, r, n_dense)
+        h, hp, hpp = _sample(pieces, rs)
+    else:
+        rs = np.array([r0, r])
+        h, hp, hpp = np.array([y0, y]).T
+    return ReducedTrajectory(rs=rs, h=h, hp=hp, hpp=hpp, lam=lam, nfev=nfev,
+                             status="singular_locus" if at_locus else "completed")
 
 
 def recover_theta_k(traj, lam, u_sign0=1.0):
@@ -684,12 +768,12 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
     The closing functional is h'(r_end; lambda) - target (evaluated at the
     early-stop point if the trajectory hits the singular locus). It needs
     only the trajectory's end, so closing integrations take free steps and
-    keep two samples. The scan is one batched integrate_reduced call over
-    the grid of lambdas, also with free steps, each member's value what a
-    scalar call gives it (NaN where that call raises SingularLocus, or
-    StepFailure, a solve past MAX_RHS_EVALS included); brentq
-    starts from the scan's values and integrates each further lambda alone,
-    and only the final candidate is integrated densely.
+    keep two samples. The scan is one integrate_reduced call over the grid
+    of lambdas, each integrated alone like a closing (NaN where its
+    integration raises SingularLocus, or StepFailure, a solve past
+    MAX_RHS_EVALS included); brentq starts from the scan's values and
+    integrates each further lambda, and only the final candidate is
+    integrated densely.
     Returns a ShootReport; found=False carries the scanned bracket report.
     """
     from scipy import optimize

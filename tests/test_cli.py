@@ -969,12 +969,20 @@ print([m for m in ("scipy.sparse", "scipy.integrate", "scipy.optimize")
 """
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["soliton", "nk", "--family", "cylinder", "--b", "1"],
+SINE_CONE_JET = [repr(x) for x in (math.sin(math.pi / 8), math.cos(math.pi / 8),
+                                    -math.sin(math.pi / 8))]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ([], []),
+    (["soliton", "nk", "--family", "cylinder", "--b", "1"], []),
+    # the residuals' stencils need scipy.sparse; the integrator needs none
+    (["soliton", "reduce", "--h0", SINE_CONE_JET[0], "--dh0", SINE_CONE_JET[1],
+      "--ddh0", SINE_CONE_JET[2], "--lambda", "-16",
+      "--span", repr(math.pi / 8), repr(3 * math.pi / 8)], ["scipy.sparse"]),
 ])
 def test_scipy_subpackages_load_only_when_a_computation_needs_them(tmp_path,
-                                                                  argv):
+                                                                  argv, loaded):
     # importing them costs most of a short run's start-up, so the modules
     # import each inside the function that calls it
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -984,7 +992,7 @@ def test_scipy_subpackages_load_only_when_a_computation_needs_them(tmp_path,
         argv = argv + ["--out", str(tmp_path / "o")]
     run = subprocess.run([sys.executable, "-c", LAZY_SCRIPT, *argv], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert run.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_flow_with_t_end_among_the_output_times_writes_it_once(tmp_path):

@@ -629,27 +629,89 @@ def test_a_scan_through_the_locus_matches_scalar_calls():
     assert rep.found and abs(rep.lam - lam) <= 1e-9
 
 
+def scipy_dop853(jet, lam, span, n_dense=2):
+    """The reduced ODE through scipy's solve_ivp DOP853, with integrate_reduced's
+    tolerances, step cap and signed locus guard as a terminal event: an
+    independent integrator for the stepper to agree with. Returns the grid,
+    the (h, h', h'') values on it, the status and the RHS evaluations."""
+    from scipy.integrate import solve_ivp
+
+    r0, r1 = span
+
+    def locus(_r, y):
+        return so._locus_margin(y[0], y[1], jet[1])
+
+    locus.terminal = True
+    sol = solve_ivp(lambda _r, y: (y[1], y[2], so._reduced_rhs_raw(*y.tolist(), lam)),
+                    span, jet, method="DOP853", rtol=1e-10, atol=1e-12,
+                    max_step=32.0 * (r1 - r0) / max(n_dense - 1, 1),
+                    dense_output=True, events=locus)
+    rs = np.linspace(r0, sol.t[-1], n_dense)
+    status = {0: "completed", 1: "singular_locus"}[sol.status]
+    return rs, sol.sol(rs), status, sol.nfev
+
+
+def test_closing_values_match_scipy_dop853():
+    # criterion 8's scan
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    lams = np.linspace(-25.0, -8.0, 13)
+    scan = so.integrate_reduced(*sine_cone_jet(r0), lams, (r0, r1), n_dense=2)
+    for lam, one in zip(lams, scan, strict=True):
+        _, (_, hp, _), status, _ = scipy_dop853(sine_cone_jet(r0), lam, (r0, r1))
+        assert one.status == status == "completed"
+        assert abs(one.hp[-1] - hp[-1]) <= 1e-9
+
+
+def test_dense_output_matches_scipy_dop853_on_criterion_5_span():
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    traj = so.integrate_reduced(*sine_cone_jet(r0), -16.0, (r0, r1))
+    rs, values, status, nfev = scipy_dop853(sine_cone_jet(r0), -16.0, (r0, r1), 801)
+    assert traj.status == status == "completed"
+    assert np.array_equal(traj.rs, rs)
+    assert np.max(np.abs(np.array([traj.h, traj.hp, traj.hpp]) - values)) <= 1e-9
+    # the same steps: one evaluation per stage, none spent elsewhere
+    assert traj.nfev == nfev
+
+
+def test_locus_stops_match_scipy_dop853():
+    # the six members of criterion 8's wide scan that reach h' = 0
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    lams = np.linspace(-60.0, 10.0, 13)
+    scan = so.integrate_reduced(*sine_cone_jet(r0), lams, (r0, r1), n_dense=2)
+    stopped = 0
+    for lam, one in zip(lams, scan, strict=True):
+        rs, (h, hp, _), status, _ = scipy_dop853(sine_cone_jet(r0), lam, (r0, r1))
+        assert one.status == status
+        stopped += status == "singular_locus"
+        assert abs(one.rs[-1] - rs[-1]) <= 1e-9
+        assert abs(one.h[-1] - h[-1]) <= 1e-9 and abs(one.hp[-1] - hp[-1]) <= 1e-9
+    assert stopped == 6
+
+
+def test_a_solve_past_its_budget_is_a_step_failure(monkeypatch):
+    # the budget counts what scipy's nfev counts: the dense criterion-5 solve
+    # fits a budget of exactly its evaluations and fails one below it
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    *_, nfev = scipy_dop853(sine_cone_jet(r0), -16.0, (r0, r1), 801)
+    monkeypatch.setattr(so, "MAX_RHS_EVALS", nfev)
+    assert so.integrate_reduced(*sine_cone_jet(r0), -16.0, (r0, r1)).nfev == nfev
+    monkeypatch.setattr(so, "MAX_RHS_EVALS", nfev - 1)
+    with pytest.raises(StepFailure, match=f"past {nfev - 1} RHS evaluations"):
+        so.integrate_reduced(*sine_cone_jet(r0), -16.0, (r0, r1))
+
+
 def test_a_failing_member_is_integrated_alone(monkeypatch):
-    # under a cap of 2 on |h'''|, lambda = -25 passes the up-front check
+    # under a cap of 2 on |h'''|, lambda = -25 passes the check at the start
     # (h''' = -1.28 at r0) but passes the cap inside the span; 1e300 fails
-    # the up-front check
+    # the check at the start
     r0, r1 = np.pi / 8, 3 * np.pi / 8
     jet = sine_cone_jet(r0)
     monkeypatch.setattr(so, "RATE_CAP", 2.0)
     lams = np.array([-25.0, -16.5, -8.0, 1e300])
-    integrate, scalars = so.integrate_reduced, []
-
-    def spied(h0, dh0, ddh0, lam, *args, **kwargs):
-        if np.ndim(lam) == 0:
-            scalars.append(lam)
-        return integrate(h0, dh0, ddh0, lam, *args, **kwargs)
-
-    monkeypatch.setattr(so, "integrate_reduced", spied)
-    batch = so.integrate_reduced(*jet, lams, (r0, r1), n_dense=2)
-    assert scalars == [-25.0, 1e300]
-    assert isinstance(batch[0], StepFailure) and isinstance(batch[3], StepFailure)
-    for one, single in zip(batch[1:3], scalar_calls(jet, lams[1:3], (r0, r1))):
-        assert abs(one.hp[-1] - single.hp[-1]) <= 1e-9
+    scan = so.integrate_reduced(*jet, lams, (r0, r1), n_dense=2)
+    assert isinstance(scan[0], StepFailure) and isinstance(scan[3], StepFailure)
+    for one, single in zip(scan[1:3], scalar_calls(jet, lams[1:3], (r0, r1))):
+        assert np.array_equal(one.rs, single.rs) and np.array_equal(one.hp, single.hp)
 
     rep = so.shoot(*jet, (r0, r1), np.cos(r1), (-25.0, -8.0), grid=5)
     assert np.isnan(rep.closing_values[0][1])
@@ -774,24 +836,17 @@ def test_a_scan_from_a_nonfinite_jet_raises_invalid_params(jet, param):
     assert exc.value.param == param
 
 
-def test_a_batch_whose_event_rounds_to_its_start_still_advances(monkeypatch):
-    # h'' = 5.7e16: each member comes within DETACH of the locus ~1e-18 past
-    # r0, an event r that rounds to r0 with the state still the start's; the
-    # batch was restarted there without end, detaching no member
+def test_a_scan_whose_locus_stop_rounds_to_its_start_stops_there():
+    # h'' = 5.7e16: each member comes within the locus guard ~1e-18 past r0,
+    # a stop point that rounds to r0 with the state still the start's; each
+    # solve ends after its first step instead of stepping on from there
     jet = 0.6667500596422306, 0.6240301118852803, 5.7330420464942696e16
     span = (0.30036063576653144, 4.569706659582447)
     lams = np.linspace(5e-324, 2.9554689996700933e-117, 7)
-    solves, dop853 = [], so._dop853
-
-    def counted(*args, **kwargs):
-        solves.append(1)
-        if len(solves) > 50:
-            raise RuntimeError("the batch makes no progress")
-        return dop853(*args, **kwargs)
-
-    monkeypatch.setattr(so, "_dop853", counted)
     scan = so.integrate_reduced(*jet, lams, span, rtol=0.6, n_dense=2)
     for lam, one in zip(lams.tolist(), scan, strict=True):
         single = so.integrate_reduced(*jet, lam, span, rtol=0.6, n_dense=2)
         assert one.status == single.status == "singular_locus"
         assert one.rs[-1] == single.rs[-1] == span[0]
+        # the start, the initial-step probe, 12 stages and 3 dense stages
+        assert one.nfev == single.nfev == 17
