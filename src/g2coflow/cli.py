@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import os
 import re
@@ -617,8 +618,14 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def build_parser():
-    """Flags map to raw strings (a list for a list key); `_value` checks them."""
+    """Flags map to raw strings (a list for a list key); `_value` checks them.
+
+    Built on the first call and shared by every later one, which is safe
+    because `parse_args` returns a new namespace and leaves the parser as it
+    was; callers must not change the parser.
+    """
     p = _Parser(
         prog="g2coflow",
         description="Laplacian coflow of coclosed G2-structures: identities, "

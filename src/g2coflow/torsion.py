@@ -96,16 +96,21 @@ def tau2_tau3(g):
 
 
 def torsion_report(g, samples=200):
-    """TorsionReport over `samples` interior points of the domain."""
+    """TorsionReport over `samples` interior points of the domain, from one
+    `profiles.evaluate` call for the coefficients of tau2 and tau3, tau0,
+    tau1 and G."""
     rs = g.sample_points(samples)
     tau2, tau3 = tau2_tau3(g)
-    tau0, tau1, G = pf.evaluate(rs, *tau01_first_principles(g), g.G)
+    *coeffs, tau0, tau1, G = pf.evaluate(rs, *tau2.coeffs.values(), *tau3.coeffs.values(),
+                                         *tau01_first_principles(g), g.G)
+    sups = [float(np.max(np.abs(v))) for v in coeffs]
+    n2 = len(tau2.coeffs)
     return TorsionReport(
         rs=rs,
         tau0=tau0,
         tau1_coeff=tau1,
-        tau2_norm=tau2.sup_norm(rs),
-        tau3_sup=tau3.sup_norm(rs),
+        tau2_norm=max(sups[:n2], default=0.0),
+        tau3_sup=max(sups[n2:], default=0.0),
         # |tau1| = |coefficient| * |dr| = |coefficient| / G pointwise
         coclosed_residual=float(np.max(np.abs(tau1) / np.abs(G))),
         samples=samples,

@@ -734,6 +734,34 @@ def test_help_lists_the_values_of_a_choice_flag(capsys, argv, listing):
     assert listing in capsys.readouterr().out
 
 
+def every_flag_argv(sub):
+    """`sub` with each of its flags, a value flag taking its first choice or
+    a negative number in exponent notation, which the parser's own pattern
+    admits."""
+    command = cli.COMMANDS[sub]
+    argv = ["soliton", sub] if command.soliton else [sub]
+    for key, spec in command.keys.items():
+        if spec.flag:
+            argv.append("--" + key.replace("_", "-"))
+            if spec.type is not bool:
+                argv += [spec.choices[0] if spec.choices else "-1e-3"] * (spec.nargs or 1)
+    return argv + ["--config", "c.json", "--out", "o"]
+
+
+@pytest.mark.parametrize("sub", list(cli.COMMANDS))
+def test_the_shared_parser_parses_as_a_fresh_one(capsys, sub):
+    argv = every_flag_argv(sub)
+    fresh = vars(cli.build_parser.__wrapped__().parse_args(argv))
+    assert cli.build_parser() is cli.build_parser()
+    assert vars(cli.build_parser().parse_args(argv)) == fresh
+    # a rejected command line leaves the shared parser as it was
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + ["--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert vars(cli.build_parser().parse_args(argv)) == fresh
+
+
 HALTING_FLOWS = {
     # (D1 h)^2 and h^2 overflow, so every trial step is rejected down to dt = 0
     "StepSizeUnderflow": {"structure": "NK", "t_end": 1e-3,
@@ -959,6 +987,13 @@ def test_soliton_runs_exit_0_1_or_2_on_any_config(tmp_path_factory, monkeypatch,
     exits_cleanly()
 
 
+def src_env():
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 LAZY_SCRIPT = """
 import sys
 from g2coflow import cli
@@ -985,14 +1020,19 @@ def test_scipy_subpackages_load_only_when_a_computation_needs_them(tmp_path,
                                                                   argv, loaded):
     # importing them costs most of a short run's start-up, so the modules
     # import each inside the function that calls it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     if argv:
         argv = argv + ["--out", str(tmp_path / "o")]
-    run = subprocess.run([sys.executable, "-c", LAZY_SCRIPT, *argv], env=env,
+    run = subprocess.run([sys.executable, "-c", LAZY_SCRIPT, *argv], env=src_env(),
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == str(loaded)
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the first cli.main call builds it, so that importing costs nothing more
+    script = "from g2coflow import cli; print(cli.build_parser.cache_info().currsize)"
+    run = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["0"]
 
 
 def test_flow_with_t_end_among_the_output_times_writes_it_once(tmp_path):

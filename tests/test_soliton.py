@@ -589,12 +589,14 @@ def sine_cone_jet(r0):
     (np.pi / 8, np.pi / 4),   # criterion 8
     (0.3, 0.7), (0.4, 0.75), (0.5, 0.8),
 ])
-def test_batched_members_agree_with_scalar_calls(r0, length):
+def test_an_array_call_agrees_with_scalar_calls(r0, length):
+    # an array of lambdas gives each one what a scalar call with n_dense=2
+    # gives it, on the side of the target that the shoot's bracket reads
     span, target = (r0, r0 + length), np.cos(r0 + length)
     lams = np.linspace(-25.0, -8.0, 13)
-    batch = so.integrate_reduced(*sine_cone_jet(r0), lams, span, n_dense=2)
+    scan = so.integrate_reduced(*sine_cone_jet(r0), lams, span, n_dense=2)
     alone = scalar_calls(sine_cone_jet(r0), lams, span)
-    for lam, one, single in zip(lams, batch, alone, strict=True):
+    for lam, one, single in zip(lams, scan, alone, strict=True):
         assert one.lam == lam and one.status == single.status
         assert abs(one.rs[-1] - single.rs[-1]) <= 1e-9
         assert abs(one.hp[-1] - single.hp[-1]) <= 1e-9
@@ -602,18 +604,19 @@ def test_batched_members_agree_with_scalar_calls(r0, length):
 
 
 def test_a_scan_through_the_locus_matches_scalar_calls():
-    # criterion 8's data over a wide range: six members reach h' = 0 inside
-    # the span, each finishing alone once it comes within DETACH of it
+    # criterion 8's data over a wide range: six of the 13 lambdas stop at the
+    # singular locus inside the span, and the array call, the shoot's scan
+    # and its root agree with one scalar call per lambda
     from scipy import optimize
 
     r0, r1 = np.pi / 8, 3 * np.pi / 8
     jet, target = sine_cone_jet(r0), np.cos(r1)
     lams = np.linspace(-60.0, 10.0, 13)
     alone = scalar_calls(jet, lams, (r0, r1))
-    batch = so.integrate_reduced(*jet, lams, (r0, r1), n_dense=2)
-    assert [t.status for t in batch] == [t.status for t in alone]
-    assert [t.status for t in batch].count("singular_locus") == 6
-    for one, single in zip(batch, alone):
+    scan = so.integrate_reduced(*jet, lams, (r0, r1), n_dense=2)
+    assert [t.status for t in scan] == [t.status for t in alone]
+    assert [t.status for t in scan].count("singular_locus") == 6
+    for one, single in zip(scan, alone):
         assert abs(one.rs[-1] - single.rs[-1]) <= 1e-9
         assert abs(one.hp[-1] - single.hp[-1]) <= 1e-9
 
@@ -674,7 +677,7 @@ def test_dense_output_matches_scipy_dop853_on_criterion_5_span():
 
 
 def test_locus_stops_match_scipy_dop853():
-    # the six members of criterion 8's wide scan that reach h' = 0
+    # the six lambdas of criterion 8's wide scan that reach h' = 0
     r0, r1 = np.pi / 8, 3 * np.pi / 8
     lams = np.linspace(-60.0, 10.0, 13)
     scan = so.integrate_reduced(*sine_cone_jet(r0), lams, (r0, r1), n_dense=2)
@@ -700,7 +703,7 @@ def test_a_solve_past_its_budget_is_a_step_failure(monkeypatch):
         so.integrate_reduced(*sine_cone_jet(r0), -16.0, (r0, r1))
 
 
-def test_a_failing_member_is_integrated_alone(monkeypatch):
+def test_a_failing_lambda_leaves_the_others_their_scalar_results(monkeypatch):
     # under a cap of 2 on |h'''|, lambda = -25 passes the check at the start
     # (h''' = -1.28 at r0) but passes the cap inside the span; 1e300 fails
     # the check at the start
@@ -761,7 +764,7 @@ def test_residuals_reject_the_other_structure():
 @pytest.mark.parametrize("span", [(np.pi / 8, np.pi / 8), (1.0, 0.5),
                                   (0.4, np.inf), (np.nan, 1.0)])
 def test_a_span_that_is_not_finite_and_increasing_is_invalid_params(span):
-    # checked before any integration, for scalar and batched calls alike
+    # checked before any integration, for scalar and array calls alike
     for lam in (-16.0, np.linspace(-25.0, -8.0, 5)):
         with pytest.raises(InvalidParams) as exc:
             so.integrate_reduced(*sine_cone_jet(0.4), lam, span)
@@ -780,8 +783,8 @@ def test_reduced_ode_work_is_bounded(monkeypatch):
     monkeypatch.setattr(so, "MAX_RHS_EVALS", 5_000)
     with pytest.raises(StepFailure, match="5000 RHS evaluations"):
         so.integrate_reduced(*STIFF_JET, STIFF_LAMBDA, STIFF_SPAN)
-    # the batch passes the budget too: a member gets what its scalar call
-    # gives, and lambda = 0 reaches the locus in 926 evaluations alone
+    # an array call keeps the budget per lambda: each entry is what its
+    # scalar call gives, and lambda = 0 reaches the locus in 809 evaluations
     lams = np.array([STIFF_LAMBDA, -16.0, 0.0])
     scan = so.integrate_reduced(*STIFF_JET, lams, STIFF_SPAN, n_dense=2)
     assert isinstance(scan[0], StepFailure) and isinstance(scan[1], StepFailure)
@@ -791,9 +794,9 @@ def test_reduced_ode_work_is_bounded(monkeypatch):
 
 
 def test_a_scan_past_the_budget_gives_each_member_its_scalar_result(monkeypatch):
-    # criterion 8's batch takes 194 evaluations and its members alone 206 to
-    # 272: under a budget of 150 the batch fails, and each member integrated
-    # alone fails too, as its scalar call does
+    # criterion 8's 13 lambdas take 170 to 218 evaluations each: under a
+    # budget of 150 each entry of the scan is its scalar call's StepFailure,
+    # and the shoot finds no bracket
     r0, r1 = np.pi / 8, 3 * np.pi / 8
     monkeypatch.setattr(so, "MAX_RHS_EVALS", 150)
     lams = np.linspace(-25.0, -8.0, 13)
@@ -830,7 +833,8 @@ def test_a_step_that_overflows_on_a_huge_span_is_a_step_failure():
 @pytest.mark.parametrize("jet,param", [((float("nan"), 0.9, -0.4), "h"),
                                        ((0.4, 0.9, float("inf")), "h''")])
 def test_a_scan_from_a_nonfinite_jet_raises_invalid_params(jet, param):
-    # solve_ivp rejects a non-finite start before any evaluation
+    # the stepper's first right-hand-side evaluation checks the start, so a
+    # non-finite jet is a parameter error, not one StepFailure per lambda
     with pytest.raises(InvalidParams) as exc:
         so.integrate_reduced(*jet, np.linspace(-25.0, -8.0, 5), (0.4, 1.0))
     assert exc.value.param == param

@@ -152,6 +152,23 @@ def test_torsion_report_holds_the_first_principles_numbers():
         assert rep.coclosed_residual == np.max(np.abs(rep.tau1_coeff) / np.abs(G))
 
 
+def test_a_report_makes_one_evaluate_call(monkeypatch):
+    rng = np.random.default_rng(29)
+    for structure in (CY, NK):
+        g = random_g2_profile(rng, structure)
+        calls = []
+        evaluate = pf.evaluate
+
+        def spy(r, *terms):
+            calls.append(r)
+            return evaluate(r, *terms)
+
+        monkeypatch.setattr(pf, "evaluate", spy)
+        rep = ts.torsion_report(g, samples=20)
+        monkeypatch.undo()
+        assert len(calls) == 1 and calls[0] is rep.rs
+
+
 def test_torsion_report_fields_are_numbers_or_arrays():
     rep = ts.torsion_report(sine_cone(), samples=30)
     for field in dataclasses.fields(rep):
