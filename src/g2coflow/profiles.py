@@ -811,11 +811,16 @@ antiderivative = Antiderivative
 def write_csv(path, header, columns):
     """Columns as full-precision rows under a header, with CRLF line ends.
 
-    Header names are written as given, unquoted.
+    Header names are written as given, unquoted. Rows are zipped from one
+    float list per column rather than built as one list per row: lists are
+    tracked by the cyclic garbage collector, and a collection that meets
+    hundreds of live row lists moves them to the oldest generation, whose
+    pending count then sets off a full collection of the whole heap every
+    few dozen written files.
     """
-    rows = np.column_stack(columns).astype(float).tolist()
+    data = np.column_stack(columns).astype(float)
     fmt = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
+    lines = [",".join(header)] + [fmt % row for row in zip(*data.T.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
