@@ -18,6 +18,10 @@ class InvalidGeometry(G2CoflowError, ValueError):
     working."""
 
 
+class UnboundInput(G2CoflowError):
+    """A template's leaf evaluated with no input bound to its name."""
+
+
 class SingularEval(G2CoflowError):
     """A closed-form expression hit a vanishing denominator or overflow."""
 

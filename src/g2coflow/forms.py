@@ -278,6 +278,12 @@ class G2Profile:
                     raise InvalidGeometry(f"{name} must be positive on the "
                                           f"domain (min {np.min(vals):.3g})")
 
+    @classmethod
+    def leaves(cls, structure):
+        """The structure of the leaves h, theta and G, with no domain: what
+        formula templates are built on (`profiles.Leaf`)."""
+        return cls(pf.Leaf("h"), pf.Leaf("theta"), pf.Leaf("G"), structure)
+
     def F_cubed(self):
         """h^3 e^{3 i theta} as a complex Profile."""
         t3 = pf.mul(pf.constant(3.0), self.theta)

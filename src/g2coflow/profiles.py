@@ -11,11 +11,14 @@ stencils are built once per mesh as cached sparse matrices,
 `Mesh.deriv_matrix`). A jet is the values of a profile and
 of its first four derivative trees at r; a bare grid's jet uses the direct
 m-th derivative stencils instead. Every evaluation takes one path,
-`evaluate(r, *terms)`: a check of each distinct domain, one memo shared by
-all terms that computes each node once, a finiteness check; `Profile.value`
-and `Profile.jet` call it too. Each data format of the line is defined here
-once: domains and their JSON (`domain_from_json`), the uniform grid of a
-domain (`Mesh`, shared with the coflow) and CSV rows (`write_csv`).
+`evaluate(r, *terms, inputs=None)`: a check of each distinct domain, one
+memo shared by all terms that computes each node once, a finiteness check;
+`Profile.value` and `Profile.jet` call it too. A `Leaf` stands for a
+derivative of a named input that `evaluate` binds, so a formula built once
+on leaves (a template, made compact by `intern`) serves every input. Each
+data format of the line is defined here once: domains and their JSON
+(`domain_from_json`), the uniform grid of a domain (`Mesh`, shared with the
+coflow) and CSV rows (`write_csv`).
 
 Profiles are immutable after construction; every operation returns a new
 object, so they are safe to share between threads (two threads asking a
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DomainError, InvalidGeometry, QuadratureFailure, SingularEval
+from .errors import (DomainError, InvalidGeometry, QuadratureFailure, SingularEval,
+                     UnboundInput)
 
 JET_ORDER = 4
 STENCIL_ORDER = 4   # accuracy order of every grid derivative but diagnostics
@@ -45,18 +49,21 @@ def _require_finite(components):
             raise SingularEval("non-finite value in evaluation")
 
 
-def evaluate(r, *terms):
+def evaluate(r, *terms, inputs=None):
     """Values of the terms at r, as a tuple in term order.
 
-    Each distinct domain of the terms is checked in term order (DomainError),
-    one memo shared by all terms computes each node once, and every value
-    must be finite: an overflow or a division by zero, of numpy arrays or of
+    `inputs` maps the name of each `Leaf` of the terms to the profile bound
+    to it. Each distinct domain of the terms and then of the inputs is
+    checked in order (DomainError), one memo shared by all terms and the
+    inputs' derivative trees computes each node once, and every value must
+    be finite: an overflow or a division by zero, of numpy arrays or of
     Python numbers, raises SingularEval.
     """
-    for domain in {p.domain: None for p in terms}:   # distinct, in term order
+    inputs = inputs or {}
+    for domain in {p.domain: None for p in (*terms, *inputs.values())}:
         if domain is not None and not np.all(domain.contains(r)):
             raise DomainError(f"coordinate {r!r} outside {domain!r}")
-    memo = {}
+    memo = {_INPUTS: inputs}
     try:
         with np.errstate(all="ignore"):  # non-finite values are caught below
             values = tuple(p._value(r, memo) for p in terms)
@@ -291,6 +298,39 @@ class Coordinate(Profile):
 
     def _derivative(self):
         return Constant(1.0, self.domain)
+
+
+_INPUTS = "inputs"   # the memo's key for `evaluate`'s inputs; nodes are keyed by id
+
+
+class Leaf(Profile):
+    """The order-th derivative of the input that `evaluate` binds to name.
+
+    A formula built on leaves is a template: it is built once and evaluated
+    for many inputs. The bound profile's derivative tree is evaluated in the
+    memo of the terms; UnboundInput when no input has the leaf's name.
+    """
+
+    __slots__ = ("name", "order")
+
+    def __init__(self, name, order=0):
+        super().__init__()
+        self.name = name
+        self.order = order
+
+    def _eval(self, r, memo):
+        key = (self.name, self.order)
+        if key not in memo:
+            if self.name not in memo[_INPUTS]:
+                raise UnboundInput(f"no input bound to leaf {self.name!r}")
+            p = memo[_INPUTS][self.name]
+            for _ in range(self.order):
+                p = p.derivative()
+            memo[key] = p   # kept for the call, as ids of its nodes key the memo
+        return memo[key]._value(r, memo)
+
+    def _derivative(self):
+        return Leaf(self.name, self.order + 1)
 
 
 class _Binary(Profile):
@@ -802,6 +842,29 @@ def conj(a):
 
 
 antiderivative = Antiderivative
+
+
+def intern(terms):
+    """The terms with each set of structurally equal subtrees made one node
+    (hash-consing; Filliatre & Conchon 2006), for templates built once and
+    evaluated often. A node's key is its class, its interned children and a
+    Pow's exponent; a leaf's is its name and order, a constant's the type
+    and repr of its value and its domain, so -0.0, 0.0 and 0j stay apart.
+    Any other node is its own key."""
+    table = {}
+
+    @functools.cache   # a profile hashes by identity: each node is visited once
+    def visit(p):
+        kids = tuple(getattr(p, k) for k in ("a", "b") if hasattr(p, k))   # operands
+        new = tuple(map(visit, kids)) + ((p.n,) if isinstance(p, Pow) else ())
+        key = ((Leaf, p.name, p.order) if isinstance(p, Leaf)
+               else (Constant, type(p.c), repr(p.c), p.domain) if isinstance(p, Constant)
+               else (type(p), *new) if kids else p)   # children compare by identity
+        if key not in table:
+            table[key] = p if new[:len(kids)] == kids else type(p)(*new)
+        return table[key]
+
+    return [visit(p) for p in terms]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ produced numerically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,16 +96,26 @@ def tau2_tau3(g):
     return tau2, tau3
 
 
+@functools.cache
+def _report_template(structure):
+    """(number of tau2 coefficients, terms): the coefficients of tau2 and
+    tau3, the first-principles tau0 and tau1, and G, on the leaves h, theta
+    and G of one structure kind; interned."""
+    g = fm.G2Profile.leaves(structure)
+    tau2, tau3 = tau2_tau3(g)
+    return len(tau2.coeffs), pf.intern([*tau2.coeffs.values(), *tau3.coeffs.values(),
+                                        *tau01_first_principles(g), g.G])
+
+
 def torsion_report(g, samples=200):
     """TorsionReport over `samples` interior points of the domain, from one
-    `profiles.evaluate` call for the coefficients of tau2 and tau3, tau0,
-    tau1 and G."""
+    `profiles.evaluate` call of the structure kind's template for the
+    coefficients of tau2 and tau3, tau0, tau1 and G."""
     rs = g.sample_points(samples)
-    tau2, tau3 = tau2_tau3(g)
-    *coeffs, tau0, tau1, G = pf.evaluate(rs, *tau2.coeffs.values(), *tau3.coeffs.values(),
-                                         *tau01_first_principles(g), g.G)
+    n2, terms = _report_template(g.structure)
+    *coeffs, tau0, tau1, G = pf.evaluate(rs, *terms,
+                                         inputs={"h": g.h, "theta": g.theta, "G": g.G})
     sups = [float(np.max(np.abs(v))) for v in coeffs]
-    n2 = len(tau2.coeffs)
     return TorsionReport(
         rs=rs,
         tau0=tau0,

@@ -7,6 +7,8 @@ algebraic correctness rather than floating-point blowup.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import forms as fm
@@ -71,13 +73,40 @@ def random_invariant_form(rng, degree, domain=None):
 # the identity suite
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _suite_template(structure, degree):
+    """(identity names, terms): the coefficients of every residual form of
+    the suite for one structure kind and degree of the random form, on
+    leaves h, theta, G and "a:" + tag for the form's coefficients; interned.
+    Each residual is zero in exact arithmetic."""
+    g = G2Profile.leaves(structure)
+    a = fm.InvariantForm(degree, {tag: pf.Leaf("a:" + tag) for tag in fm.BASIS_TAGS
+                                  if fm.DEGREE[tag] == degree})
+    basis = [fm.InvariantForm.basis(tag) for tag in fm.BASIS_TAGS]
+    (t0a, t1a), (t0b, t1b) = ts.tau01_first_principles(g), ts.tau01_closed(g)
+    residuals = [("d_squared_zero", fm.d(fm.d(b, structure), structure))
+                 for b in basis + [a]]
+    residuals += [("star_involution", fm.star7(fm.star7(b, g), g) - b) for b in basis]
+    residuals += [
+        ("dphi_dpsi_structure_equations",
+         fm.d(fm.build_phi(g), structure) - _dphi_expected(g)),
+        ("dphi_dpsi_structure_equations",
+         fm.d(fm.build_psi(g), structure) - _dpsi_expected(g)),
+        ("tau2_vanishes", ts.tau2_tau3(g)[0]),
+        ("tau01_closed_vs_first_principles", fm.InvariantForm(0, {"one": t0a - t0b})),
+        ("tau01_closed_vs_first_principles", fm.InvariantForm(1, {"dr": t1a - t1b}))]
+    names = [name for name, form in residuals for _ in form.coeffs]
+    return names, pf.intern([p for _, form in residuals for p in form.coeffs.values()])
+
+
 def run_identity_suite(seed=0, n_profiles=20, n_points=50):
     """Exercise the calculus identities on seeded random closed-form data.
 
     Returns a list of {name, max_residual, tolerance, passed} records, one
-    per identity, aggregated over both structure kinds. Each drawn structure
-    lists its residual forms, and one `profiles.evaluate` call takes every
-    coefficient of them at the sample points.
+    per identity, aggregated over n - n // 2 CY structures, then n // 2 NK
+    ones, n = n_profiles. Each drawn structure binds its data to the leaves
+    of its kind's template, and one `profiles.evaluate` call takes every
+    residual coefficient at the sample points.
     """
     rng = np.random.default_rng(seed)
     dom = pf.Circle(2 * np.pi)
@@ -86,32 +115,16 @@ def run_identity_suite(seed=0, n_profiles=20, n_points=50):
                   "dphi_dpsi_structure_equations": 1e-12, "tau2_vanishes": 1e-11,
                   "tau01_closed_vs_first_principles": 1e-10}
     worst = dict.fromkeys(tolerances, 0.0)
-    basis = [fm.InvariantForm.basis(tag) for tag in fm.BASIS_TAGS]
 
-    for structure in (StructureKind.CY, StructureKind.NK):
-        for _ in range(n_profiles // 2):
+    for structure, count in ((StructureKind.CY, n_profiles - n_profiles // 2),
+                             (StructureKind.NK, n_profiles // 2)):
+        for _ in range(count):
             g = random_g2_profile(rng, structure, dom)
             a = random_invariant_form(rng, degree=int(rng.integers(0, 7)), domain=dom)
-            (t0a, t1a), (t0b, t1b) = ts.tau01_first_principles(g), ts.tau01_closed(g)
-            # (identity, residual form) pairs; each residual is zero in exact arithmetic
-            residuals = [("d_squared_zero", fm.d(fm.d(b, structure), structure))
-                         for b in basis + [a]]
-            residuals += [("star_involution", fm.star7(fm.star7(b, g), g) - b)
-                          for b in basis]
-            residuals += [
-                ("dphi_dpsi_structure_equations",
-                 fm.d(fm.build_phi(g), structure) - _dphi_expected(g)),
-                ("dphi_dpsi_structure_equations",
-                 fm.d(fm.build_psi(g), structure) - _dpsi_expected(g)),
-                ("tau2_vanishes", ts.tau2_tau3(g)[0]),
-                ("tau01_closed_vs_first_principles",
-                 fm.InvariantForm(0, {"one": t0a - t0b})),
-                ("tau01_closed_vs_first_principles",
-                 fm.InvariantForm(1, {"dr": t1a - t1b}))]
-            names = [name for name, form in residuals for _ in form.coeffs]
-            values = pf.evaluate(rs, *(p for _, form in residuals
-                                       for p in form.coeffs.values()))
-            for name, v in zip(names, values):
+            inputs = {"h": g.h, "theta": g.theta, "G": g.G}
+            inputs.update(("a:" + tag, p) for tag, p in a.coeffs.items())
+            names, terms = _suite_template(structure, a.degree)
+            for name, v in zip(names, pf.evaluate(rs, *terms, inputs=inputs)):
                 worst[name] = max(worst[name], float(np.max(np.abs(v))))
 
     return [{"name": name, "max_residual": worst[name], "tolerance": tol,

@@ -619,9 +619,25 @@ def test_header_only_sample_file_is_a_config_error_without_a_warning(tmp_path, c
     assert "Warning" not in err
 
 
+def test_verify_draws_every_profile_of_an_odd_count(tmp_path, monkeypatch):
+    from g2coflow import verify as vf
+
+    drawn = []
+    draw = vf.random_g2_profile
+
+    def spy(rng, structure, *args, **kwargs):
+        drawn.append(structure.value)
+        return draw(rng, structure, *args, **kwargs)
+
+    monkeypatch.setattr(vf, "random_g2_profile", spy)
+    assert run_cli("verify", "--profiles", "3", "--points", "5",
+                   "--out", str(tmp_path / "o")) == 0
+    assert drawn == ["CY", "CY", "NK"]
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_verify_needs_at_least_two_profiles(tmp_path, n):
-    # n_profiles // 2 per structure: below 2 the suite would check nothing
+    # n_profiles // 2 NK structures: below 2 the suite would check no NK one
     with pytest.raises(ConfigError) as exc:
         cli.parse_config("verify", {"profiles": n})
     assert exc.value.key == "profiles"

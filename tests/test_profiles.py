@@ -658,3 +658,98 @@ def test_evaluate_checks_the_domain_of_every_term():
 @pytest.mark.parametrize("r", [0.3, np.linspace(0.0, 1.0, 5)])
 def test_evaluate_of_no_terms_is_empty(r):
     assert pf.evaluate(r) == ()
+
+
+# ---------------------------------------------------------------------------
+# leaves, bound inside evaluate, and interning
+# ---------------------------------------------------------------------------
+
+def test_a_leaf_evaluates_the_derivative_of_its_bound_input():
+    h = pf.sin(R) * R
+    term = pf.Leaf("h") * pf.Leaf("h").derivative() + pf.Leaf("h", 2)
+    rs = np.linspace(0.1, 2.0, 9)
+    (got,) = pf.evaluate(rs, term, inputs={"h": h})
+    (want,) = pf.evaluate(rs, h * h.derivative() + h.derivative().derivative())
+    assert np.array_equal(got, want)
+    assert pf.Leaf("h", 2).derivative().order == 3
+
+
+@pytest.mark.parametrize("inputs, name", [(None, "theta"), ({}, "theta"),
+                                          ({"theta": R}, "h")])
+def test_an_unbound_leaf_raises_a_typed_error_that_names_it(inputs, name):
+    term = pf.sin(pf.Leaf("theta")) * pf.Leaf("h", 1)
+    with pytest.raises(G2CoflowError, match=f"leaf '{name}'") as info:
+        pf.evaluate(np.linspace(0.0, 1.0, 3), term, inputs=inputs)
+    assert not isinstance(info.value, (KeyError, TypeError))
+
+
+def test_a_bound_input_outside_its_domain_raises_domain_error():
+    h = pf.coordinate(pf.Interval(0.0, 1.0))
+    term = pf.Leaf("h") + 1.0
+    assert term.domain is None
+    assert np.array_equal(pf.evaluate(np.array([0.5]), term, inputs={"h": h})[0], [1.5])
+    with pytest.raises(DomainError):
+        pf.evaluate(np.array([0.5, 1.5]), term, inputs={"h": h})
+
+
+def test_a_bound_input_singular_only_through_a_leaf_raises_singular_eval():
+    h = 1.0 / (R - 1.0)
+    with pytest.raises(SingularEval):
+        pf.evaluate(np.array([0.5, 1.0]), pf.Leaf("h", 1) * 2.0, inputs={"h": h})
+    with pytest.raises(SingularEval):
+        pf.evaluate(1.0, pf.Leaf("h", 1), inputs={"h": h})
+
+
+def test_a_sampled_input_binds_its_stencil_derivatives():
+    dom = pf.Circle(2 * np.pi)
+    s = pf.Sampled.from_function(np.sin, dom, 64)
+    rs = s.nodes[::4]
+    got = pf.evaluate(rs, pf.Leaf("s", 1), pf.Leaf("s", 2) * pf.Leaf("s"),
+                      inputs={"s": s})
+    want = pf.evaluate(rs, s.derivative(), s.derivative().derivative() * s)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def _distinct_nodes(terms):
+    seen, todo = set(), list(terms)
+    while todo:
+        p = todo.pop()
+        if id(p) not in seen:
+            seen.add(id(p))
+            todo += [getattr(p, k) for k in ("a", "b") if hasattr(p, k)]
+    return len(seen)
+
+
+def test_intern_shares_equal_subtrees_and_keeps_the_values():
+    h, G = pf.Leaf("h"), pf.Leaf("G")
+    terms = [pf.sin(h * G) + h ** 2, pf.sin(h * G) * pf.Leaf("h") ** 2,
+             pf.Leaf("h", 1) - pf.cos(pf.Leaf("h", 1))]
+    interned = pf.intern(terms)
+    assert _distinct_nodes(interned) < _distinct_nodes(terms)
+    assert interned[0].a is interned[1].a and interned[0].b is interned[1].b
+    assert interned[2].a is interned[2].b.a
+    inputs = {"h": pf.cos(R) + 2.0, "G": pf.exp(R)}
+    rs = np.linspace(-1.0, 1.0, 7)
+    for a, b in zip(pf.evaluate(rs, *interned, inputs=inputs),
+                    pf.evaluate(rs, *terms, inputs=inputs)):
+        assert np.array_equal(a, b)
+
+
+def test_intern_keeps_constants_of_other_sign_or_type_apart():
+    h = pf.Leaf("h")
+    terms = [pf.Mul(pf.Constant(c), h) for c in (0.0, -0.0, 0j, 0.0, 2, 2.0)]
+    interned = pf.intern(terms)
+    assert interned[0] is interned[3]
+    assert len({id(p) for p in interned}) == 5
+    assert len({id(p.b) for p in interned}) == 1
+    (neg,) = pf.evaluate(np.array([1.0]), interned[1], inputs={"h": R})
+    assert np.signbit(neg[0])
+
+
+def test_intern_keeps_pow_exponents_and_foreign_nodes_apart():
+    s = pf.Sampled.from_function(np.sin, pf.Circle(1.0), 16)
+    terms = [pf.Leaf("h") ** 2, pf.Leaf("h") ** 3, s * 2.0, s * 2.0, R + 1.0]
+    a, b, c, d, e = pf.intern(terms)
+    assert a is not b and (a.n, b.n) == (2, 3) and a.a is b.a
+    assert c is d and c.a is s and e is terms[4]

@@ -136,15 +136,31 @@ def test_torsion_report():
     assert rep.samples == 100
 
 
+def _same_bits(got, want):
+    """Equal values, dtypes and signs of zeros, real and imaginary parts."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and all(np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+                    for part in (np.real, np.imag)))
+
+
+def _constant_h(rng, structure):
+    g = random_g2_profile(rng, structure)
+    return G2Profile(h=pf.constant(1.3, DOM), theta=g.theta, G=g.G,
+                     structure=structure, domain=DOM)
+
+
 def test_torsion_report_holds_the_first_principles_numbers():
     rng = np.random.default_rng(28)
-    for structure in (CY, NK):
-        g = random_g2_profile(rng, structure)
+    draws = [random_g2_profile(rng, structure) for structure in (CY, NK)]
+    draws += [random_g2_profile(rng, structure, coclosed=True) for structure in (CY, NK)]
+    draws += [_constant_h(rng, structure) for structure in (CY, NK)]
+    for g in draws:
         rep = ts.torsion_report(g, samples=40)
         assert np.array_equal(rep.rs, g.sample_points(40))
         tau0, tau1 = ts.tau01_first_principles(g)
-        assert np.array_equal(rep.tau0, tau0.value(rep.rs))
-        assert np.array_equal(rep.tau1_coeff, tau1.value(rep.rs))
+        assert _same_bits(rep.tau0, tau0.value(rep.rs))
+        assert _same_bits(rep.tau1_coeff, tau1.value(rep.rs))
         tau2, tau3 = ts.tau2_tau3(g)
         assert rep.tau2_norm == tau2.sup_norm(rep.rs)
         assert rep.tau3_sup == tau3.sup_norm(rep.rs)
@@ -159,9 +175,9 @@ def test_a_report_makes_one_evaluate_call(monkeypatch):
         calls = []
         evaluate = pf.evaluate
 
-        def spy(r, *terms):
+        def spy(r, *terms, **kwargs):
             calls.append(r)
-            return evaluate(r, *terms)
+            return evaluate(r, *terms, **kwargs)
 
         monkeypatch.setattr(pf, "evaluate", spy)
         rep = ts.torsion_report(g, samples=20)
@@ -176,3 +192,12 @@ def test_torsion_report_fields_are_numbers_or_arrays():
         assert isinstance(value, (int, float, np.ndarray)), field.name
     assert len(rep.rs) == len(rep.tau0) == len(rep.tau1_coeff) == 30
     assert rep.tau3_sup < 1e-11   # the sine cone is nearly parallel
+
+
+def test_the_report_template_is_built_once_per_structure_kind():
+    ts._report_template.cache_clear()
+    rng = np.random.default_rng(30)
+    for structure in (CY, NK, CY, NK):
+        ts.torsion_report(random_g2_profile(rng, structure), samples=10)
+    info = ts._report_template.cache_info()
+    assert info.misses <= 2 and info.hits == 2

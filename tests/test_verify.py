@@ -31,8 +31,9 @@ def per_form_suite(seed, n_profiles, n_points):
     def bump(name, value):
         worst[name] = max(worst[name], float(value))
 
-    for structure in (StructureKind.CY, StructureKind.NK):
-        for _ in range(n_profiles // 2):
+    for structure, count in ((StructureKind.CY, n_profiles - n_profiles // 2),
+                             (StructureKind.NK, n_profiles // 2)):
+        for _ in range(count):
             g = random_g2_profile(rng, structure, dom)
             for tag in fm.BASIS_TAGS:
                 ddb = fm.d(fm.d(fm.InvariantForm.basis(tag), structure), structure)
@@ -58,7 +59,7 @@ def per_form_suite(seed, n_profiles, n_points):
 
 
 @pytest.mark.parametrize("seed, n_profiles, n_points",
-                         [(0, 20, 50), (7, 6, 13), (104729, 2, 1)])
+                         [(0, 20, 50), (7, 6, 13), (104729, 2, 1), (2, 3, 9)])
 def test_suite_records_equal_one_sup_norm_per_residual_form(seed, n_profiles, n_points):
     assert (run_identity_suite(seed, n_profiles, n_points)
             == per_form_suite(seed, n_profiles, n_points))
@@ -69,10 +70,18 @@ def test_suite_makes_one_evaluate_call_per_drawn_structure(monkeypatch):
     on_rs = []
     evaluate = pf.evaluate
 
-    def spy(r, *terms):
+    def spy(r, *terms, **kwargs):
         on_rs.append(np.array_equal(r, rs))
-        return evaluate(r, *terms)
+        return evaluate(r, *terms, **kwargs)
 
     monkeypatch.setattr(pf, "evaluate", spy)
     run_identity_suite(seed=3, n_profiles=4, n_points=7)
     assert sum(on_rs) == 4
+
+
+def test_each_template_is_built_once_per_structure_kind_and_degree():
+    verify._suite_template.cache_clear()
+    run_identity_suite(seed=1, n_profiles=20, n_points=5)
+    run_identity_suite(seed=2, n_profiles=20, n_points=5)
+    info = verify._suite_template.cache_info()
+    assert info.misses <= 14 and info.hits + info.misses == 40
