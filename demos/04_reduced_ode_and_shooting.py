@@ -20,7 +20,7 @@ traj = so.integrate_reduced(np.sin(r0), np.cos(r0), -np.sin(r0), -16.0,
 print("trajectory status:", traj.status)
 print("max |h - sin r|:  ", float(np.max(np.abs(traj.h - np.sin(traj.rs)))))
 
-theta, kprime = so.recover_theta_k(traj, -16.0, u_sign0=1.0)
+theta, kprime = so.recover_theta_k(traj, u_sign0=1.0)  # at traj.lam = -16
 print("max |theta - r/3|:", float(np.max(np.abs(
     np.asarray(theta.value(traj.rs)) - traj.rs / 3))))
 print("max |k'|:         ", float(np.max(np.abs(
@@ -35,12 +35,15 @@ long = so.integrate_reduced(np.sin(r0), np.cos(r0), -np.sin(r0), -16.0,
 print(f"\nrunning toward h' = 0: stopped '{long.status}' at r = "
       f"{long.rs[-1]:.6f} (pi/2 = {np.pi / 2:.6f})")
 
-# shooting: recover the soliton constant from a boundary condition
+# shooting: recover the soliton constant from a boundary condition; the scan
+# integrates each of its 13 grid lambdas in turn, then brentq refines the
+# first bracket
 rep = so.shoot(np.sin(r0), np.cos(r0), -np.sin(r0), (r0, r1),
                target_dh_end=np.cos(r1), lam_range=(-25.0, -8.0))
 print(f"\nshooting: found={rep.found}, lambda = {rep.lam:.9f} "
       f"(reason: {rep.reason})")
-print("scanned", len(rep.closing_values), "closing-functional evaluations")
+print("examined", len(rep.closing_values), "closing-functional values "
+      "(the scan's 13 and the root's)")
 
 # an infeasible target reports the scan instead of a candidate
 bad = so.shoot(np.sin(r0), np.cos(r0), -np.sin(r0), (r0, r1),

@@ -294,11 +294,18 @@ def load_config_file(path):
     return raw
 
 
+def _nodes(c):
+    """domain.n converted and checked, and echoed so; None without one."""
+    if "n" in c["domain"]:
+        c["domain"] = dict(c["domain"], n=_value("domain.n", _NODES, c["domain"]["n"]))
+    return c["domain"].get("n")
+
+
 def _flow_objects(c):
     domain = _parse_domain(c["domain"])
-    if "n" not in c["domain"]:
+    n = _nodes(c)
+    if n is None:
         raise ConfigError("flow domain needs a node count n", key="domain.n")
-    n = _value("domain.n", _NODES, c["domain"]["n"])
     _require_keys(c["initial"], {"h", "theta", "G"}, {"h", "theta", "G"},
                   "initial.")
     fields = {name: _parse_field(c["initial"][name], domain, n,
@@ -320,7 +327,7 @@ def _flow_objects(c):
 def _torsion_objects(c):
     domain = _parse_domain(c["domain"])
     structure = _parse_structure(c["structure"])
-    n = c["domain"].get("n")
+    n = _nodes(c)
     fields = {name: _parse_field(c[name], domain, n, name)
               for name in ("h", "theta", "G")}
     try:

@@ -9,8 +9,8 @@ interval ends), from the mesh's cached sparse matrices (`Mesh.deriv_matrix`).
 `FlowState` owns the flat layout: its vector `y` holds the evolved fields in
 `FIELDS` order ([theta, G] for CY, [h, theta, G] for NK), and `advanced`
 builds the next state from such a vector, as views. One right-hand side per
-structure, shared by `rhs_cy`, `rhs_nk` and `run_flow`, takes one vector or
-a batch of up to four, makes one block-diagonal stencil product for the
+structure, shared by `rhs(state)` and `run_flow`, takes one vector or a
+batch of up to four, makes one block-diagonal stencil product for the
 derivatives the rates use, then applies `cy_rates`/`nk_rates`.
 
 Time steps are explicit and stabilized, so their size follows accuracy, not
@@ -205,19 +205,13 @@ def _rhs(mesh, structure):
     return rhs
 
 
-def rhs_cy(state):
-    """(dtheta/dt, dG/dt) for the CY system; h must be constant."""
-    if state.structure is not StructureKind.CY:
-        raise StructureMismatch("rhs_cy needs a CY state")
-    require_constant_h(state.h)
-    return tuple(_rhs(state.mesh, state.structure)(state.y).reshape(2, -1))
-
-
-def rhs_nk(state):
-    """(dh/dt, dtheta/dt, dG/dt) for the NK system."""
-    if state.structure is not StructureKind.NK:
-        raise StructureMismatch("rhs_nk needs an NK state")
-    return tuple(_rhs(state.mesh, state.structure)(state.y).reshape(3, -1))
+def rhs(state):
+    """The rates of the state's evolved fields, in FIELDS order: (dtheta/dt,
+    dG/dt) for a CY state, whose h must be constant, and (dh/dt, dtheta/dt,
+    dG/dt) for an NK state."""
+    if state.structure is StructureKind.CY:
+        require_constant_h(state.h)
+    return tuple(_rhs(state.mesh, state.structure)(state.y).reshape(-1, state.mesh.n))
 
 
 # ---------------------------------------------------------------------------

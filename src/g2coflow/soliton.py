@@ -593,7 +593,8 @@ def _sample(pieces, rs):
 
 
 def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801):
-    """Integrate the reduced ODE with DOP853, the Dormand-Prince 8(5,3) pair.
+    """Integrate the reduced ODE at one lambda with DOP853, the Dormand-Prince
+    8(5,3) pair.
 
     The span must increase and have a finite length (InvalidParams at
     "span"). Stops cleanly at the span end or on approach to the singular
@@ -606,31 +607,15 @@ def integrate_reduced(h0, dh0, ddh0, lam, span, rtol=1e-10, n_dense=801):
     steps, and the trajectory holds the start and the stop point: dense
     output is computed only on a step the locus stops. An integration that
     would pass MAX_RHS_EVALS right-hand-side evaluations raises StepFailure.
+    A non-finite jet or lambda raises InvalidParams.
 
     The stepper runs on Python floats and steps as scipy's DOP853 would (see
     _dop853); the last bits differ, because its sums run in another order.
-
-    A 1-D array of lambdas returns a tuple with one entry per lambda, in
-    order: what a scalar call with n_dense=2 gives that lambda, a trajectory
-    or the SingularLocus or StepFailure that call raised. A non-finite jet
-    or lambda raises InvalidParams.
     """
     r0, r1 = float(span[0]), float(span[1])
     if not 0 < r1 - r0 < np.inf:   # NaN fails too
         raise InvalidParams(f"span {r0, r1} needs 0 < r1 - r0 < inf", param="span")
-    y0 = float(h0), float(dh0), float(ddh0)
-    if np.ndim(lam) == 0:
-        return _integrate(y0, float(lam), r0, r1, rtol, n_dense)
-    out = []
-    for one in np.asarray(lam, dtype=float).tolist():
-        try:
-            out.append(_integrate(y0, one, r0, r1, rtol, 2))
-        except (SingularLocus, StepFailure) as exc:
-            out.append(exc)
-    return tuple(out)
-
-
-def _integrate(y0, lam, r0, r1, rtol, n_dense):
+    y0, lam = (float(h0), float(dh0), float(ddh0)), float(lam)
     dense = n_dense > 2
     r, y, at_locus, nfev, pieces = _dop853(y0, lam, r0, r1, rtol,
                                            32.0 * (r1 - r0) / max(n_dense - 1, 1),
@@ -645,8 +630,8 @@ def _integrate(y0, lam, r0, r1, rtol, n_dense):
                              status="singular_locus" if at_locus else "completed")
 
 
-def recover_theta_k(traj, lam, u_sign0=1.0):
-    """Recover theta and k' from a reduced-ODE trajectory.
+def recover_theta_k(traj, u_sign0=1.0):
+    """Recover theta and k' from a reduced-ODE trajectory, at its lambda.
 
     u = sin 3theta = +-sqrt(1 - (h')^2) with the sign fixed at the start and
     constant along admissible trajectories (u can only vanish at the locus
@@ -683,7 +668,7 @@ def recover_theta_k(traj, lam, u_sign0=1.0):
     theta_vals = angle3 / 3.0
     h, hp, hpp = traj.h, traj.hp, traj.hpp
     kp_vals = (3.0 * h ** 2 * hp + h ** 3 * hpp / hp - 3.0 * h ** 2 / hp
-               - lam * h ** 4 / (4.0 * hp)) / h ** 3
+               - traj.lam * h ** 4 / (4.0 * hp)) / h ** 3
 
     dom = Interval(traj.rs[0], traj.rs[-1])
     theta = pf.Sampled(dom, theta_vals)
@@ -693,7 +678,7 @@ def recover_theta_k(traj, lam, u_sign0=1.0):
 
 def candidate_from_trajectory(traj, u_sign0=1.0):
     """Package a reduced trajectory into a SolitonCandidate (NK, G = 1)."""
-    theta, kprime = recover_theta_k(traj, traj.lam, u_sign0)
+    theta, kprime = recover_theta_k(traj, u_sign0)
     dom = theta.domain
     h = pf.Sampled(dom, traj.h)
     return SolitonCandidate(h=h, theta=theta, kprime=kprime, lam=traj.lam,
@@ -768,11 +753,10 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
     The closing functional is h'(r_end; lambda) - target (evaluated at the
     early-stop point if the trajectory hits the singular locus). It needs
     only the trajectory's end, so closing integrations take free steps and
-    keep two samples. The scan is one integrate_reduced call over the grid
-    of lambdas, each integrated alone like a closing (NaN where its
-    integration raises SingularLocus, or StepFailure, a solve past
-    MAX_RHS_EVALS included); brentq starts from the scan's values and
-    integrates each further lambda, and only the final candidate is
+    keep two samples. The scan calls it at each lambda of the grid in turn
+    (NaN where that integration raises SingularLocus, or StepFailure, a
+    solve past MAX_RHS_EVALS included); brentq starts from the scan's values
+    and integrates each further lambda, and only the final candidate is
     integrated densely.
     Returns a ShootReport; found=False carries the scanned bracket report.
     """
@@ -786,14 +770,13 @@ def shoot(h0, dh0, ddh0, span, target_dh_end, lam_range, u_sign0=1.0,
             memo[lam] = float(traj.hp[-1]) - target_dh_end
         return memo[lam]
 
-    lo, hi = float(min(lam_range)), float(max(lam_range))
-    lams = np.linspace(lo, hi, grid)
-    scan = integrate_reduced(h0, dh0, ddh0, lams, span, rtol=rtol, n_dense=2)
     values = []
-    for lam, traj in zip(lams.tolist(), scan):
-        if isinstance(traj, ReducedTrajectory):
-            memo[lam] = float(traj.hp[-1]) - target_dh_end
-        values.append((lam, memo.get(lam, np.nan)))
+    lo, hi = float(min(lam_range)), float(max(lam_range))
+    for lam in np.linspace(lo, hi, grid).tolist():
+        try:
+            values.append((lam, closing(lam)))
+        except (SingularLocus, StepFailure):
+            values.append((lam, np.nan))
 
     bracket = None
     for (l1, f1), (l2, f2) in zip(values, values[1:]):

@@ -126,7 +126,7 @@ def test_criterion_5_reduced_ode_round_trip():
         traj = so.integrate_reduced(np.sin(r0), np.cos(r0), -np.sin(r0),
                                     -16.0, (r0, r1), rtol=1e-10)
         h_err = float(np.max(np.abs(traj.h - np.sin(traj.rs))))
-        theta, kprime = so.recover_theta_k(traj, -16.0, u_sign0=1.0)
+        theta, kprime = so.recover_theta_k(traj, u_sign0=1.0)
         th_err = float(np.max(np.abs(np.asarray(theta.value(traj.rs))
                                      - traj.rs / 3)))
         kp_err = float(np.max(np.abs(np.asarray(kprime.value(traj.rs)))))

@@ -590,6 +590,39 @@ def test_sample_file_rows_must_match_the_flow_mesh(tmp_path, capsys):
     assert "10 rows, mesh has 64 (at 'initial.theta')" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["torsion", "flow"])
+@pytest.mark.parametrize("n", ["10", 10.0])
+def test_domain_n_is_converted_checked_and_echoed_as_an_integer(tmp_path, sub, n):
+    # a 10-row sample file on a mesh of "10" or 10.0 nodes: one node count
+    path = tmp_path / "theta.csv"
+    path.write_text("r,value\n" + "\n".join(f"{r},0.1" for r in range(10)))
+    domain = {"kind": "circle", "period": 2 * np.pi, "n": n}
+    fields = {"h": "1.5 + 0.1*cos(r)", "theta": {"file": str(path)},
+              "G": "1 + 0.1*sin(r)"}
+    if sub == "torsion":
+        obj = {"structure": "NK", "domain": domain, **fields}
+    else:
+        obj = {"structure": "CY", "domain": domain, "t_end": 0.01,
+               "initial": dict(fields, h="1.5")}
+    cfg = tmp_path / "n.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    assert run_cli(sub, "--config", str(cfg), "--out", str(out)) == 0
+    echoed = json.loads((out / "manifest.json").read_text())["config"]["domain"]["n"]
+    assert echoed == 10 and type(echoed) is int
+
+
+@pytest.mark.parametrize("n", ["many", 10.5, 3, cli.MAX_NODES + 1])
+def test_a_bad_torsion_domain_n_is_a_config_error_at_its_key(tmp_path, capsys, n):
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps({"structure": "NK", "h": "1.5", "theta": "0",
+                               "G": "1", "domain": {"kind": "circle",
+                                                    "period": 6.0, "n": n}}))
+    assert run_cli("torsion", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "(at 'domain.n')" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
 def test_a_config_file_that_is_not_a_json_object_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"   # None: no such file
@@ -954,10 +987,13 @@ EXTREME_FLOATS = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324,
 
 
 def key_values(spec):
-    """Values of a config key's type and count: integers up to a shooting
-    grid of 13, or floats that are moderate, extreme, subnormal or not finite
-    (those in (0, 1) hit the narrow `rtol` range)."""
-    if spec.type is int:
+    """Values of a config key's type and count: one of its choices where it
+    has them, integers up to a shooting grid of 13, or floats that are
+    moderate, extreme, subnormal or not finite (those in (0, 1) hit the
+    narrow `rtol` range)."""
+    if spec.choices is not None:
+        one = st.sampled_from(spec.choices)
+    elif spec.type is int:
         one = st.integers(-1, 13)
     else:
         one = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats(0.0, 1.0),
@@ -982,7 +1018,7 @@ def soliton_configs(draw, sub):
     return cfg
 
 
-@pytest.mark.parametrize("sub", ["reduce", "shoot"])
+@pytest.mark.parametrize("sub", ["cy", "nk", "reduce", "shoot"])
 def test_soliton_runs_exit_0_1_or_2_on_any_config(tmp_path_factory, monkeypatch,
                                                   sub):
     # in process, where RuntimeWarnings are errors; under a budget of 5,000

@@ -91,7 +91,7 @@ def test_constraint_residual_is_the_order_2_stencil_and_the_hand_written_one(dom
 
 def test_rhs_cy_stationary_for_constant_theta():
     s = circle_state(theta=lambda r: 0.4 * np.ones_like(r))
-    dtheta, dG = cf.rhs_cy(s)
+    dtheta, dG = cf.rhs(s)
     assert np.max(np.abs(dtheta)) < 1e-12
     assert np.max(np.abs(dG)) < 1e-12
 
@@ -99,7 +99,7 @@ def test_rhs_cy_stationary_for_constant_theta():
 def test_rhs_cy_linearized_values():
     eps = 0.01
     s = circle_state(n=256, theta=lambda r: eps * np.sin(r))
-    dtheta, dG = cf.rhs_cy(s)
+    dtheta, dG = cf.rhs(s)
     i0 = 0                       # r = 0
     iq = 64                      # r = pi/2
     assert abs(dtheta[i0]) < 1e-9
@@ -107,18 +107,10 @@ def test_rhs_cy_linearized_values():
     assert abs(dG[i0] + 9 * eps ** 2) < 1e-9
 
 
-def test_rhs_cy_rejects_wrong_structure_and_varying_h():
-    s = circle_state(structure=NK, theta=lambda r: 0 * r + np.pi / 6)
-    with pytest.raises(StructureMismatch):
-        cf.rhs_cy(s)
+def test_rhs_rejects_a_cy_state_with_varying_h():
     bad = circle_state(h=lambda r: 2 + np.sin(r))
     with pytest.raises(StructureMismatch):
-        cf.rhs_cy(bad)
-
-
-def test_rhs_nk_rejects_a_cy_state():
-    with pytest.raises(StructureMismatch, match="NK state"):
-        cf.rhs_nk(circle_state(structure=CY))
+        cf.rhs(bad)
 
 
 def test_rhs_nk_cone_is_fixed_point():
@@ -126,13 +118,13 @@ def test_rhs_nk_cone_is_fixed_point():
     r = mesh.nodes
     s = FlowState(mesh=mesh, h=r.copy(), theta=np.zeros_like(r),
                   G=np.ones_like(r), t=0.0, structure=NK)
-    for rate in cf.rhs_nk(s):
+    for rate in cf.rhs(s):
         assert np.max(np.abs(rate)) < 1e-9
 
 
 def test_rhs_nk_cylinder_values():
     s = circle_state(structure=NK, theta=lambda r: np.pi / 6 * np.ones_like(r))
-    dh, dtheta, dG = cf.rhs_nk(s)
+    dh, dtheta, dG = cf.rhs(s)
     assert np.max(np.abs(dh + 3.0)) < 1e-12
     assert np.max(np.abs(dtheta)) < 1e-12
     assert np.max(np.abs(dG + 3.0)) < 1e-12
@@ -150,7 +142,7 @@ def test_G_rate_never_positive():
                 theta=lambda r: rng.uniform(-1, 1) + 0.5 * np.cos(r),
                 G=lambda r: 1.0 + 0.4 * np.sin(r + rng.uniform(0, 6)),
             )
-            dG = cf.rhs_cy(s)[1] if structure is CY else cf.rhs_nk(s)[2]
+            dG = cf.rhs(s)[-1]
             assert np.max(dG) <= 1e-14
 
 
@@ -345,14 +337,13 @@ FIELDS = {CY: ("theta", "G"), NK: ("h", "theta", "G")}
 
 
 def public_flat_rhs(s):
-    """The public rhs_cy/rhs_nk as a function of the flat vector of state s's
-    evolved fields."""
+    """The public rhs as a function of the flat vector of state s's evolved
+    fields."""
     names = FIELDS[s.structure]
-    rhs = cf.rhs_cy if s.structure is CY else cf.rhs_nk
 
     def rates(y):
         fields = dict(zip(names, y.reshape(len(names), -1)))
-        return np.concatenate(rhs(dataclasses.replace(s, **fields)))
+        return np.concatenate(cf.rhs(dataclasses.replace(s, **fields)))
 
     return rates
 
@@ -391,7 +382,7 @@ def extrapolated_step(F, y, dt, s):
 
 def public_extrapolated_steps(s, t_end, max_steps, output_times=()):
     """run_flow's documented stepping at its default cfl, written out over
-    the public rhs_cy/rhs_nk: macro steps toward t_end that stop at output
+    the public rhs: macro steps toward t_end that stop at output
     times, after max_steps accepted steps, and where run_flow halts.
 
     Returns the state at each output time and at the end, the (t, dt) row of
@@ -518,11 +509,11 @@ def test_public_rhs_is_the_rates_of_per_field_stencil_products(domain, n):
     h, theta, G = 1.0 + rng.random(n), rng.normal(size=n), 0.5 + rng.random(n)
     D1, D2 = mesh.deriv_matrix(1), mesh.deriv_matrix(2)
     cases = [
-        (cf.rhs_cy(FlowState(mesh=mesh, h=np.full(n, 1.5), theta=theta, G=G,
-                             t=0.0, structure=CY)),
+        (cf.rhs(FlowState(mesh=mesh, h=np.full(n, 1.5), theta=theta, G=G,
+                          t=0.0, structure=CY)),
          cf.cy_rates(D1 @ theta, D2 @ theta, G, D1 @ G)),
-        (cf.rhs_nk(FlowState(mesh=mesh, h=h, theta=theta, G=G, t=0.0,
-                             structure=NK)),
+        (cf.rhs(FlowState(mesh=mesh, h=h, theta=theta, G=G, t=0.0,
+                          structure=NK)),
          cf.nk_rates(h, D1 @ h, D2 @ h, theta, D1 @ theta, D2 @ theta, G, D1 @ G)),
     ]
     for got, want in cases:

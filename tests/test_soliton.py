@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -324,10 +325,20 @@ def sine_cone_trajectory(span=(np.pi / 8, 3 * np.pi / 8)):
 
 def test_recover_theta_k_sine_cone():
     traj = sine_cone_trajectory()
-    theta, kprime = so.recover_theta_k(traj, -16.0, u_sign0=1.0)
+    theta, kprime = so.recover_theta_k(traj, u_sign0=1.0)
     rs = traj.rs
     assert np.max(np.abs(np.asarray(theta.value(rs)) - rs / 3)) < 1e-7
     assert np.max(np.abs(np.asarray(kprime.value(rs)))) < 1e-7
+
+
+def test_recover_theta_k_reads_lambda_from_the_trajectory():
+    # k' holds -lambda h / (4 h'): the same samples at lambda + 4 lower it by h/h'
+    traj = sine_cone_trajectory()
+    shifted = dataclasses.replace(traj, lam=traj.lam + 4.0)
+    _, kprime = so.recover_theta_k(traj)
+    _, moved = so.recover_theta_k(shifted)
+    assert np.allclose(moved.values - kprime.values, -traj.h / traj.hp,
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_recovered_candidate_passes_residuals():
@@ -341,7 +352,7 @@ def test_recover_flipped_sign_gives_reflected_branch():
     # the soliton system is invariant under theta -> -theta, so the flipped
     # branch is the genuinely different reflected soliton, not an error
     traj = sine_cone_trajectory()
-    theta, _ = so.recover_theta_k(traj, -16.0, u_sign0=-1.0)
+    theta, _ = so.recover_theta_k(traj, u_sign0=-1.0)
     rs = traj.rs
     assert np.max(np.abs(np.asarray(theta.value(rs)) + rs / 3)) < 1e-7
     flipped = so.candidate_from_trajectory(traj, u_sign0=-1.0)
@@ -354,7 +365,7 @@ def test_recover_theta_k_allows_for_round_off_on_a_short_span():
     # far above the truncation bound, three times the measured mismatch
     traj = so.integrate_reduced(1.0, 0.5, 0.0, 0.0, (0.0, 1e-9))
     assert len(traj.rs) == 801
-    theta, _ = so.recover_theta_k(traj, 0.0)
+    theta, _ = so.recover_theta_k(traj)
     # h' = 1/2 on the whole span, so 3 theta = atan2(sqrt(3)/2, 1/2) = pi/3
     assert np.max(np.abs(theta.values - np.pi / 9)) < 1e-12
 
@@ -370,7 +381,7 @@ def test_recover_near_locus_raises_sign_ambiguity():
         lam=-16.0, status="completed",
     )
     with pytest.raises(SignAmbiguity):
-        so.recover_theta_k(fake, -16.0)
+        so.recover_theta_k(fake)
     assert traj.status == "singular_locus"
 
 
@@ -554,6 +565,29 @@ def test_shoot_uses_few_lean_closing_integrations(monkeypatch):
     assert len(rep.candidate.h.values) == 801
 
 
+def test_the_scan_integrates_each_grid_lambda_alone_before_brentq(monkeypatch):
+    # criterion 8's data: the first `grid` calls are the scan, one float
+    # lambda of the grid each, in order, with free steps
+    r0, r1 = np.pi / 8, 3 * np.pi / 8
+    grid, calls = 13, []
+    integrate = so.integrate_reduced
+
+    def spied(h0, dh0, ddh0, lam, span, **kwargs):
+        calls.append((lam, kwargs.get("n_dense", 801)))
+        return integrate(h0, dh0, ddh0, lam, span, **kwargs)
+
+    monkeypatch.setattr(so, "integrate_reduced", spied)
+    rep = so.shoot(*sine_cone_jet(r0), (r0, r1), np.cos(r1), (-25.0, -8.0), grid=grid)
+    assert rep.found
+    scan = calls[:grid]
+    assert all(type(lam) is float for lam, _ in scan)
+    assert [lam for lam, _ in scan] == np.linspace(-25.0, -8.0, grid).tolist()
+    assert all(n_dense == 2 for _, n_dense in scan)
+    assert [lam for lam, _ in rep.closing_values[:grid]] == [lam for lam, _ in scan]
+    # brentq's closings come after, at lambdas the scan did not integrate
+    assert len(calls) > grid + 1 and calls[-1] == (rep.lam, 801)
+
+
 def test_shoot_no_bracket_returns_the_scan():
     r0, r1 = np.pi / 8, 3 * np.pi / 8
     h0, dh0, ddh0 = np.sin(r0), np.cos(r0), -np.sin(r0)
@@ -563,8 +597,8 @@ def test_shoot_no_bracket_returns_the_scan():
     assert rep.lam is None and rep.candidate is None
     lams = [lam for lam, _ in rep.closing_values]
     assert lams == list(np.linspace(-18.0, -14.0, 5))
-    scan = so.integrate_reduced(h0, dh0, ddh0, np.linspace(-18.0, -14.0, 5),
-                                (r0, r1), rtol=1e-10, n_dense=2)
+    scan = [so.integrate_reduced(h0, dh0, ddh0, lam, (r0, r1), rtol=1e-10, n_dense=2)
+            for lam in lams]
     for (lam, value), traj in zip(rep.closing_values, scan, strict=True):
         assert traj.lam == lam
         assert value == float(traj.hp[-1]) - 5.0
@@ -585,40 +619,17 @@ def sine_cone_jet(r0):
     return np.sin(r0), np.cos(r0), -np.sin(r0)
 
 
-@pytest.mark.parametrize("r0,length", [
-    (np.pi / 8, np.pi / 4),   # criterion 8
-    (0.3, 0.7), (0.4, 0.75), (0.5, 0.8),
-])
-def test_an_array_call_agrees_with_scalar_calls(r0, length):
-    # an array of lambdas gives each one what a scalar call with n_dense=2
-    # gives it, on the side of the target that the shoot's bracket reads
-    span, target = (r0, r0 + length), np.cos(r0 + length)
-    lams = np.linspace(-25.0, -8.0, 13)
-    scan = so.integrate_reduced(*sine_cone_jet(r0), lams, span, n_dense=2)
-    alone = scalar_calls(sine_cone_jet(r0), lams, span)
-    for lam, one, single in zip(lams, scan, alone, strict=True):
-        assert one.lam == lam and one.status == single.status
-        assert abs(one.rs[-1] - single.rs[-1]) <= 1e-9
-        assert abs(one.hp[-1] - single.hp[-1]) <= 1e-9
-        assert np.sign(one.hp[-1] - target) == np.sign(single.hp[-1] - target)
-
-
 def test_a_scan_through_the_locus_matches_scalar_calls():
     # criterion 8's data over a wide range: six of the 13 lambdas stop at the
-    # singular locus inside the span, and the array call, the shoot's scan
-    # and its root agree with one scalar call per lambda
+    # singular locus inside the span, and the shoot's scan and its root agree
+    # with one scalar call per lambda
     from scipy import optimize
 
     r0, r1 = np.pi / 8, 3 * np.pi / 8
     jet, target = sine_cone_jet(r0), np.cos(r1)
     lams = np.linspace(-60.0, 10.0, 13)
     alone = scalar_calls(jet, lams, (r0, r1))
-    scan = so.integrate_reduced(*jet, lams, (r0, r1), n_dense=2)
-    assert [t.status for t in scan] == [t.status for t in alone]
-    assert [t.status for t in scan].count("singular_locus") == 6
-    for one, single in zip(scan, alone):
-        assert abs(one.rs[-1] - single.rs[-1]) <= 1e-9
-        assert abs(one.hp[-1] - single.hp[-1]) <= 1e-9
+    assert [t.status for t in alone].count("singular_locus") == 6
 
     rep = so.shoot(*jet, (r0, r1), target, (-60.0, 10.0))
     values = np.array([float(t.hp[-1]) - target for t in alone])
@@ -658,7 +669,7 @@ def test_closing_values_match_scipy_dop853():
     # criterion 8's scan
     r0, r1 = np.pi / 8, 3 * np.pi / 8
     lams = np.linspace(-25.0, -8.0, 13)
-    scan = so.integrate_reduced(*sine_cone_jet(r0), lams, (r0, r1), n_dense=2)
+    scan = scalar_calls(sine_cone_jet(r0), lams, (r0, r1))
     for lam, one in zip(lams, scan, strict=True):
         _, (_, hp, _), status, _ = scipy_dop853(sine_cone_jet(r0), lam, (r0, r1))
         assert one.status == status == "completed"
@@ -680,7 +691,7 @@ def test_locus_stops_match_scipy_dop853():
     # the six lambdas of criterion 8's wide scan that reach h' = 0
     r0, r1 = np.pi / 8, 3 * np.pi / 8
     lams = np.linspace(-60.0, 10.0, 13)
-    scan = so.integrate_reduced(*sine_cone_jet(r0), lams, (r0, r1), n_dense=2)
+    scan = scalar_calls(sine_cone_jet(r0), lams, (r0, r1))
     stopped = 0
     for lam, one in zip(lams, scan, strict=True):
         rs, (h, hp, _), status, _ = scipy_dop853(sine_cone_jet(r0), lam, (r0, r1))
@@ -708,16 +719,17 @@ def test_a_failing_lambda_leaves_the_others_their_scalar_results(monkeypatch):
     # (h''' = -1.28 at r0) but passes the cap inside the span; 1e300 fails
     # the check at the start
     r0, r1 = np.pi / 8, 3 * np.pi / 8
-    jet = sine_cone_jet(r0)
+    jet, target = sine_cone_jet(r0), np.cos(r1)
     monkeypatch.setattr(so, "RATE_CAP", 2.0)
-    lams = np.array([-25.0, -16.5, -8.0, 1e300])
-    scan = so.integrate_reduced(*jet, lams, (r0, r1), n_dense=2)
+    scan = scalar_calls(jet, [-25.0, -16.5, -8.0, 1e300], (r0, r1))
     assert isinstance(scan[0], StepFailure) and isinstance(scan[3], StepFailure)
-    for one, single in zip(scan[1:3], scalar_calls(jet, lams[1:3], (r0, r1))):
-        assert np.array_equal(one.rs, single.rs) and np.array_equal(one.hp, single.hp)
+    assert all(one.status == "completed" for one in scan[1:3])
 
-    rep = so.shoot(*jet, (r0, r1), np.cos(r1), (-25.0, -8.0), grid=5)
+    rep = so.shoot(*jet, (r0, r1), target, (-25.0, -8.0), grid=5)
     assert np.isnan(rep.closing_values[0][1])
+    alone = scalar_calls(jet, np.linspace(-25.0, -8.0, 5)[1:], (r0, r1))
+    for (_, value), single in zip(rep.closing_values[1:5], alone, strict=True):
+        assert value == float(single.hp[-1]) - target
     assert rep.found and abs(rep.lam + 16.0) < 1e-6
 
 
@@ -764,11 +776,13 @@ def test_residuals_reject_the_other_structure():
 @pytest.mark.parametrize("span", [(np.pi / 8, np.pi / 8), (1.0, 0.5),
                                   (0.4, np.inf), (np.nan, 1.0)])
 def test_a_span_that_is_not_finite_and_increasing_is_invalid_params(span):
-    # checked before any integration, for scalar and array calls alike
-    for lam in (-16.0, np.linspace(-25.0, -8.0, 5)):
-        with pytest.raises(InvalidParams) as exc:
-            so.integrate_reduced(*sine_cone_jet(0.4), lam, span)
-        assert exc.value.param == "span"
+    # checked before any integration, for scalar calls and shoots alike
+    with pytest.raises(InvalidParams) as exc:
+        so.integrate_reduced(*sine_cone_jet(0.4), -16.0, span)
+    assert exc.value.param == "span"
+    with pytest.raises(InvalidParams) as exc:
+        so.shoot(*sine_cone_jet(0.4), span, 0.3, (-25.0, -8.0), grid=5)
+    assert exc.value.param == "span"
 
 
 # h0 ~ 3e4: the explicit steps stay tiny, and without a budget this config
@@ -783,27 +797,24 @@ def test_reduced_ode_work_is_bounded(monkeypatch):
     monkeypatch.setattr(so, "MAX_RHS_EVALS", 5_000)
     with pytest.raises(StepFailure, match="5000 RHS evaluations"):
         so.integrate_reduced(*STIFF_JET, STIFF_LAMBDA, STIFF_SPAN)
-    # an array call keeps the budget per lambda: each entry is what its
-    # scalar call gives, and lambda = 0 reaches the locus in 809 evaluations
-    lams = np.array([STIFF_LAMBDA, -16.0, 0.0])
-    scan = so.integrate_reduced(*STIFF_JET, lams, STIFF_SPAN, n_dense=2)
-    assert isinstance(scan[0], StepFailure) and isinstance(scan[1], StepFailure)
+    # the budget is per solve, closings included: lambda = -16 spends it too,
+    # and lambda = 0 reaches the locus in 809 evaluations
+    for lam in (STIFF_LAMBDA, -16.0):
+        with pytest.raises(StepFailure, match="5000 RHS evaluations"):
+            so.integrate_reduced(*STIFF_JET, lam, STIFF_SPAN, n_dense=2)
     single = so.integrate_reduced(*STIFF_JET, 0.0, STIFF_SPAN, n_dense=2)
-    assert scan[2].status == single.status == "singular_locus"
-    assert abs(scan[2].rs[-1] - single.rs[-1]) <= 1e-9
+    assert single.status == "singular_locus" and single.nfev == 809
 
 
 def test_a_scan_past_the_budget_gives_each_member_its_scalar_result(monkeypatch):
     # criterion 8's 13 lambdas take 170 to 218 evaluations each: under a
-    # budget of 150 each entry of the scan is its scalar call's StepFailure,
-    # and the shoot finds no bracket
+    # budget of 150 each scalar call raises StepFailure, and the shoot's scan
+    # reports NaN for each and finds no bracket
     r0, r1 = np.pi / 8, 3 * np.pi / 8
     monkeypatch.setattr(so, "MAX_RHS_EVALS", 150)
     lams = np.linspace(-25.0, -8.0, 13)
-    scan = so.integrate_reduced(*sine_cone_jet(r0), lams, (r0, r1), n_dense=2)
-    for one, single in zip(scan, scalar_calls(sine_cone_jet(r0), lams, (r0, r1)),
-                           strict=True):
-        assert isinstance(one, StepFailure) and str(one) == str(single)
+    for one in scalar_calls(sine_cone_jet(r0), lams, (r0, r1)):
+        assert isinstance(one, StepFailure) and "past 150 RHS evaluations" in str(one)
     rep = so.shoot(*sine_cone_jet(r0), (r0, r1), np.cos(r1), (-25.0, -8.0))
     assert rep.reason == "NoBracket"
     assert all(np.isnan(value) for _, value in rep.closing_values)
@@ -817,7 +828,7 @@ def test_a_grid_that_does_not_increase_is_a_singular_locus():
     traj = so.ReducedTrajectory(rs=rs, h=np.sin(rs), hp=np.cos(rs), hpp=-np.sin(rs),
                                 lam=-16.0, status="singular_locus")
     with pytest.raises(SingularLocus, match="too short for its 5-node grid"):
-        so.recover_theta_k(traj, -16.0)
+        so.recover_theta_k(traj)
 
 
 def test_a_step_that_overflows_on_a_huge_span_is_a_step_failure():
@@ -826,31 +837,30 @@ def test_a_step_that_overflows_on_a_huge_span_is_a_step_failure():
     jet, span = (1.0, 2.0, 1403566300643.0), (-1e300, 0.0)
     with pytest.raises(StepFailure):
         so.integrate_reduced(*jet, 0.0, span, n_dense=2)
-    scan = so.integrate_reduced(*jet, np.array([0.0, 1.0]), span, n_dense=2)
-    assert all(isinstance(one, StepFailure) for one in scan)
+    rep = so.shoot(*jet, span, 0.0, (0.0, 1.0), grid=2)
+    assert rep.reason == "NoBracket"
+    assert all(np.isnan(value) for _, value in rep.closing_values)
 
 
 @pytest.mark.parametrize("jet,param", [((float("nan"), 0.9, -0.4), "h"),
                                        ((0.4, 0.9, float("inf")), "h''")])
 def test_a_scan_from_a_nonfinite_jet_raises_invalid_params(jet, param):
     # the stepper's first right-hand-side evaluation checks the start, so a
-    # non-finite jet is a parameter error, not one StepFailure per lambda
+    # non-finite jet is a parameter error, not a NaN closing value per lambda
     with pytest.raises(InvalidParams) as exc:
-        so.integrate_reduced(*jet, np.linspace(-25.0, -8.0, 5), (0.4, 1.0))
+        so.shoot(*jet, (0.4, 1.0), 0.3, (-25.0, -8.0), grid=5)
     assert exc.value.param == param
 
 
 def test_a_scan_whose_locus_stop_rounds_to_its_start_stops_there():
-    # h'' = 5.7e16: each member comes within the locus guard ~1e-18 past r0,
+    # h'' = 5.7e16: each solve comes within the locus guard ~1e-18 past r0,
     # a stop point that rounds to r0 with the state still the start's; each
     # solve ends after its first step instead of stepping on from there
     jet = 0.6667500596422306, 0.6240301118852803, 5.7330420464942696e16
     span = (0.30036063576653144, 4.569706659582447)
-    lams = np.linspace(5e-324, 2.9554689996700933e-117, 7)
-    scan = so.integrate_reduced(*jet, lams, span, rtol=0.6, n_dense=2)
-    for lam, one in zip(lams.tolist(), scan, strict=True):
+    for lam in np.linspace(5e-324, 2.9554689996700933e-117, 7).tolist():
         single = so.integrate_reduced(*jet, lam, span, rtol=0.6, n_dense=2)
-        assert one.status == single.status == "singular_locus"
-        assert one.rs[-1] == single.rs[-1] == span[0]
+        assert single.status == "singular_locus"
+        assert single.rs[-1] == span[0]
         # the start, the initial-step probe, 12 stages and 3 dense stages
-        assert one.nfev == single.nfev == 17
+        assert single.nfev == 17
