@@ -339,6 +339,7 @@ def _torsion_objects(c):
 def _residual_objects(c):
     domain = _parse_domain(c["domain"])
     structure = _parse_structure(c["structure"])
+    _nodes(c)   # checked and echoed like torsion's, though no mesh is built
     return {"candidate": so.SolitonCandidate(
         h=parse_expression(c["h"], domain),
         theta=parse_expression(c["theta"], domain),

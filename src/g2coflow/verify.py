@@ -2,7 +2,10 @@
 
 The generators below produce smooth closed-form profile data on a circle (or
 interval) with controlled amplitudes, so that identity residuals measure
-algebraic correctness rather than floating-point blowup.
+algebraic correctness rather than floating-point blowup. Each drawn profile
+is a trigonometric polynomial of degree 2 held as one node, whose
+derivatives are nodes of the same kind with new coefficients on the same
+terms; its values are those of the equivalent `profiles` tree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,18 +20,57 @@ from . import torsion as ts
 from .forms import G2Profile, StructureKind
 
 
+class _TrigPolynomial(pf.Profile):
+    """c0 + sum of a f(k r) over the terms (f, k, a), f np.sin or np.cos,
+    plus a shift: one node for the tree that c0 + a1 sin r + b1 cos r +
+    a2 sin 2r + b2 cos 2r (+ shift) builds from `profiles` operations.
+
+    The sum is taken term by term in that order (a matrix product's BLAS
+    sum could run in another). The derivative is the same kind of node: each
+    a f(k r) becomes (+-k a) f'(k r), and c0 and the shift are dropped. A
+    None c0 or shift is absent, so a derivative's sum starts at its first
+    term, as the tree's does once `add` folds the zero derivative of c0
+    away. The values are those of the tree bit for bit: with k in {1, 2},
+    the tree's m-th derivative multiplies s = f(k r) by the powers of two
+    +-k^m before a, and such products are exact, so a (+-k^m s) =
+    (+-k^m a) s.
+    """
+
+    __slots__ = ("c0", "terms", "shift")
+
+    def __init__(self, c0, terms, shift, domain):
+        super().__init__(domain)
+        self.c0 = c0
+        self.terms = terms
+        self.shift = shift
+
+    def _eval(self, r, memo):
+        r = np.asarray(r, dtype=float) if np.shape(r) else float(r)   # as Coordinate
+        total = self.c0
+        for f, k, a in self.terms:
+            v = a * f(k * r)
+            total = v if total is None else total + v
+        return total if self.shift is None else total + self.shift
+
+    def _derivative(self):
+        terms = tuple((np.cos, k, k * a) if f is np.sin else (np.sin, k, -k * a)
+                      for f, k, a in self.terms)
+        return _TrigPolynomial(None, terms, None, self.domain)
+
+
 def _trig_profile(rng, dom, floor=None, amplitude=0.6):
     """Random trigonometric polynomial of degree 2, optionally positive."""
-    r = pf.coordinate(dom)
-    p = pf.constant(rng.uniform(-0.5, 0.5))
+    c0 = rng.uniform(-0.5, 0.5)
+    terms = []
     for k in (1, 2):
         a = amplitude * rng.uniform(-1, 1) / k
         b = amplitude * rng.uniform(-1, 1) / k
-        p = p + a * pf.sin(k * r) + b * pf.cos(k * r)
+        terms += [(np.sin, k, a), (np.cos, k, b)]
+    shift = None
     if floor is not None:
         span = sum(2 * amplitude / k for k in (1, 2)) + 0.5
-        p = p + pf.constant(floor + span)
-    return p
+        shift = floor + span
+    return _TrigPolynomial(c0, tuple(terms), shift, dom)
 
 
 def random_g2_profile(rng, structure, domain=None, coclosed=False):

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from g2coflow import cli, coflow
+from g2coflow import profiles as pf
 from g2coflow import soliton as so
 from g2coflow import torsion as ts
 from g2coflow.errors import ConfigError
@@ -623,6 +624,25 @@ def test_a_bad_torsion_domain_n_is_a_config_error_at_its_key(tmp_path, capsys, n
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("n", ["many", 10.5, 3, cli.MAX_NODES + 1])
+def test_a_bad_residual_domain_n_is_a_config_error_at_its_key(tmp_path, capsys, n):
+    # residual builds no mesh, and took any n unchecked
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps(dict(RESIDUAL, domain=dict(RESIDUAL["domain"], n=n))))
+    assert run_cli("residual", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "(at 'domain.n')" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_residual_domain_n_is_echoed_as_an_integer(tmp_path):
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps(dict(RESIDUAL, domain=dict(RESIDUAL["domain"], n="64"))))
+    out = tmp_path / "o"
+    assert run_cli("residual", "--config", str(cfg), "--out", str(out)) == 0
+    echoed = json.loads((out / "manifest.json").read_text())["config"]["domain"]["n"]
+    assert echoed == 64 and type(echoed) is int
+
+
 @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
 def test_a_config_file_that_is_not_a_json_object_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"   # None: no such file
@@ -1035,6 +1055,88 @@ def test_soliton_runs_exit_0_1_or_2_on_any_config(tmp_path_factory, monkeypatch,
         path.write_text(json.dumps(cfg))
         assert cli.main(["soliton", sub, "--config", str(path),
                          "--out", str(out / "o")]) in (0, 1, 2)
+
+    exits_cleanly()
+
+
+@st.composite
+def one_wild_key(draw, valid, wild):
+    """(config, key): a config of valid values, except, half of the time, the
+    key drawn from values its checks reject (None for no such key)."""
+    key = draw(st.one_of(st.none(), st.sampled_from(list(wild))))
+    cfg = {k: draw(values) for k, values in valid.items()}
+    if key is not None:
+        cfg[key] = draw(wild[key])
+    return cfg, key
+
+
+# the valid sizes drawn stay far below every cap; sizes past a cap are
+# rejected at parse time (test_size_keys_over_their_caps_are_rejected_at_parse_time)
+SIZE_JUNK = st.sampled_from([0, -1, 2.5, True, "many"])
+
+
+def verify_configs():
+    return one_wild_key(
+        {"seed": st.integers(0, 2**64), "profiles": st.integers(2, 4),
+         "points": st.integers(1, 13)},
+        {"seed": st.sampled_from([-1, False, "seven", 2.5]),
+         "profiles": st.one_of(st.just(1), SIZE_JUNK), "points": SIZE_JUNK,
+         "suite": st.just("bogus")})
+
+
+# at most three leaves: sums, products, quotients, functions and powers of them
+EXPRESSIONS = st.recursive(
+    st.sampled_from(["r", "0", "1", "0.5", "-2", "1e300", "1e-300"]),
+    lambda inner: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp", "atan"]), inner),
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("pow({}, {})".format, inner, st.sampled_from(["0", "2", "3"]))),
+    max_leaves=3)
+
+
+def residual_domains(n):
+    """Small circles and intervals, with a node count drawn from n or none."""
+    circle = st.builds(lambda p, r0: {"kind": "circle", "period": p, "r0": r0},
+                       st.floats(0.1, 7.0), st.floats(-3.0, 3.0))
+    interval = st.builds(lambda r0, w: {"kind": "interval", "r0": r0, "r1": r0 + w},
+                         st.floats(-3.0, 3.0), st.floats(0.05, 3.0))
+    return st.builds(lambda d, n: d if n is None else dict(d, n=n),
+                     st.one_of(circle, interval), n)
+
+
+def residual_configs():
+    return one_wild_key(
+        {"structure": st.sampled_from(["CY", "NK"]),
+         "domain": residual_domains(st.one_of(st.none(),
+                                              st.integers(pf.MIN_NODES, 64))),
+         "h": EXPRESSIONS, "theta": EXPRESSIONS, "kprime": EXPRESSIONS,
+         "lambda": st.one_of(st.floats(-20.0, 20.0),
+                             st.sampled_from([x for x in EXTREME_FLOATS
+                                              if math.isfinite(x)])),
+         "samples": st.integers(1, 13), "tolerance": st.floats(1e-12, 1.0)},
+        {"structure": st.just("G2"),
+         "domain": st.one_of(residual_domains(st.sampled_from([3, "many", 10.5])),
+                             st.just({"kind": "interval", "r0": 1.0, "r1": 0.5}),
+                             st.just({"kind": "circle", "period": 0.0})),
+         "h": st.sampled_from(["q + 1", "pow(r, 0.5)", "r +", 1]),
+         "lambda": st.sampled_from([math.nan, math.inf]), "samples": SIZE_JUNK,
+         "tolerance": st.sampled_from([0.0, -1.0, math.inf, math.nan])})
+
+
+@pytest.mark.parametrize("sub, configs", [("verify", verify_configs),
+                                          ("residual", residual_configs)])
+def test_verify_and_residual_exit_0_1_or_2_on_any_config(tmp_path_factory, sub, configs):
+    # in process, where RuntimeWarnings are errors; a rejected value exits 2
+    out = tmp_path_factory.mktemp(sub)
+
+    @settings(max_examples=100, derandomize=True, deadline=2_000, database=None)
+    @given(configs())
+    def exits_cleanly(drawn):
+        cfg, wild = drawn
+        path = out / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main([sub, "--config", str(path), "--out", str(out / "o")])
+        assert code == 2 if wild else code in (0, 1)
 
     exits_cleanly()
 

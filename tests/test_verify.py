@@ -85,3 +85,88 @@ def test_each_template_is_built_once_per_structure_kind_and_degree():
     run_identity_suite(seed=2, n_profiles=20, n_points=5)
     info = verify._suite_template.cache_info()
     assert info.misses <= 14 and info.hits + info.misses == 40
+
+
+# ---------------------------------------------------------------------------
+# drawn profiles: one closed-form node each, bitwise equal to the tree that
+# the same draws build from profiles operations
+# ---------------------------------------------------------------------------
+
+def tree_trig_profile(rng, dom, floor=None, amplitude=0.6):
+    """The reference: the drawn trigonometric polynomial built as a tree."""
+    r = pf.coordinate(dom)
+    p = pf.constant(rng.uniform(-0.5, 0.5))
+    for k in (1, 2):
+        a = amplitude * rng.uniform(-1, 1) / k
+        b = amplitude * rng.uniform(-1, 1) / k
+        p = p + a * pf.sin(k * r) + b * pf.cos(k * r)
+    if floor is not None:
+        span = sum(2 * amplitude / k for k in (1, 2)) + 0.5
+        p = p + pf.constant(floor + span)
+    return p
+
+
+def assert_bitwise_equal(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want)
+
+
+# (amplitude, floor) of theta, G and h in random_g2_profile, and of the
+# coefficients of random_invariant_form
+VARIANTS = [(0.4, None), (0.3, 0.6), (0.4, 0.7), (0.5, None)]
+CIRCLE = pf.Circle(2 * np.pi)
+
+
+@pytest.mark.parametrize("amplitude, floor", VARIANTS)
+@pytest.mark.parametrize("dom, r", [(CIRCLE, CIRCLE.sample_points(50, interior=True)),
+                                    (pf.Interval(-0.7, 2.9), 1.3)])
+def test_a_drawn_profile_and_its_derivatives_equal_the_tree_bitwise(dom, r, amplitude,
+                                                                    floor):
+    for seed in range(24):
+        want = tree_trig_profile(np.random.default_rng(seed), dom, floor, amplitude)
+        got = verify._trig_profile(np.random.default_rng(seed), dom, floor, amplitude)
+        assert got.domain == want.domain == dom
+        for g, w in zip(got.jet(r), want.jet(r)):
+            assert_bitwise_equal(g, w)
+
+
+def test_drawn_profiles_and_their_derivatives_are_childless_single_nodes():
+    g = random_g2_profile(np.random.default_rng(5), StructureKind.NK)
+    a = random_invariant_form(np.random.default_rng(5), degree=1)
+    coefficient = next(iter(a.coeffs.values())).a   # re + 1j im: re is drawn
+    for p in (g.h, g.theta, g.G, coefficient):
+        for q in p._jet_terms():
+            assert type(q) is type(p)
+            # every slot but the kept derivative tree, which is no operand
+            attrs = [getattr(q, s) for c in type(q).__mro__
+                     for s in getattr(c, "__slots__", ()) if s != "_deriv"]
+            assert not any(isinstance(x, pf.Profile) for x in attrs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 104729])
+def test_suite_records_equal_those_of_tree_profiles(monkeypatch, seed):
+    got = run_identity_suite(seed, 20, 50)
+    monkeypatch.setattr(verify, "_trig_profile", tree_trig_profile)
+    assert got == run_identity_suite(seed, 20, 50)
+
+
+@pytest.mark.parametrize("structure", [StructureKind.CY, StructureKind.NK])
+def test_coclosed_laplacian_lemma_values_equal_those_of_tree_profiles(monkeypatch,
+                                                                     structure):
+    rs = pf.Circle(2 * np.pi).sample_points(50, interior=True)
+
+    def lemma_values(seed):
+        g = random_g2_profile(np.random.default_rng(seed), structure, coclosed=True)
+        return [form.coefficient_values(rs)
+                for form in (fm.hodge_laplacian_psi(g, tol=1e-8),
+                             fm.laplacian_psi_closed_form(g))]
+
+    got = [lemma_values(seed) for seed in (1, 2, 3)]
+    monkeypatch.setattr(verify, "_trig_profile", tree_trig_profile)
+    want = [lemma_values(seed) for seed in (1, 2, 3)]
+    for got_forms, want_forms in zip(got, want):
+        for g, w in zip(got_forms, want_forms):
+            assert g.keys() == w.keys()
+            for tag in g:
+                assert_bitwise_equal(g[tag], w[tag])
