@@ -330,10 +330,7 @@ def _torsion_objects(c):
     n = _nodes(c)
     fields = {name: _parse_field(c[name], domain, n, name)
               for name in ("h", "theta", "G")}
-    try:
-        return {"g": G2Profile(**fields, structure=structure, domain=domain)}
-    except InvalidGeometry as exc:   # h or G not positive on the domain
-        raise ConfigError(str(exc)) from None
+    return {"g": G2Profile(**fields, structure=structure, domain=domain)}
 
 
 def _residual_objects(c):
@@ -368,7 +365,8 @@ def parse_config(subcommand, raw, outdir="out"):
 
     Fills documented defaults, converts and checks values, constructs
     domains, profiles and candidates, and rejects unknown keys with their
-    path; a builder's InvalidParams is a ConfigError at its parameter.
+    path; a builder's InvalidParams is a ConfigError at its parameter, its
+    InvalidGeometry one with no key.
     Returns a RunConfig.
     """
     command = COMMANDS.get(subcommand)
@@ -383,6 +381,8 @@ def parse_config(subcommand, raw, outdir="out"):
         objects = command.build(resolved) if command.build else {}
     except InvalidParams as exc:
         raise ConfigError(str(exc), key=exc.param) from None
+    except InvalidGeometry as exc:   # a structure's h or G, a default domain
+        raise ConfigError(str(exc)) from None
     return RunConfig(subcommand, resolved, objects, outdir)
 
 

@@ -138,10 +138,6 @@ class InvariantForm:
         self.coeffs = clean
 
     @classmethod
-    def zero(cls, degree):
-        return cls(degree, {})
-
-    @classmethod
     def basis(cls, tag):
         return cls(DEGREE[tag], {tag: pf.constant(1.0)})
 
@@ -196,7 +192,7 @@ def wedge(a, b):
     """Wedge product. Results of degree > 7 are the zero form."""
     deg = a.degree + b.degree
     if deg > 7:
-        return InvariantForm.zero(7)
+        return InvariantForm(7, {})
     out = {}
     for ta, fa in a.coeffs.items():
         dra, na = _SPLIT[ta]

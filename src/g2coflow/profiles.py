@@ -20,6 +20,11 @@ data format of the line is defined here once: domains and their JSON
 (`domain_from_json`), the uniform grid of a domain (`Mesh`, shared with the
 coflow) and CSV rows (`write_csv`).
 
+Each node class is its own constructor where no folding applies (`sin`,
+`cos`, `exp` and `arctan` are `Sin`, `Cos`, `Exp` and `Arctan`); a unary
+node makes a number operand a `Constant`, as `add`, `mul` and the other
+folding constructors do.
+
 Profiles are immutable after construction; every operation returns a new
 object, so they are safe to share between threads (two threads asking a
 node for its derivative at once may each build it; either tree is kept).
@@ -387,11 +392,13 @@ class Div(_Binary):
 
 class _Unary(Profile):
     """Node whose value is `_op` of the value of a: a numpy function, or a
-    method where the operation needs more."""
+    method where the operation needs more. A number for a is made a
+    Constant."""
 
     __slots__ = ("a",)
 
     def __init__(self, a):
+        a = as_profile(a)
         super().__init__(a.domain)
         self.a = a
 
@@ -762,6 +769,7 @@ def sample_points(domain, members, n):
 # ---------------------------------------------------------------------------
 
 constant, coordinate = Constant, Coordinate
+sin, cos, exp, arctan = Sin, Cos, Exp, Arctan
 
 
 def add(a, b):
@@ -816,22 +824,6 @@ def pow_int(a, n):
     if n < 0:
         return Div(Constant(1.0, a.domain), pow_int(a, -n))
     return Pow(a, n)
-
-
-def sin(a):
-    return Sin(as_profile(a))
-
-
-def cos(a):
-    return Cos(as_profile(a))
-
-
-def exp(a):
-    return Exp(as_profile(a))
-
-
-def arctan(a):
-    return Arctan(as_profile(a))
 
 
 def conj(a):

@@ -1,7 +1,9 @@
 """Soliton solutions of the Laplacian coflow: construction and verification.
 
 Solitons satisfy -Delta_d psi = d(grad(k) _| psi) + lambda psi with the
-radial gauge G = 1. The Calabi-Yau case closes exactly (steady solitons
+radial gauge G = 1. A SolitonCandidate builds its G = 1 G2Profile once,
+at construction, which is the one place its h > 0 is checked. The
+Calabi-Yau case closes exactly (steady solitons
 only); the nearly Kahler case has four special families (cone, anti-cone,
 cylinder, sine-cone) and a general reduction to a third-order polynomial
 ODE for h, from which theta and k' are recovered algebraically. One DOP853
@@ -25,6 +27,7 @@ from . import forms as fm
 from . import profiles as pf
 from .errors import (
     DivergentIntegral,
+    InvalidGeometry,
     InvalidParams,
     QuadratureFailure,
     SignAmbiguity,
@@ -49,7 +52,12 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class SolitonCandidate:
-    """(h, theta, k') with soliton constant lambda, in the G = 1 gauge."""
+    """(h, theta, k') with soliton constant lambda, in the G = 1 gauge.
+
+    Construction builds the candidate's G2Profile, which checks that h is
+    positive on the domain (InvalidParams otherwise), and keeps it:
+    `g2_profile` returns that one structure on every call.
+    """
 
     h: pf.Profile
     theta: pf.Profile
@@ -59,6 +67,14 @@ class SolitonCandidate:
     family: Family
     domain: object
 
+    def __post_init__(self):
+        try:
+            g = G2Profile(self.h, self.theta, pf.constant(1.0, self.domain),
+                          self.structure, self.domain)
+        except InvalidGeometry:
+            raise InvalidParams("h must stay positive on the domain") from None
+        object.__setattr__(self, "_g2", g)   # not a field: no part in == or repr
+
     @property
     def kind(self):
         if self.lam > 0:
@@ -66,9 +82,7 @@ class SolitonCandidate:
         return "steady" if self.lam == 0 else "shrinking"
 
     def g2_profile(self):
-        return G2Profile(h=self.h, theta=self.theta,
-                         G=pf.constant(1.0, self.domain),
-                         structure=self.structure, domain=self.domain)
+        return self._g2
 
     def sample_points(self, n=200):
         return pf.sample_points(self.domain, (self.h, self.theta, self.kprime), n)
@@ -227,15 +241,8 @@ def nk_special(family, b=0.0, c=0.0, lam=None, domain=None):
         raise InvalidParams(f"unknown special family {family!r}",
                             param="family")
 
-    _check_positive(h, dom)
     return SolitonCandidate(h=h, theta=theta, kprime=kprime, lam=lam,
                             structure=StructureKind.NK, family=family, domain=dom)
-
-
-def _check_positive(h, dom):
-    rs = dom.sample_points(64, interior=True)
-    if np.min(np.real(np.asarray(h.value(rs)))) <= 0:
-        raise InvalidParams("h must stay positive on the domain")
 
 
 def residuals_nk(cand, samples=200, tolerance=1e-8):

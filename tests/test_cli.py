@@ -634,6 +634,22 @@ def test_a_bad_residual_domain_n_is_a_config_error_at_its_key(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+def test_a_residual_h_that_is_not_positive_exits_2_before_any_output(tmp_path, capsys):
+    path = tmp_path / "res.json"
+    path.write_text(json.dumps(dict(RESIDUAL, h="r - 1")))
+    out = tmp_path / "o"
+    assert run_cli("residual", "--config", str(path), "--out", str(out)) == 2
+    assert "config error: h must stay positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family,b", [("anticone", "1e300"), ("cone", "-1e300")])
+def test_a_cone_whose_default_domain_collapses_exits_2(tmp_path, capsys, family, b):
+    assert run_cli("soliton", "nk", "--family", family, "--b", b,
+                   "--out", str(tmp_path / "o")) == 2
+    assert "config error: need r1 > r0" in capsys.readouterr().err
+
+
 def test_a_residual_domain_n_is_echoed_as_an_integer(tmp_path):
     cfg = tmp_path / "r.json"
     cfg.write_text(json.dumps(dict(RESIDUAL, domain=dict(RESIDUAL["domain"], n="64"))))
@@ -1094,6 +1110,10 @@ EXPRESSIONS = st.recursive(
     max_leaves=3)
 
 
+# an h that is positive wherever it is finite; a non-finite one exits 1
+POSITIVE_EXPRESSIONS = st.builds("1 + exp({})".format, EXPRESSIONS)
+
+
 def residual_domains(n):
     """Small circles and intervals, with a node count drawn from n or none."""
     circle = st.builds(lambda p, r0: {"kind": "circle", "period": p, "r0": r0},
@@ -1104,21 +1124,23 @@ def residual_domains(n):
                      st.one_of(circle, interval), n)
 
 
+BAD_DOMAINS = st.one_of(residual_domains(st.sampled_from([3, "many", 10.5])),
+                        st.just({"kind": "interval", "r0": 1.0, "r1": 0.5}),
+                        st.just({"kind": "circle", "period": 0.0}))
+
+
 def residual_configs():
     return one_wild_key(
         {"structure": st.sampled_from(["CY", "NK"]),
          "domain": residual_domains(st.one_of(st.none(),
                                               st.integers(pf.MIN_NODES, 64))),
-         "h": EXPRESSIONS, "theta": EXPRESSIONS, "kprime": EXPRESSIONS,
+         "h": POSITIVE_EXPRESSIONS, "theta": EXPRESSIONS, "kprime": EXPRESSIONS,
          "lambda": st.one_of(st.floats(-20.0, 20.0),
                              st.sampled_from([x for x in EXTREME_FLOATS
                                               if math.isfinite(x)])),
          "samples": st.integers(1, 13), "tolerance": st.floats(1e-12, 1.0)},
-        {"structure": st.just("G2"),
-         "domain": st.one_of(residual_domains(st.sampled_from([3, "many", 10.5])),
-                             st.just({"kind": "interval", "r0": 1.0, "r1": 0.5}),
-                             st.just({"kind": "circle", "period": 0.0})),
-         "h": st.sampled_from(["q + 1", "pow(r, 0.5)", "r +", 1]),
+        {"structure": st.just("G2"), "domain": BAD_DOMAINS,
+         "h": st.sampled_from(["q + 1", "pow(r, 0.5)", "r +", 1, "0", "-exp(r)"]),
          "lambda": st.sampled_from([math.nan, math.inf]), "samples": SIZE_JUNK,
          "tolerance": st.sampled_from([0.0, -1.0, math.inf, math.nan])})
 
@@ -1131,6 +1153,73 @@ def test_verify_and_residual_exit_0_1_or_2_on_any_config(tmp_path_factory, sub, 
 
     @settings(max_examples=100, derandomize=True, deadline=2_000, database=None)
     @given(configs())
+    def exits_cleanly(drawn):
+        cfg, wild = drawn
+        path = out / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main([sub, "--config", str(path), "--out", str(out / "o")])
+        assert code == 2 if wild else code in (0, 1)
+
+    exits_cleanly()
+
+
+def torsion_configs():
+    """Torsion configs; a wild h or G is drawn beside a G or h of 1, since the
+    one evaluation that checks both exits 1 on a partner that is not finite."""
+    def finite_partner(drawn):
+        cfg, wild = drawn
+        partner = {"h": "G", "G": "h"}.get(wild)
+        return (dict(cfg, **{partner: "1"}) if partner else cfg), wild
+
+    return one_wild_key(
+        {"structure": st.sampled_from(["CY", "NK"]),
+         "domain": residual_domains(st.one_of(st.none(),
+                                              st.integers(pf.MIN_NODES, 64))),
+         "h": POSITIVE_EXPRESSIONS, "theta": EXPRESSIONS, "G": POSITIVE_EXPRESSIONS,
+         "samples": st.integers(1, 13), "csv": st.booleans()},
+        {"structure": st.just("G2"), "domain": BAD_DOMAINS,
+         "h": st.sampled_from(["0", "-exp(r)", "r +", 1]),
+         "theta": st.sampled_from(["q + 1", "pow(r, 0.5)"]),
+         "G": st.sampled_from(["0", "-1 - r*r"]),
+         "samples": SIZE_JUNK, "csv": st.sampled_from([1, "yes", None]),
+         "stencil_order": st.sampled_from([2, "four"])}).map(finite_partner)
+
+
+def flow_configs(structure):
+    """Flow configs of one structure; a CY h must be constant."""
+    h = st.sampled_from(["1", "0.5", "2"]) if structure == "CY" else POSITIVE_EXPRESSIONS
+    bad_initial = [{"h": "1", "theta": "0"}, {"h": "r +", "theta": "0", "G": "1"},
+                   {"h": {"file": "missing.csv"}, "theta": "0", "G": "1"}]
+    if structure == "CY":
+        bad_initial.append({"h": "2 + sin(r)", "theta": "0", "G": "1"})
+    return one_wild_key(
+        {"structure": st.just(structure),
+         "domain": residual_domains(st.integers(pf.MIN_NODES, 32)),
+         "initial": st.fixed_dictionaries({"h": h, "theta": EXPRESSIONS,
+                                           "G": POSITIVE_EXPRESSIONS}),
+         "t_end": st.sampled_from([1e-4, 1e-3]),
+         "output_times": st.lists(st.floats(0.0, 1e-3), max_size=3),
+         "cfl": st.sampled_from([0.1, 0.2, 1.0])},
+        {"structure": st.just("G2"),
+         "domain": st.one_of(BAD_DOMAINS, residual_domains(st.none())),  # no n
+         "initial": st.sampled_from(bad_initial),
+         "t_end": st.sampled_from([0.0, -1.0, math.inf, math.nan, "soon"]),
+         "output_times": st.sampled_from([0.5, ["soon"], [True]]),
+         "cfl": st.sampled_from([0.0, -0.2, math.inf, math.nan]),
+         "stencil_order": st.sampled_from([2, "four"])})
+
+
+@pytest.mark.parametrize("sub, configs, examples", [
+    ("torsion", torsion_configs(), 300),
+    ("flow", st.sampled_from(["CY", "NK"]).flatmap(flow_configs), 150)])
+def test_torsion_and_flow_exit_0_1_or_2_on_any_config(tmp_path_factory, monkeypatch,
+                                                      sub, configs, examples):
+    # in process, where RuntimeWarnings are errors; a rejected value exits 2
+    out = tmp_path_factory.mktemp(sub)
+    monkeypatch.chdir(out)   # where a relative sample-file path is looked up
+
+    @settings(max_examples=examples, derandomize=True, deadline=2_000, database=None)
+    @given(configs)
     def exits_cleanly(drawn):
         cfg, wild = drawn
         path = out / "cfg.json"

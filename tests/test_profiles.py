@@ -39,6 +39,16 @@ def test_jet_of_sine_at_zero():
     assert np.allclose(j.c, (0.0, 1.0, 0.0, -1.0, 0.0), atol=1e-15)
 
 
+@pytest.mark.parametrize("node,x,fn", [
+    (pf.Sin, 0.5, np.sin), (pf.Cos, 0.5, np.cos), (pf.Exp, 0.5, np.exp),
+    (pf.Arctan, 0.5, np.arctan), (pf.Conj, 2 - 1j, np.conjugate),
+    (lambda a: pf.Pow(a, 3), 0.5, lambda x: x ** 3)])
+def test_a_unary_node_takes_a_number_for_its_operand(node, x, fn):
+    p = node(x)
+    assert isinstance(p.a, pf.Constant) and p.a.c == x
+    assert p.value(1.0) == fn(x)
+
+
 def test_jet_of_square_at_three():
     j = (R * R).jet(3.0)
     assert np.allclose(j.c, (9.0, 6.0, 2.0, 0.0, 0.0), atol=1e-13)

@@ -126,6 +126,38 @@ def test_a_sine_cone_domain_outside_0_pi_is_invalid_params():
         so.nk_special("sinecone", domain=pf.Interval(-0.1, 1.0))
 
 
+def test_a_custom_candidate_whose_h_is_not_positive_is_invalid_params():
+    dom = pf.Interval(0.1, 2.1)
+    with pytest.raises(InvalidParams, match="h must stay positive"):
+        so.SolitonCandidate(h=pf.coordinate(dom) - 1.0, theta=pf.constant(0.0, dom),
+                            kprime=pf.constant(0.0, dom), lam=0.0, structure=NK,
+                            family=Family.CUSTOM, domain=dom)
+
+
+def test_a_candidate_keeps_one_g2_profile_outside_its_fields():
+    cand = so.nk_special("sinecone")
+    assert cand.g2_profile() is cand.g2_profile()
+    assert cand.g2_profile().G.value(1.0) == 1.0
+    assert dataclasses.replace(cand) == cand
+    assert "G2Profile" not in repr(cand)
+
+
+def test_a_candidate_builds_and_checks_its_g2_profile_once(monkeypatch):
+    built = []
+    post_init = G2Profile.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(G2Profile, "__post_init__", counted)
+    cand = so.nk_special("sinecone")
+    so.eigenform_check(cand.g2_profile())
+    so.compact_identity_check(cand)
+    so.form_residual(cand)
+    assert len(built) == 1
+
+
 def test_all_special_families_pass_residuals():
     for cand in (
         so.nk_special("cone", b=0.5, lam=2.0),
