@@ -44,6 +44,7 @@ from .errors import (
     G2CoflowError,
     InvalidGeometry,
     InvalidParams,
+    SingularityDetected,
     StructureMismatch,
 )
 from .forms import G2Profile, StructureKind
@@ -186,6 +187,8 @@ class RunConfig:
 
 
 def _require_keys(obj, allowed, required, path):
+    if not isinstance(obj, dict):
+        raise ConfigError("must be a JSON object", key=path.rstrip(".") or None)
     for key in obj:
         if key not in allowed:
             raise ConfigError("unknown configuration key", key=f"{path}{key}")
@@ -315,11 +318,6 @@ def _flow_objects(c):
     mesh = pf.Mesh.from_domain(domain, n)
     values = pf.evaluate(mesh.nodes, *fields.values())
     initial = dict(zip(fields, map(np.real, values)))
-    if structure is StructureKind.CY:
-        try:
-            cfl.require_constant_h(initial["h"])
-        except StructureMismatch as exc:
-            raise ConfigError(str(exc), key="initial.h") from None
     return {"state": cfl.FlowState(mesh=mesh, **initial, t=0.0,
                                    structure=structure)}
 
@@ -348,8 +346,7 @@ def _residual_objects(c):
 
 def _cy_objects(c):
     try:
-        domain = pf.domain_from_json({"kind": "interval", "r0": c["r0"],
-                                      "r1": c["r1"]})
+        domain = pf.Interval(c["r0"], c["r1"])
     except InvalidGeometry as exc:
         raise ConfigError(str(exc), key="r1") from None
     return {"candidate": so.cy_closed_form(c["b"], c["c"], domain)}
@@ -366,7 +363,8 @@ def parse_config(subcommand, raw, outdir="out"):
     Fills documented defaults, converts and checks values, constructs
     domains, profiles and candidates, and rejects unknown keys with their
     path; a builder's InvalidParams is a ConfigError at its parameter, its
-    InvalidGeometry one with no key.
+    InvalidGeometry, or a flow state's SingularityDetected or
+    StructureMismatch, one with no key.
     Returns a RunConfig.
     """
     command = COMMANDS.get(subcommand)
@@ -381,7 +379,8 @@ def parse_config(subcommand, raw, outdir="out"):
         objects = command.build(resolved) if command.build else {}
     except InvalidParams as exc:
         raise ConfigError(str(exc), key=exc.param) from None
-    except InvalidGeometry as exc:   # a structure's h or G, a default domain
+    # a structure's h or G, a default domain, a flow state's h or G
+    except (InvalidGeometry, SingularityDetected, StructureMismatch) as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(subcommand, resolved, objects, outdir)
 
@@ -407,7 +406,11 @@ def run(config):
     status; the manifest records it, and only "Completed" exits 0.
     """
     t0 = time.monotonic()
-    os.makedirs(config.outdir, exist_ok=True)
+    try:
+        os.makedirs(config.outdir, exist_ok=True)
+    except OSError as exc:   # --out names a file, or a path that cannot be made
+        raise ConfigError(f"cannot make the output directory: {exc}",
+                          key="out") from None
     status = COMMANDS[config.subcommand].run(config)
     write_json(os.path.join(config.outdir, "manifest.json"), {
         "config": config.resolved,

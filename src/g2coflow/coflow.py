@@ -60,7 +60,9 @@ FIELDS = {StructureKind.CY: ("theta", "G"), StructureKind.NK: ("h", "theta", "G"
 
 @dataclass(frozen=True)
 class FlowState:
-    """Discretized (h, theta, G) at one time."""
+    """Discretized (h, theta, G) at one time. Construction raises
+    SingularityDetected unless h and G are positive, and StructureMismatch
+    for a CY state whose h is not constant in r, as the CY system assumes."""
 
     mesh: Mesh
     h: np.ndarray
@@ -76,6 +78,9 @@ class FlowState:
             raise SingularityDetected(
                 f"h or G not positive at t={self.t} "
                 f"(min h {np.min(self.h):.3g}, min G {np.min(self.G):.3g})")
+        if (self.structure is StructureKind.CY
+                and np.max(np.abs(self.h - self.h[0])) > 1e-12):
+            raise StructureMismatch("the CY system assumes h is constant in r")
 
     @property
     def y(self):
@@ -154,13 +159,6 @@ def nk_rates(h, h1, h2, theta, theta1, theta2, G, G1):
     return dh, dtheta, dG
 
 
-def require_constant_h(h):
-    """Raise StructureMismatch unless h is constant in r, as the CY system
-    assumes."""
-    if np.max(np.abs(h - h[0])) > 1e-12:
-        raise StructureMismatch("the CY system assumes h is constant in r")
-
-
 def _rhs(mesh, structure):
     """The right-hand side of one structure's flow: a function from the flat
     vector of the evolved fields (`FlowState.y`), or from a batch of up to 4
@@ -207,10 +205,8 @@ def _rhs(mesh, structure):
 
 def rhs(state):
     """The rates of the state's evolved fields, in FIELDS order: (dtheta/dt,
-    dG/dt) for a CY state, whose h must be constant, and (dh/dt, dtheta/dt,
-    dG/dt) for an NK state."""
-    if state.structure is StructureKind.CY:
-        require_constant_h(state.h)
+    dG/dt) for a CY state, whose h is constant (checked when the state was
+    built), and (dh/dt, dtheta/dt, dG/dt) for an NK state."""
     return tuple(_rhs(state.mesh, state.structure)(state.y).reshape(-1, state.mesh.n))
 
 
@@ -305,8 +301,6 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
             raise SingularityDetected(
                 f"initial NK data violates the coclosed constraint "
                 f"(sup |c| = {c0:.3g} > {INIT_CONSTRAINT_TOL:.3g})")
-    else:
-        require_constant_h(initial.h)
     if min(initial.h.min(), initial.G.min()) < FLOOR:
         raise SingularityDetected(
             f"initial h or G below the positivity floor {FLOOR:.3g}")

@@ -441,6 +441,40 @@ def test_bad_config_values_exit_2(tmp_path, sub, cfg):
                    "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("sub,key,value", [
+    ("flow", "domain", ["kind"]),
+    ("flow", "domain", "circle"),      # not read letter by letter
+    ("flow", "initial", ["h", "theta", "G"]),
+    ("flow", "initial", "h"),
+    ("torsion", "domain", ["kind", "circle"]),
+])
+def test_a_structured_value_that_is_not_a_json_object_exits_2_at_its_key(
+        tmp_path, capsys, sub, key, value):
+    config = flow_config if sub == "flow" else torsion_config
+    cfg = dict(json.loads(open(config(tmp_path)).read()), **{key: value})
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(sub, cfg)
+    assert exc.value.key == key
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(sub, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: must be a JSON object (at {key!r})\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "o"):   # a file; a path under a file
+        assert run_cli("verify", "--profiles", "2", "--points", "1",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot make the output directory")
+        assert err.endswith("(at 'out')\n")
+    assert taken.read_text() == ""
+
+
 REDUCE = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "lambda": -16.0,
           "span": [0.4, 1.0]}
 SHOOT = {"h0": 0.4, "dh0": 0.9, "ddh0": -0.4, "target_dh_end": 0.4,
@@ -640,6 +674,25 @@ def test_a_residual_h_that_is_not_positive_exits_2_before_any_output(tmp_path, c
     out = tmp_path / "o"
     assert run_cli("residual", "--config", str(path), "--out", str(out)) == 2
     assert "config error: h must stay positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("structure,initial", [
+    ("NK", {"h": "r - 1", "theta": "0", "G": "1"}),
+    ("NK", {"h": "r", "theta": "0", "G": "-1"}),
+    ("CY", {"h": "2 + sin(r)", "theta": "0", "G": "1"}),
+])
+def test_a_flow_state_that_cannot_be_built_exits_2_before_any_output(
+        tmp_path, capsys, structure, initial):
+    # a flow state checks its own h and G, and a CY state's constant h
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({
+        "structure": structure, "initial": initial, "t_end": 0.1,
+        "domain": {"kind": "interval", "r0": 0.1, "r1": 2.1, "n": 16}}))
+    out = tmp_path / "o"
+    assert run_cli("flow", "--config", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "(at " not in err
     assert not out.exists()
 
 
@@ -1126,7 +1179,8 @@ def residual_domains(n):
 
 BAD_DOMAINS = st.one_of(residual_domains(st.sampled_from([3, "many", 10.5])),
                         st.just({"kind": "interval", "r0": 1.0, "r1": 0.5}),
-                        st.just({"kind": "circle", "period": 0.0}))
+                        st.just({"kind": "circle", "period": 0.0}),
+                        st.sampled_from([["kind"], "circle"]))
 
 
 def residual_configs():
@@ -1188,7 +1242,8 @@ def torsion_configs():
 def flow_configs(structure):
     """Flow configs of one structure; a CY h must be constant."""
     h = st.sampled_from(["1", "0.5", "2"]) if structure == "CY" else POSITIVE_EXPRESSIONS
-    bad_initial = [{"h": "1", "theta": "0"}, {"h": "r +", "theta": "0", "G": "1"},
+    bad_initial = [["h", "theta", "G"], {"h": "1", "theta": "0"},
+                   {"h": "r +", "theta": "0", "G": "1"},
                    {"h": {"file": "missing.csv"}, "theta": "0", "G": "1"}]
     if structure == "CY":
         bad_initial.append({"h": "2 + sin(r)", "theta": "0", "G": "1"})
