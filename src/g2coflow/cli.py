@@ -45,6 +45,7 @@ from .errors import (
     InvalidGeometry,
     InvalidParams,
     SingularityDetected,
+    SingularLocus,
     StructureMismatch,
 )
 from .forms import G2Profile, StructureKind
@@ -352,6 +353,11 @@ def _cy_objects(c):
     return {"candidate": so.cy_closed_form(c["b"], c["c"], domain)}
 
 
+def _reduce_objects(c):
+    so.require_start(c["h0"], c["dh0"])   # a jet on the singular locus
+    return {}
+
+
 def _nk_objects(c):
     return {"candidate": so.nk_special(c["family"], b=c["b"], c=c["c"],
                                        lam=c["lambda"])}
@@ -363,8 +369,8 @@ def parse_config(subcommand, raw, outdir="out"):
     Fills documented defaults, converts and checks values, constructs
     domains, profiles and candidates, and rejects unknown keys with their
     path; a builder's InvalidParams is a ConfigError at its parameter, its
-    InvalidGeometry, or a flow state's SingularityDetected or
-    StructureMismatch, one with no key.
+    InvalidGeometry, a flow state's SingularityDetected or StructureMismatch,
+    or a reduce jet's SingularLocus, one with no key.
     Returns a RunConfig.
     """
     command = COMMANDS.get(subcommand)
@@ -379,8 +385,8 @@ def parse_config(subcommand, raw, outdir="out"):
         objects = command.build(resolved) if command.build else {}
     except InvalidParams as exc:
         raise ConfigError(str(exc), key=exc.param) from None
-    # a structure's h or G, a default domain, a flow state's h or G
-    except (InvalidGeometry, SingularityDetected, StructureMismatch) as exc:
+    # a structure's h or G, a default domain, a flow state's h or G, a reduce jet
+    except (InvalidGeometry, SingularityDetected, SingularLocus, StructureMismatch) as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(subcommand, resolved, objects, outdir)
 
@@ -595,7 +601,8 @@ COMMANDS = {
         "span": _flag(float, nargs=2, check=_SPAN),
         "rtol": _flag(float, 1e-10, check=_RTOL),
         "u_sign0": _flag(float, 1.0, check=_FINITE),
-        "tolerance": _flag(float, 1e-6, check=_POSITIVE)}, _run_reduce, soliton=True),
+        "tolerance": _flag(float, 1e-6, check=_POSITIVE)},
+        _run_reduce, _reduce_objects, soliton=True),
     "shoot": Command("shooting over the soliton constant", {
         "h0": Key(float, check=_FINITE), "dh0": Key(float, check=_FINITE),
         "ddh0": Key(float, check=_FINITE), "span": Key(float, nargs=2, check=_SPAN),

@@ -340,11 +340,28 @@ def reduced_rhs(h, hp, hpp, lam):
     for name, x in (("h", h), ("h'", hp), ("h''", hpp), ("lambda", lam)):
         if not np.isfinite(x):
             raise InvalidParams(f"{name} = {x} is not finite", param=name)
+    require_start(h, hp)
+    return _reduced_rhs_raw(h, hp, hpp, lam)
+
+
+def require_start(h, hp):
+    """SingularLocus unless the reduced ODE can start at (h, h'): h > 0, |h'|
+    more than LOCUS_TOL from 0 and 1, and the leading coefficient
+    h^3 h'((h')^2 - 1) at least LEAD_FLOOR in size."""
     if h <= 0:
         raise SingularLocus(f"h = {h} is not positive")
     if abs(hp) <= LOCUS_TOL or abs(abs(hp) - 1.0) <= LOCUS_TOL:
         raise SingularLocus(f"|h'| = {abs(hp)} is at the reduction's singular locus")
-    return _reduced_rhs_raw(h, hp, hpp, lam)
+    try:
+        lead = h ** 3 * hp * (hp ** 2 - 1.0)
+    except OverflowError:   # a float power past the float range, far above the floor
+        return
+    _require_lead(lead)
+
+
+def _require_lead(lead):
+    if abs(lead) < LEAD_FLOOR:
+        raise SingularLocus(f"leading coefficient {lead:.3g} below {LEAD_FLOOR}")
 
 
 def _reduced_rhs_raw(h, hp, hpp, lam):
@@ -354,8 +371,7 @@ def _reduced_rhs_raw(h, hp, hpp, lam):
         lead, rest = _reduced_terms(h, hp, hpp, lam)
     except OverflowError:   # a float power past the float range
         lead = rest = np.inf
-    if abs(lead) < LEAD_FLOOR:
-        raise SingularLocus(f"leading coefficient {lead:.3g} below {LEAD_FLOOR}")
+    _require_lead(lead)
     hppp = -rest / lead
     if not abs(hppp) <= RATE_CAP:  # nan fails too
         raise StepFailure(f"reduced ODE overflows past |h'''| = {RATE_CAP:.0e} "

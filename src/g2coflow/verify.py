@@ -6,6 +6,8 @@ algebraic correctness rather than floating-point blowup. Each drawn profile
 is a trigonometric polynomial of degree 2 held as one node, whose
 derivatives are nodes of the same kind with new coefficients on the same
 terms; its values are those of the equivalent `profiles` tree bit for bit.
+The identity suite stacks the draws of many structures into nodes whose
+coefficients are columns, so that one evaluation covers them all.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ class _TrigPolynomial(pf.Profile):
     away. The values are those of the tree bit for bit: with k in {1, 2},
     the tree's m-th derivative multiplies s = f(k r) by the powers of two
     +-k^m before a, and such products are exact, so a (+-k^m s) =
-    (+-k^m a) s.
+    (+-k^m a) s. Each f(k r) is computed once per evaluation and shared by
+    every node of it; coefficients that are (S, 1) columns give (S, P)
+    values at P points (`_stack`).
     """
 
     __slots__ = ("c0", "terms", "shift")
@@ -48,7 +52,10 @@ class _TrigPolynomial(pf.Profile):
         r = np.asarray(r, dtype=float) if np.shape(r) else float(r)   # as Coordinate
         total = self.c0
         for f, k, a in self.terms:
-            v = a * f(k * r)
+            s = memo.get((f, k))   # f(k r), shared by every node of the call
+            if s is None:
+                s = memo[f, k] = f(k * r)
+            v = a * s
             total = v if total is None else total + v
         return total if self.shift is None else total + self.shift
 
@@ -73,13 +80,22 @@ def _trig_profile(rng, dom, floor=None, amplitude=0.6):
     return _TrigPolynomial(c0, tuple(terms), shift, dom)
 
 
-def random_g2_profile(rng, structure, domain=None, coclosed=False):
-    """Random closed-form (h, theta, G) data, optionally coclosed.
+def _stack(nodes):
+    """One _TrigPolynomial holding the drawn nodes as rows: each coefficient
+    becomes an (S, 1) column, so its values and those of its derivative trees
+    at P points are (S, P) arrays, row i bitwise that of nodes[i] (each
+    element is the same product or sum of the same doubles)."""
+    def column(xs):
+        return None if xs[0] is None else np.array(xs)[:, None]
 
-    Coclosed NK data builds h by quadrature from h' = G cos(3 theta), which
-    is the only way to satisfy the constraint for generic theta and G.
-    """
-    dom = domain or pf.Circle(2 * np.pi)
+    terms = tuple((f, k, column([n.terms[i][2] for n in nodes]))
+                  for i, (f, k, _) in enumerate(nodes[0].terms))
+    return _TrigPolynomial(column([n.c0 for n in nodes]), terms,
+                           column([n.shift for n in nodes]), nodes[0].domain)
+
+
+def _draw_structure(rng, structure, dom, coclosed=False):
+    """(h, theta, G) of `random_g2_profile`, drawn in its order, unchecked."""
     theta = _trig_profile(rng, dom, amplitude=0.4)
     G = _trig_profile(rng, dom, floor=0.6, amplitude=0.3)
     if not coclosed:
@@ -94,40 +110,52 @@ def random_g2_profile(rng, structure, domain=None, coclosed=False):
         rs = dom.sample_points(64, interior=True)
         lift = 1.0 + float(np.max(np.abs(G.value(rs)))) * span
         h = h + pf.constant(lift)
+    return h, theta, G
+
+
+def random_g2_profile(rng, structure, domain=None, coclosed=False):
+    """Random closed-form (h, theta, G) data, optionally coclosed.
+
+    Coclosed NK data builds h by quadrature from h' = G cos(3 theta), which
+    is the only way to satisfy the constraint for generic theta and G.
+    """
+    dom = domain or pf.Circle(2 * np.pi)
+    h, theta, G = _draw_structure(rng, structure, dom, coclosed)
     return G2Profile(h=h, theta=theta, G=G, structure=structure, domain=dom)
+
+
+def _form_draws(rng, degree, dom):
+    """{tag: (re, im)}: the drawn real and imaginary parts of the coefficient
+    of each basis element of the degree."""
+    return {tag: (_trig_profile(rng, dom, amplitude=0.5),
+                  _trig_profile(rng, dom, amplitude=0.5))
+            for tag in fm.BASIS_TAGS if fm.DEGREE[tag] == degree}
 
 
 def random_invariant_form(rng, degree, domain=None):
     """Random form with small trigonometric coefficients on every basis
     element of the given degree."""
     dom = domain or pf.Circle(2 * np.pi)
-    coeffs = {}
-    for tag in fm.BASIS_TAGS:
-        if fm.DEGREE[tag] != degree:
-            continue
-        re = _trig_profile(rng, dom, amplitude=0.5)
-        im = _trig_profile(rng, dom, amplitude=0.5)
-        coeffs[tag] = re + pf.constant(1j) * im
-    return fm.InvariantForm(degree, coeffs)
+    return fm.InvariantForm(degree, {tag: re + pf.constant(1j) * im for tag, (re, im)
+                                     in _form_draws(rng, degree, dom).items()})
 
 
 # ---------------------------------------------------------------------------
 # the identity suite
 # ---------------------------------------------------------------------------
 
+BUDGET = 4096   # elements (structures x points) of each template value of the suite
+
+
 @functools.cache
-def _suite_template(structure, degree):
+def _suite_template(structure):
     """(identity names, terms): the coefficients of every residual form of
-    the suite for one structure kind and degree of the random form, on
-    leaves h, theta, G and "a:" + tag for the form's coefficients; interned.
-    Each residual is zero in exact arithmetic."""
+    the suite but d(d(a)) for one structure kind, on leaves h, theta and G;
+    interned. Each residual is zero in exact arithmetic."""
     g = G2Profile.leaves(structure)
-    a = fm.InvariantForm(degree, {tag: pf.Leaf("a:" + tag) for tag in fm.BASIS_TAGS
-                                  if fm.DEGREE[tag] == degree})
     basis = [fm.InvariantForm.basis(tag) for tag in fm.BASIS_TAGS]
     (t0a, t1a), (t0b, t1b) = ts.tau01_first_principles(g), ts.tau01_closed(g)
-    residuals = [("d_squared_zero", fm.d(fm.d(b, structure), structure))
-                 for b in basis + [a]]
+    residuals = [("d_squared_zero", fm.d(fm.d(b, structure), structure)) for b in basis]
     residuals += [("star_involution", fm.star7(fm.star7(b, g), g) - b) for b in basis]
     residuals += [
         ("dphi_dpsi_structure_equations",
@@ -141,14 +169,29 @@ def _suite_template(structure, degree):
     return names, pf.intern([p for _, form in residuals for p in form.coeffs.values()])
 
 
+@functools.cache
+def _dda_template(structure, degree):
+    """(names, terms): the coefficients of d(d(a)) for a form a of the degree,
+    on leaves "a:" + tag; `fm.d` depends on the structure kind alone."""
+    a = fm.InvariantForm(degree, {tag: pf.Leaf("a:" + tag) for tag in fm.BASIS_TAGS
+                                  if fm.DEGREE[tag] == degree})
+    dda = fm.d(fm.d(a, structure), structure)
+    return ["d_squared_zero"] * len(dda.coeffs), pf.intern(list(dda.coeffs.values()))
+
+
 def run_identity_suite(seed=0, n_profiles=20, n_points=50):
     """Exercise the calculus identities on seeded random closed-form data.
 
     Returns a list of {name, max_residual, tolerance, passed} records, one
     per identity, aggregated over n - n // 2 CY structures, then n // 2 NK
-    ones, n = n_profiles. Each drawn structure binds its data to the leaves
-    of its kind's template, and one `profiles.evaluate` call takes every
-    residual coefficient at the sample points.
+    ones, n = n_profiles, drawn in that order. The draws of up to
+    S = BUDGET // n_points structures of a kind are stacked as the rows of
+    one h, theta and G and of one coefficient per basis element of each
+    drawn form's degree (`_stack`). One `G2Profile` spot-checks the S
+    structures, and one `profiles.evaluate` call takes every residual
+    coefficient of the kind's template and of the d(d(a)) template of each
+    degree present: at most BUDGET values (structures x points) each, so
+    more than BUDGET points are taken in near-equal blocks, one at a time.
     """
     rng = np.random.default_rng(seed)
     dom = pf.Circle(2 * np.pi)
@@ -157,17 +200,29 @@ def run_identity_suite(seed=0, n_profiles=20, n_points=50):
                   "dphi_dpsi_structure_equations": 1e-12, "tau2_vanishes": 1e-11,
                   "tau01_closed_vs_first_principles": 1e-10}
     worst = dict.fromkeys(tolerances, 0.0)
+    size = max(1, BUDGET // n_points)
+    blocks = np.array_split(rs, -(-n_points // BUDGET))   # one unless size is 1
 
     for structure, count in ((StructureKind.CY, n_profiles - n_profiles // 2),
                              (StructureKind.NK, n_profiles // 2)):
-        for _ in range(count):
-            g = random_g2_profile(rng, structure, dom)
-            a = random_invariant_form(rng, degree=int(rng.integers(0, 7)), domain=dom)
+        draws = [(_draw_structure(rng, structure, dom), degree := int(rng.integers(0, 7)),
+                  _form_draws(rng, degree, dom)) for _ in range(count)]
+        for start in range(0, count, size):
+            batch = draws[start:start + size]
+            g = G2Profile(*map(_stack, zip(*(fields for fields, _, _ in batch))),
+                          structure=structure, domain=dom)
             inputs = {"h": g.h, "theta": g.theta, "G": g.G}
-            inputs.update(("a:" + tag, p) for tag, p in a.coeffs.items())
-            names, terms = _suite_template(structure, a.degree)
-            for name, v in zip(names, pf.evaluate(rs, *terms, inputs=inputs)):
-                worst[name] = max(worst[name], float(np.max(np.abs(v))))
+            names, terms = _suite_template(structure)
+            for degree in sorted({d for _, d, _ in batch}):
+                forms = [form for _, d, form in batch if d == degree]
+                for tag in forms[0]:   # the rows of each coefficient of the degree
+                    re, im = map(_stack, zip(*(form[tag] for form in forms)))
+                    inputs["a:" + tag] = re + pf.constant(1j) * im
+                more = _dda_template(structure, degree)
+                names, terms = names + more[0], terms + more[1]
+            for block in blocks:
+                for name, v in zip(names, pf.evaluate(block, *terms, inputs=inputs)):
+                    worst[name] = max(worst[name], float(np.max(np.abs(v))))
 
     return [{"name": name, "max_residual": worst[name], "tolerance": tol,
              "passed": worst[name] < tol} for name, tol in tolerances.items()]

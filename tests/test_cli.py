@@ -745,13 +745,13 @@ def test_verify_draws_every_profile_of_an_odd_count(tmp_path, monkeypatch):
     from g2coflow import verify as vf
 
     drawn = []
-    draw = vf.random_g2_profile
+    draw = vf._draw_structure
 
     def spy(rng, structure, *args, **kwargs):
         drawn.append(structure.value)
         return draw(rng, structure, *args, **kwargs)
 
-    monkeypatch.setattr(vf, "random_g2_profile", spy)
+    monkeypatch.setattr(vf, "_draw_structure", spy)
     assert run_cli("verify", "--profiles", "3", "--points", "5",
                    "--out", str(tmp_path / "o")) == 0
     assert drawn == ["CY", "CY", "NK"]
@@ -768,14 +768,32 @@ def test_verify_needs_at_least_two_profiles(tmp_path, n):
     assert cli.parse_config("verify", {"profiles": 2}).resolved["profiles"] == 2
 
 
-def test_numerical_failure_during_a_run_exits_1(tmp_path, capsys):
-    # h' = 0 at the start sits on the reduced ODE's singular locus
-    code = run_cli("soliton", "reduce", "--h0", "0.5", "--dh0", "0", "--ddh0", "0.1",
+@pytest.mark.parametrize("h0,dh0,message", [
+    ("0.5", "0", "singular locus"),   # h' = 0
+    ("1", "1", "singular locus"),     # |h'| = 1
+    ("-1", "0.5", "not positive"),
+    ("1e-4", "0.5", "leading coefficient"),   # h^3 h'((h')^2 - 1) below LEAD_FLOOR
+])
+def test_a_reduce_jet_on_the_singular_locus_exits_2_before_any_output(
+        tmp_path, capsys, h0, dh0, message):
+    code = run_cli("soliton", "reduce", "--h0", h0, "--dh0", dh0, "--ddh0", "0.1",
                    "--lambda", "-16", "--span", "0.4", "1.0",
                    "--out", str(tmp_path / "o"))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "singular locus" in err
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_shoot_from_a_jet_on_the_locus_writes_its_scan(tmp_path):
+    # each scanned lambda's solve raises SingularLocus at the start: a NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h0": 1.0, "dh0": 1.0, "ddh0": 0.0, "span": [0.0, 1.0],
+                               "target_dh_end": 0.5, "lam_range": [-20.0, 0.0]}))
+    assert run_cli("soliton", "shoot", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 1
+    rep = json.loads((tmp_path / "o" / "shoot.json").read_text())
+    assert rep["reason"] == "NoBracket"
+    assert all(math.isnan(value) for _, value in rep["closing_values"])
 
 
 @pytest.mark.parametrize("ddh0", [

@@ -251,6 +251,23 @@ def test_reduced_rhs_singular_locus():
         so.reduced_rhs(-0.5, 0.5, 0.5, -16.0)
 
 
+@pytest.mark.parametrize("h,hp,match", [
+    (1.0, 1.0, "singular locus"), (1.0, -1.0 + 1e-5, "singular locus"),
+    (1.0, 0.0, "singular locus"), (0.0, 0.5, "not positive"),
+    (1e-4, 0.5, "leading coefficient"),   # |h^3 h'((h')^2 - 1)| = 3.75e-13
+])
+def test_a_start_on_the_locus_raises_what_the_rhs_raises_there(h, hp, match):
+    with pytest.raises(SingularLocus, match=match):
+        so.require_start(h, hp)
+    with pytest.raises(SingularLocus, match=match):
+        so.reduced_rhs(h, hp, 0.1, -16.0)
+
+
+@pytest.mark.parametrize("h,hp", [(1.0, 0.5), (1e300, 0.5), (1.0, -1e200)])
+def test_a_start_off_the_locus_passes_even_past_the_float_range(h, hp):
+    so.require_start(h, hp)   # h^3 or (h')^2 overflows: far above LEAD_FLOOR
+
+
 @pytest.mark.parametrize("jet,lam", [
     ((1.0, 0.5, 1e300), -16.0),   # (h'')^2: a float power raises OverflowError
     ((1e300, 0.5, 1.0), -16.0),   # h^3 likewise

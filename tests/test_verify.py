@@ -1,5 +1,5 @@
-"""The identity suite: one evaluation per drawn structure, numbers equal to
-one sup-norm per residual form."""
+"""The identity suite: one evaluation per batch of drawn structures and
+block of points, numbers equal to one sup-norm per residual form."""
 
 import numpy as np
 import pytest
@@ -65,26 +65,70 @@ def test_suite_records_equal_one_sup_norm_per_residual_form(seed, n_profiles, n_
             == per_form_suite(seed, n_profiles, n_points))
 
 
-def test_suite_makes_one_evaluate_call_per_drawn_structure(monkeypatch):
-    rs = pf.Circle(2 * np.pi).sample_points(7, interior=True)
-    on_rs = []
+# (seed, n_profiles, n_points): batches of four and of two structures, a
+# kind's last batch smaller where its count is odd, and one structure per
+# batch with its points in two blocks, of 2049 and 2048 or of 2500 each at
+# BUDGET = 4096
+BOUNDARIES = [(5, 21, verify.BUDGET // 4), (11, 9, verify.BUDGET // 2),
+              (9, 30, verify.BUDGET + 1), (3, 7, 5000)]
+
+
+@pytest.mark.parametrize("seed, n_profiles, n_points", BOUNDARIES)
+def test_suite_records_equal_those_across_batch_and_block_boundaries(seed, n_profiles,
+                                                                     n_points):
+    assert (run_identity_suite(seed, n_profiles, n_points)
+            == per_form_suite(seed, n_profiles, n_points))
+
+
+@pytest.mark.parametrize("seed, n_profiles, n_points", [(0, 20, 50), *BOUNDARIES])
+def test_suite_makes_one_evaluate_call_per_batch_and_block_within_the_budget(
+        monkeypatch, seed, n_profiles, n_points):
+    calls = []   # (structures, points, values) of each evaluate call on a template
     evaluate = pf.evaluate
 
     def spy(r, *terms, **kwargs):
-        on_rs.append(np.array_equal(r, rs))
-        return evaluate(r, *terms, **kwargs)
+        values = evaluate(r, *terms, **kwargs)
+        if kwargs.get("inputs"):   # a structure's values are a row of each 2-d one
+            calls.append((max(len(v) for v in values if np.ndim(v) == 2), len(r), values))
+        return values
 
     monkeypatch.setattr(pf, "evaluate", spy)
-    run_identity_suite(seed=3, n_profiles=4, n_points=7)
-    assert sum(on_rs) == 4
+    run_identity_suite(seed, n_profiles, n_points)
+    size = max(1, verify.BUDGET // n_points)
+    batches = sum(-(-count // size) for count in (n_profiles - n_profiles // 2,
+                                                  n_profiles // 2))
+    assert len(calls) == batches * -(-n_points // verify.BUDGET)
+    # every drawn structure at every point, once
+    assert sum(rows * points for rows, points, _ in calls) == n_profiles * n_points
+    assert all(np.size(v) <= verify.BUDGET for *_, values in calls for v in values)
 
 
-def test_each_template_is_built_once_per_structure_kind_and_degree():
+def test_each_template_is_built_once_per_structure_kind_and_form_degree(monkeypatch):
+    drawn = []   # (kind, form degree) of each drawn structure
+    draw_structure, draw_form = verify._draw_structure, verify._form_draws
+
+    def structure_spy(rng, structure, dom):
+        drawn.append(structure)
+        return draw_structure(rng, structure, dom)
+
+    def form_spy(rng, degree, dom):
+        drawn[-1] = (drawn[-1], degree)
+        return draw_form(rng, degree, dom)
+
+    monkeypatch.setattr(verify, "_draw_structure", structure_spy)
+    monkeypatch.setattr(verify, "_form_draws", form_spy)
     verify._suite_template.cache_clear()
+    verify._dda_template.cache_clear()
+    # 5 points: each kind's 10 structures are one batch
     run_identity_suite(seed=1, n_profiles=20, n_points=5)
+    first = set(drawn)
     run_identity_suite(seed=2, n_profiles=20, n_points=5)
+    second = set(drawn[20:])
     info = verify._suite_template.cache_info()
-    assert info.misses <= 14 and info.hits + info.misses == 40
+    assert (info.misses, info.hits) == (2, 2)
+    info = verify._dda_template.cache_info()
+    assert info.misses == len(first | second) <= 14
+    assert info.misses + info.hits == len(first) + len(second)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +192,22 @@ def test_drawn_profiles_and_their_derivatives_are_childless_single_nodes():
 def test_suite_records_equal_those_of_tree_profiles(monkeypatch, seed):
     got = run_identity_suite(seed, 20, 50)
     monkeypatch.setattr(verify, "_trig_profile", tree_trig_profile)
-    assert got == run_identity_suite(seed, 20, 50)
+    assert got == per_form_suite(seed, 20, 50)
+
+
+@pytest.mark.parametrize("amplitude, floor", VARIANTS)
+def test_each_row_of_stacked_draws_and_of_its_derivatives_equals_its_draw_bitwise(
+        amplitude, floor):
+    rs = CIRCLE.sample_points(50, interior=True)
+    nodes = [verify._trig_profile(np.random.default_rng(seed), CIRCLE, floor, amplitude)
+             for seed in range(7)]
+    stacked = verify._stack(nodes)
+    assert type(stacked) is verify._TrigPolynomial and stacked.domain == CIRCLE
+    for block in (rs, rs[:17], rs[17:]):   # a block's values are those of its points
+        for got, node in zip(zip(*stacked.jet(block)), nodes):   # row by row
+            for g, w in zip(got, node.jet(rs)):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w[np.isin(rs, block)])
 
 
 @pytest.mark.parametrize("structure", [StructureKind.CY, StructureKind.NK])
