@@ -1,6 +1,9 @@
 """Laplacian coflow of coclosed G2-structures on warped products N^6 x L^1.
 
-Subpackages:
+Import each name from its module (`from g2coflow import forms as fm,
+profiles as pf`); the package itself defines only `__version__`.
+
+Modules:
   profiles  scalar functions of r; derivatives are derivative() trees
             (symbolic, or stencil products on grids) and jets their values
   forms     calculus on the SU(3)-invariant form basis
@@ -9,68 +12,7 @@ Subpackages:
   soliton   closed-form, special-family, and ODE-reduced soliton analysis
   verify    seeded randomized identity suite
   cli       command-line entry point and run manifests
+  errors    the package's exception types
 """
 
-from .errors import G2CoflowError
-from .forms import (
-    G2Profile,
-    InvariantForm,
-    StructureKind,
-    build_phi,
-    build_psi,
-    codifferential,
-    d,
-    hodge_laplacian_psi,
-    interior_r,
-    l2_inner,
-    pointwise_inner,
-    star7,
-    wedge,
-)
-from .profiles import (
-    Circle,
-    Interval,
-    Jet,
-    Profile,
-    Sampled,
-    antiderivative,
-    arctan,
-    constant,
-    coordinate,
-    cos,
-    exp,
-    sin,
-)
-from .soliton import (
-    Family,
-    ResidualReport,
-    SolitonCandidate,
-    compact_identity_check,
-    cy_closed_form,
-    eigenform_check,
-    form_residual,
-    integrate_reduced,
-    nk_special,
-    recover_theta_k,
-    reduced_rhs,
-    residuals_cy,
-    residuals_nk,
-    shoot,
-)
-from .torsion import TorsionReport, tau01_closed, tau01_first_principles, tau2_tau3
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "G2CoflowError", "G2Profile", "InvariantForm", "StructureKind",
-    "build_phi", "build_psi", "codifferential", "d", "hodge_laplacian_psi", "interior_r",
-    "l2_inner", "pointwise_inner", "star7", "wedge",
-    "Circle", "Interval", "Jet", "Profile", "Sampled", "antiderivative",
-    "arctan", "constant", "coordinate", "cos", "exp", "sin",
-    "Family", "ResidualReport", "SolitonCandidate", "compact_identity_check",
-    "cy_closed_form", "eigenform_check", "form_residual", "integrate_reduced",
-    "nk_special", "recover_theta_k", "reduced_rhs", "residuals_cy",
-    "residuals_nk", "shoot",
-    "TorsionReport", "tau01_closed", "tau01_first_principles", "tau2_tau3",
-    "__version__",
-]

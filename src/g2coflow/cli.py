@@ -8,7 +8,8 @@ and checked exactly like a value from the file. `parse_config` resolves that
 dict into a RunConfig with every default filled, rejecting unknown keys and
 bad values with their key path, and `run` dispatches it, writing artifacts
 and a manifest that echoes the fully resolved configuration plus versions,
-wall time, and status. Re-running with the manifest's config as `--config`
+wall time, and status, or for a run that raised, the error's class name as
+status and its message. Re-running with the manifest's config as `--config`
 reproduces the run; CSV output uses 17 significant digits, so identical
 config and seed give byte-identical artifacts.
 
@@ -353,8 +354,10 @@ def _cy_objects(c):
     return {"candidate": so.cy_closed_form(c["b"], c["c"], domain)}
 
 
-def _reduce_objects(c):
-    so.require_start(c["h0"], c["dh0"])   # a jet on the singular locus
+def _start_objects(c):
+    """No objects: `reduce` and `shoot` only check their start jet, so that
+    one on the singular locus is rejected before any output exists."""
+    so.require_start(c["h0"], c["dh0"])
     return {}
 
 
@@ -370,7 +373,7 @@ def parse_config(subcommand, raw, outdir="out"):
     domains, profiles and candidates, and rejects unknown keys with their
     path; a builder's InvalidParams is a ConfigError at its parameter, its
     InvalidGeometry, a flow state's SingularityDetected or StructureMismatch,
-    or a reduce jet's SingularLocus, one with no key.
+    or a reduce or shoot jet's SingularLocus, one with no key.
     Returns a RunConfig.
     """
     command = COMMANDS.get(subcommand)
@@ -385,7 +388,7 @@ def parse_config(subcommand, raw, outdir="out"):
         objects = command.build(resolved) if command.build else {}
     except InvalidParams as exc:
         raise ConfigError(str(exc), key=exc.param) from None
-    # a structure's h or G, a default domain, a flow state's h or G, a reduce jet
+    # a structure's h or G, a default domain, a flow state's h or G, a start jet
     except (InvalidGeometry, SingularityDetected, SingularLocus, StructureMismatch) as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(subcommand, resolved, objects, outdir)
@@ -409,7 +412,9 @@ def run(config):
     """Execute a resolved RunConfig; returns the exit code.
 
     The subcommand's handler writes its artifacts and returns the run
-    status; the manifest records it, and only "Completed" exits 0.
+    status; the manifest records it, and only "Completed" exits 0. A handler
+    that raises a G2CoflowError gets a manifest too, its status the error's
+    class name and its `error` the message; the error then propagates.
     """
     t0 = time.monotonic()
     try:
@@ -417,18 +422,27 @@ def run(config):
     except OSError as exc:   # --out names a file, or a path that cannot be made
         raise ConfigError(f"cannot make the output directory: {exc}",
                           key="out") from None
-    status = COMMANDS[config.subcommand].run(config)
-    write_json(os.path.join(config.outdir, "manifest.json"), {
-        "config": config.resolved,
-        "versions": {
-            "g2coflow": __version__,
-            "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
-            "python": sys.version.split()[0],
-        },
-        "wall_time": time.monotonic() - t0,
-        "status": status,
-    })
+
+    def manifest(status, **error):
+        write_json(os.path.join(config.outdir, "manifest.json"), {
+            "config": config.resolved,
+            "versions": {
+                "g2coflow": __version__,
+                "numpy": np.__version__,
+                "scipy": __import__("scipy").__version__,
+                "python": sys.version.split()[0],
+            },
+            "wall_time": time.monotonic() - t0,
+            "status": status,
+            **error,
+        })
+
+    try:
+        status = COMMANDS[config.subcommand].run(config)
+    except G2CoflowError as exc:
+        manifest(type(exc).__name__, error=str(exc))
+        raise
+    manifest(status)
     return 0 if status == "Completed" else 1
 
 
@@ -602,7 +616,7 @@ COMMANDS = {
         "rtol": _flag(float, 1e-10, check=_RTOL),
         "u_sign0": _flag(float, 1.0, check=_FINITE),
         "tolerance": _flag(float, 1e-6, check=_POSITIVE)},
-        _run_reduce, _reduce_objects, soliton=True),
+        _run_reduce, _start_objects, soliton=True),
     "shoot": Command("shooting over the soliton constant", {
         "h0": Key(float, check=_FINITE), "dh0": Key(float, check=_FINITE),
         "ddh0": Key(float, check=_FINITE), "span": Key(float, nargs=2, check=_SPAN),
@@ -611,7 +625,8 @@ COMMANDS = {
         "u_sign0": Key(float, 1.0, check=_FINITE),
         "rtol": Key(float, 1e-10, check=_RTOL),
         "residual_tol": Key(float, 1e-6, check=_POSITIVE),
-        "grid": Key(int, 13, check=_count(2))}, _run_shoot, soliton=True),
+        "grid": Key(int, 13, check=_count(2))},
+        _run_shoot, _start_objects, soliton=True),
     "residual": Command("residuals of a custom candidate", {
         "structure": Key(), "domain": Key(), "h": Key(), "theta": Key(),
         "kprime": Key(), "lambda": Key(float, check=_FINITE),

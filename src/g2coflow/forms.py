@@ -26,13 +26,6 @@ from . import profiles as pf
 from .errors import ConstraintViolated, DegreeMismatch, InvalidGeometry
 from .profiles import Circle, Interval, Profile
 
-__all__ = [
-    "StructureKind", "InvariantForm", "G2Profile", "BASIS_TAGS",
-    "wedge", "d", "star7", "interior_r", "build_phi", "build_psi",
-    "codifferential", "hodge_laplacian_psi", "laplacian_psi_closed_form",
-    "pointwise_inner", "l2_inner", "coclosed_residual",
-]
-
 
 class StructureKind(enum.Enum):
     """Geometry of the 6-dimensional base: Calabi-Yau or nearly Kahler."""

@@ -784,16 +784,38 @@ def test_a_reduce_jet_on_the_singular_locus_exits_2_before_any_output(
     assert not (tmp_path / "o").exists()
 
 
-def test_a_shoot_from_a_jet_on_the_locus_writes_its_scan(tmp_path):
-    # each scanned lambda's solve raises SingularLocus at the start: a NaN
+def test_a_shoot_from_a_jet_on_the_locus_exits_2_before_any_output(tmp_path, capsys):
+    # the start check does not depend on lambda, so no lambda is scanned
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"h0": 1.0, "dh0": 1.0, "ddh0": 0.0, "span": [0.0, 1.0],
                                "target_dh_end": 0.5, "lam_range": [-20.0, 0.0]}))
     assert run_cli("soliton", "shoot", "--config", str(cfg),
-                   "--out", str(tmp_path / "o")) == 1
-    rep = json.loads((tmp_path / "o" / "shoot.json").read_text())
-    assert rep["reason"] == "NoBracket"
-    assert all(math.isnan(value) for _, value in rep["closing_values"])
+                   "--out", str(tmp_path / "o")) == 2
+    assert "singular locus" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_run_that_raises_writes_a_manifest_that_replays_the_failure(tmp_path, capsys):
+    # h' = cos(r) breaks the CY coclosed constraint h' = 0 when the run
+    # computes its residuals, after the output directory exists
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "structure": "CY", "domain": {"kind": "circle", "period": 2 * math.pi},
+        "h": "2 + sin(r)", "theta": "0", "kprime": "0", "lambda": 0.0}))
+    assert run_cli("residual", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coclosed residual ")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["status"] == "ConstraintViolated"
+    assert err == f"error: {manifest['error']}\n"
+    assert set(manifest) == {"config", "versions", "wall_time", "status", "error"}
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(manifest["config"]))
+    assert run_cli("residual", "--config", str(replay),
+                   "--out", str(tmp_path / "o2")) == 1
+    assert capsys.readouterr().err == err
+    again = json.loads((tmp_path / "o2" / "manifest.json").read_text())
+    assert (again["status"], again["error"]) == (manifest["status"], manifest["error"])
 
 
 @pytest.mark.parametrize("ddh0", [
