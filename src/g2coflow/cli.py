@@ -153,6 +153,7 @@ _NODES = Key(int, check=(lambda n: pf.MIN_NODES <= n <= MAX_NODES,
                          f"need from MIN_NODES = {pf.MIN_NODES} to {MAX_NODES} nodes"))
 _NK_FAMILIES = tuple(f.value for f in (so.Family.CONE, so.Family.ANTICONE,
                                        so.Family.CYLINDER, so.Family.SINECONE))
+_STRUCTURE = Key(str, choices=tuple(kind.value for kind in StructureKind))
 # one admitted value; the key stays so that earlier manifests replay
 _STENCIL = Key(int, pf.STENCIL_ORDER, choices=(pf.STENCIL_ORDER,))
 
@@ -249,14 +250,6 @@ def _parse_domain(obj):
     return domain
 
 
-def _parse_structure(name):
-    try:
-        return StructureKind(name)
-    except ValueError:
-        raise ConfigError(f"structure must be CY or NK, got {name!r}",
-                          key="structure") from None
-
-
 def _parse_field(entry, domain, n, key):
     if isinstance(entry, str):
         return parse_expression(entry, domain)
@@ -316,7 +309,7 @@ def _flow_objects(c):
     fields = {name: _parse_field(c["initial"][name], domain, n,
                                  f"initial.{name}")
               for name in ("h", "theta", "G")}
-    structure = _parse_structure(c["structure"])
+    structure = StructureKind(c["structure"])
     mesh = pf.Mesh.from_domain(domain, n)
     values = pf.evaluate(mesh.nodes, *fields.values())
     initial = dict(zip(fields, map(np.real, values)))
@@ -326,7 +319,7 @@ def _flow_objects(c):
 
 def _torsion_objects(c):
     domain = _parse_domain(c["domain"])
-    structure = _parse_structure(c["structure"])
+    structure = StructureKind(c["structure"])
     n = _nodes(c)
     fields = {name: _parse_field(c[name], domain, n, name)
               for name in ("h", "theta", "G")}
@@ -335,7 +328,7 @@ def _torsion_objects(c):
 
 def _residual_objects(c):
     domain = _parse_domain(c["domain"])
-    structure = _parse_structure(c["structure"])
+    structure = StructureKind(c["structure"])
     _nodes(c)   # checked and echoed like torsion's, though no mesh is built
     return {"candidate": so.SolitonCandidate(
         h=parse_expression(c["h"], domain),
@@ -587,11 +580,11 @@ COMMANDS = {
         "profiles": _flag(int, 20, check=_count(2)),
         "points": _flag(int, 50, check=_count(1))}, _run_verify),
     "torsion": Command("torsion report for configured data", {
-        "structure": Key(), "domain": Key(), "h": Key(), "theta": Key(), "G": Key(),
+        "structure": _STRUCTURE, "domain": Key(), "h": Key(), "theta": Key(), "G": Key(),
         "samples": Key(int, 200, check=_count(1)), "stencil_order": _STENCIL,
         "csv": _flag(bool, False)}, _run_torsion, _torsion_objects),
     "flow": Command("run the Laplacian coflow", {
-        "structure": Key(), "domain": Key(), "initial": Key(),
+        "structure": _STRUCTURE, "domain": Key(), "initial": Key(),
         "t_end": Key(float, check=_POSITIVE),
         # each distinct time in (t0, t_end] writes one snapshot file
         "output_times": Key(float, (), nargs="*", check=(
@@ -628,7 +621,7 @@ COMMANDS = {
         "grid": Key(int, 13, check=_count(2))},
         _run_shoot, _start_objects, soliton=True),
     "residual": Command("residuals of a custom candidate", {
-        "structure": Key(), "domain": Key(), "h": Key(), "theta": Key(),
+        "structure": _STRUCTURE, "domain": Key(), "h": Key(), "theta": Key(),
         "kprime": Key(), "lambda": Key(float, check=_FINITE),
         "samples": Key(int, 200, check=_count(1)),
         "tolerance": Key(float, 1e-8, check=_POSITIVE)},

@@ -280,14 +280,14 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     under the local error tolerance TOL. The first trial step is
     cfl min(G)^2 dr^2; later ones follow the error estimate, and a step cut
     short at an output time leaves the next trial step as it was. A step
-    whose result is not finite or has h or G not positive is rejected like
-    an inaccurate one. Initial NK data whose constraint residual exceeds
-    INIT_CONSTRAINT_TOL, or initial h or G below the positivity floor FLOOR,
-    raises SingularityDetected. Halts early with status "SingularityDetected"
-    when h or G loses positivity inside a stage (the last accepted state is
-    kept) or min h or min G falls below the positivity floor, or
-    "ConstraintBlowup" when the NK constraint residual exceeds 1e-2,
-    "StepSizeUnderflow" when a trial step no longer advances t, or
+    whose result is not finite, or which has h or G not positive in a stage
+    or its result, is rejected like an inaccurate one. Initial NK data whose
+    constraint residual exceeds INIT_CONSTRAINT_TOL, or initial h or G below
+    the positivity floor FLOOR, raises SingularityDetected. Halts early with
+    status "SingularityDetected" when an accepted state's min h or min G is
+    below FLOOR, "ConstraintBlowup" when the NK constraint residual exceeds
+    1e-2, "StepSizeUnderflow" when a trial step no longer advances t (so
+    also when no shorter trial keeps h and G positive), or
     "WorkBudgetExceeded" when the next step would pass MAX_RHS_EVALS; the
     last state is appended as a terminal snapshot either way. A step needing
     more than MAX_STAGES stages is shortened to what MAX_STAGES cover, as in
@@ -301,7 +301,8 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
             raise SingularityDetected(
                 f"initial NK data violates the coclosed constraint "
                 f"(sup |c| = {c0:.3g} > {INIT_CONSTRAINT_TOL:.3g})")
-    if min(initial.h.min(), initial.G.min()) < FLOOR:
+    min_h, min_G = float(initial.h.min()), float(initial.G.min())
+    if min(min_h, min_G) < FLOOR:
         raise SingularityDetected(
             f"initial h or G below the positivity floor {FLOOR:.3g}")
 
@@ -319,7 +320,6 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
     snapshots = [initial] if (output_times and initial.t in output_times) else []
     diagnostics = []
     status = "Completed"
-    min_G = float(initial.G.min())
     dt = cfl * (min_G * min_G) * dr2  # a product, not a power: no OverflowError
 
     # an overflow makes a trial state non-finite, and such a trial is rejected
@@ -328,7 +328,6 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
             while state.t < mark - 1e-14:
                 t, y = state.t, state.y
                 step = min(dt, mark - t)
-                min_h, min_G = float(state.h.min()), float(state.G.min())
                 rho = 16.0 / 3.0 / (min_G * min_G * dr2)  # spectral-radius bound
                 if nk:
                     rho += 12.0 / (min_h * min_h) + 10.0 / (min_h * min_G * mesh.dr)
@@ -345,15 +344,11 @@ def run_flow(initial, t_end, output_times=(), cfl=0.2):
                 rhs_evals += 10 * s
                 try:
                     new, low = _extrapolated_step(rhs, y, step, s)
-                except SingularityDetected:
-                    status = "SingularityDetected"
-                    break
-                try:
                     trial = state.advanced(new, t + step)
                     err = float(np.sqrt(np.mean(np.square(
                         (new - low) / (TOL * (1.0 + np.abs(y)))))))
-                except SingularityDetected:  # h or G not positive: retry shorter
-                    err = np.inf
+                except SingularityDetected:  # h or G not positive in a stage
+                    err = np.inf             # or the result: retry shorter
                 if np.isnan(err):  # a non-finite trial state: retry shorter
                     err = np.inf
                 grow = min(4.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 4.0

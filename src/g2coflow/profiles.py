@@ -733,11 +733,6 @@ class Sampled(Profile):
             raise InvalidGeometry(f"mesh smaller than MIN_NODES = {MIN_NODES}")
         self.mesh = Mesh.from_domain(domain, len(self.values))
 
-    @classmethod
-    def from_function(cls, f, domain, n):
-        """Sampled at the mesh nodes of f, a function of arrays or a Profile."""
-        return cls(domain, f(Mesh.from_domain(domain, n).nodes))
-
     n = property(lambda self: self.mesh.n)
     dr = property(lambda self: self.mesh.dr)
     nodes = property(lambda self: self.mesh.nodes)

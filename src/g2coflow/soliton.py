@@ -379,12 +379,6 @@ def _reduced_rhs_raw(h, hp, hpp, lam):
     return hppp
 
 
-def reduced_residual(h, hp, hpp, hppp, lam):
-    """Value of the polynomial ODE at the given jet (zero on solutions)."""
-    lead, rest = _reduced_terms(h, hp, hpp, lam)
-    return lead * hppp + rest
-
-
 @dataclass(frozen=True)
 class ReducedTrajectory:
     """Dense (h, h', h'') samples of the reduced ODE on a uniform grid."""

@@ -941,6 +941,10 @@ def test_the_shared_parser_parses_as_a_fresh_one(capsys, sub):
 
 
 HALTING_FLOWS = {
+    # h^2 = 0.0025 - 6t reaches the positivity floor at t = 0.0025/6
+    "SingularityDetected": {"structure": "NK", "t_end": 1e-3,
+                            "initial": {"h": "0.05", "theta": "0.5235987755982988",
+                                        "G": "1"}},
     # (D1 h)^2 and h^2 overflow, so every trial step is rejected down to dt = 0
     "StepSizeUnderflow": {"structure": "NK", "t_end": 1e-3,
                           "initial": {"h": "1e200", "theta": "0.5235987755982988",
@@ -966,6 +970,8 @@ def test_a_flow_that_cannot_finish_halts_with_exit_1(tmp_path, capsys, monkeypat
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["status"] == status and diag["rhs_evals"] <= coflow.MAX_RHS_EVALS
     assert f"flow {status} after" in capsys.readouterr().out
+    if status == "SingularityDetected":
+        assert abs(diag["rows"][-1][0] - 0.0025 / 6.0) < 1e-9
 
 
 OVERFLOWS = [
@@ -973,9 +979,9 @@ OVERFLOWS = [
     ("flow", {"structure": "NK", "t_end": 1e-3,
               "initial": {"h": "1e200", "theta": "0.5235987755982988", "G": "1"}},
      "StepSizeUnderflow"),
-    # (theta')^2 overflows, and G turns negative inside the first step
+    # (theta')^2 overflows, so G turns negative inside every trial step
     ("flow", {"initial": {"h": "1", "theta": "1e200*sin(r)", "G": "1"}},
-     "SingularityDetected"),
+     "StepSizeUnderflow"),
     ("torsion", {"h": "exp(exp(exp(r)))"}, None),
     ("torsion", {"h": "pow(r, 100000000)"}, None),
     ("residual", {"h": "1e200*sin(r)"}, None),

@@ -268,13 +268,17 @@ def test_nk_cylinder_collapse_matches_exact_solution():
         assert np.max(np.abs(snap.theta - np.pi / 6)) < 1e-12
 
 
-def test_cylinder_singularity_time_is_one_sixth():
-    s = circle_state(n=64, structure=NK,
-                     theta=lambda r: np.pi / 6 * np.ones_like(r))
+@pytest.mark.parametrize("h0", [1.0, 0.3, 0.05])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_cylinder_singularity_time_is_h0_squared_over_six(n, h0):
+    # h^2 = h0^2 - 6t reaches the positivity floor within floor^2/6 of h0^2/6,
+    # whether or not the first trial steps lose positivity inside a stage
+    s = circle_state(n=n, structure=NK, h=lambda r: np.full_like(r, h0),
+                     theta=lambda r: np.full_like(r, np.pi / 6))
     run = cf.run_flow(s, t_end=1.0)
     assert run.status == "SingularityDetected"
-    # h^2 = 1 - 6t reaches the positivity floor at t = 1/6 up to floor^2/6
-    assert abs(run.diagnostics[-1][0] - 1.0 / 6.0) < 1e-4
+    assert run.snapshots[-1].t == run.diagnostics[-1][0]
+    assert abs(run.diagnostics[-1][0] - h0 ** 2 / 6.0) < 1e-9
 
 
 def test_nk_sine_cone_flows_self_similarly_in_the_interior():
@@ -692,15 +696,6 @@ def test_nk_rates_is_the_written_out_formula():
         assert np.array_equal(rate, expected)
 
 
-def test_singularity_detection_stops_run():
-    # cylinder data shrinks h at rate -3/h; h hits the floor in t ~ 1/6
-    s = circle_state(n=64, structure=NK,
-                     theta=lambda r: np.pi / 6 * np.ones_like(r))
-    run = cf.run_flow(s, t_end=1.0)
-    assert run.status == "SingularityDetected"
-    assert run.diagnostics[-1][0] < 1.0
-
-
 def test_snapshots_at_output_times():
     s = circle_state(n=64, theta=lambda r: 0.01 * np.sin(r))
     run = cf.run_flow(s, t_end=0.2, output_times=(0.05, 0.1, 0.15))
@@ -720,18 +715,23 @@ def test_step_diagnostics_match_the_state_methods(structure):
         assert c == np.max(np.abs(final.constraint_residual()))
 
 
-def test_positivity_lost_inside_the_first_stage_halts_at_t0():
+def test_a_step_that_loses_positivity_inside_a_stage_is_retried_shorter():
     # dh/dt = -3/h = -60: the first trial step, 0.2 dr^2 ~ 0.0019, would move
-    # h = 0.05 by -0.12, so a stage of its first base step has h below zero
-    s = circle_state(n=64, structure=NK, h=lambda r: np.full_like(r, 0.05),
+    # h = 0.05 by -0.12, so a stage of its first base step has h below zero.
+    # That step is rejected like an inaccurate one, and the run then follows
+    # h^2 = 0.0025 - 6t down to the floor
+    h0 = 0.05
+    s = circle_state(n=64, structure=NK, h=lambda r: np.full_like(r, h0),
                      theta=lambda r: np.full_like(r, np.pi / 6))
+    dr, first = s.mesh.dr, 0.2 * s.mesh.dr ** 2
+    rho = 16.0 / 3.0 / dr ** 2 + 12.0 / h0 ** 2 + 10.0 / (h0 * dr)
+    with pytest.raises(SingularityDetected, match="inside a step"):
+        cf._extrapolated_step(cf._rhs(s.mesh, NK), s.y, first, cf.stages(rho * first))
     run = cf.run_flow(s, t_end=0.01)
     assert run.status == "SingularityDetected"
-    assert run.diagnostics == ()
-    (final,) = run.snapshots
-    assert final.t == 0.0
-    for name in ("h", "theta", "G"):
-        assert np.array_equal(getattr(final, name), getattr(s, name))
+    assert run.rejected > 0
+    assert run.diagnostics[0][1] < first
+    assert abs(run.diagnostics[-1][0] - h0 ** 2 / 6.0) < 1e-9
 
 
 def test_a_step_whose_result_loses_positivity_is_retried_shorter():

@@ -13,6 +13,11 @@ from g2coflow.errors import DomainError, G2CoflowError, InvalidGeometry, Singula
 R = pf.coordinate()
 
 
+def sampled(f, domain, n):
+    """The Sampled profile of f, a function of arrays, at the mesh nodes."""
+    return pf.Sampled(domain, f(pf.Mesh.from_domain(domain, n).nodes))
+
+
 def random_closed_form(rng, depth=3):
     """Random smooth closed-form profile built from the supported node set."""
     if depth == 0:
@@ -421,7 +426,7 @@ def test_quadrature_failure_on_a_batch_is_quick():
 
 def test_sampled_requires_mesh_node():
     dom = pf.Circle(2 * np.pi)
-    s = pf.Sampled.from_function(np.sin, dom, 64)
+    s = sampled(np.sin, dom, 64)
     s.jet(dom.period * 3 / 64)
     with pytest.raises(DomainError):
         s.jet(0.1234)
@@ -431,7 +436,7 @@ def test_sampled_convergence_order_on_circle():
     dom = pf.Circle(2 * np.pi)
     errs = []
     for n in (48, 96):
-        s = pf.Sampled.from_function(np.sin, dom, n)
+        s = sampled(np.sin, dom, n)
         worst = 0.0
         for i in range(0, n, 7):
             r = float(2 * np.pi * i / n)
@@ -446,7 +451,7 @@ def test_sampled_convergence_order_on_circle():
 def test_sampled_one_sided_interval_jets():
     dom = pf.Interval(0.0, 1.0)
     n = 41
-    s = pf.Sampled.from_function(lambda r: np.exp(r), dom, n)
+    s = sampled(lambda r: np.exp(r), dom, n)
     for r in (0.0, 1.0, 0.5):
         j = s.jet(r)
         assert all(abs(c - np.exp(r)) < 2e-5 for c in j.c)
@@ -454,7 +459,7 @@ def test_sampled_one_sided_interval_jets():
 
 def test_sampled_arithmetic_with_closed_form():
     dom = pf.Circle(2 * np.pi)
-    s = pf.Sampled.from_function(np.sin, dom, 128)
+    s = sampled(np.sin, dom, 128)
     p = s * pf.cos(pf.coordinate())
     r = float(2 * np.pi * 10 / 128)
     assert abs(p.value(r) - np.sin(r) * np.cos(r)) < 1e-12
@@ -464,7 +469,7 @@ def test_sampled_arithmetic_with_closed_form():
 
 def test_sampled_derivative_profile():
     dom = pf.Circle(2 * np.pi)
-    s = pf.Sampled.from_function(np.sin, dom, 512)
+    s = sampled(np.sin, dom, 512)
     ds = s.derivative()
     nodes = ds.nodes
     assert np.max(np.abs(ds.value(nodes) - np.cos(nodes))) < 1e-9
@@ -478,7 +483,7 @@ def test_sampled_and_the_flow_share_one_mesh(dom):
     v = np.cos(np.arange(801.0))
     assert pf.Sampled(dom, v).mesh == pf.Mesh.from_domain(dom, len(v))
     # values sit at exactly the nodes the profile reports
-    s = pf.Sampled.from_function(np.sin, dom, 801)
+    s = sampled(np.sin, dom, 801)
     assert np.array_equal(s.values, np.sin(s.nodes))
 
 
@@ -510,8 +515,7 @@ def reference_stencil(n, dr, periodic, m, order, i):
 
 
 def complex_sampled(dom, n):
-    return pf.Sampled.from_function(lambda r: np.exp(np.sin(r)) + 1j * np.cos(2 * r),
-                                    dom, n)
+    return sampled(lambda r: np.exp(np.sin(r)) + 1j * np.cos(2 * r), dom, n)
 
 
 @pytest.mark.parametrize("dom", [pf.Circle(2 * np.pi, 0.3), pf.Interval(-0.5, 1.7)])
@@ -712,7 +716,7 @@ def test_a_bound_input_singular_only_through_a_leaf_raises_singular_eval():
 
 def test_a_sampled_input_binds_its_stencil_derivatives():
     dom = pf.Circle(2 * np.pi)
-    s = pf.Sampled.from_function(np.sin, dom, 64)
+    s = sampled(np.sin, dom, 64)
     rs = s.nodes[::4]
     got = pf.evaluate(rs, pf.Leaf("s", 1), pf.Leaf("s", 2) * pf.Leaf("s"),
                       inputs={"s": s})
@@ -758,7 +762,7 @@ def test_intern_keeps_constants_of_other_sign_or_type_apart():
 
 
 def test_intern_keeps_pow_exponents_and_foreign_nodes_apart():
-    s = pf.Sampled.from_function(np.sin, pf.Circle(1.0), 16)
+    s = sampled(np.sin, pf.Circle(1.0), 16)
     terms = [pf.Leaf("h") ** 2, pf.Leaf("h") ** 3, s * 2.0, s * 2.0, R + 1.0]
     a, b, c, d, e = pf.intern(terms)
     assert a is not b and (a.n, b.n) == (2, 3) and a.a is b.a
